@@ -1,5 +1,6 @@
-// Engine throughput benchmark: the sharded deterministic-parallel kernel
-// against the classic single-queue engine on a large fixed-seed scenario.
+// Engine throughput benchmark: the sharded deterministic-parallel engine at
+// shards=N against the same engine at shards=1 on a large fixed-seed
+// scenario.
 //
 // Appends one timestamped trajectory entry per run to BENCH_engine.json
 // (a JSON array; a legacy single-object file is wrapped on first append)
@@ -33,10 +34,10 @@
 #include "metrics/json.hpp"
 #include "net/latency.hpp"
 #include "net/link_table.hpp"
-#include "net/network.hpp"
+#include "net/transport.hpp"
 #include "runner/conformance.hpp"
 #include "runner/experiment.hpp"
-#include "sim/simulator.hpp"
+#include "sim/shard.hpp"
 #include "sim/trace.hpp"
 
 namespace {
@@ -68,7 +69,6 @@ const char* partition_name(dca::cell::Partition p) {
 /// entries record real parallelism instead of the raw knob (which was
 /// recorded as a meaningless 0 before).
 int resolved_workers(const dca::runner::ScenarioConfig& c) {
-  if (c.shards <= 1 && !c.stream_metrics) return 1;  // classic engine
   int t = c.threads;
   if (t <= 0) {
     const unsigned hw = std::thread::hardware_concurrency();
@@ -116,43 +116,50 @@ Measurement measure(const dca::runner::ScenarioConfig& cfg, Scheme scheme,
 // -- transport-layer breakdown ----------------------------------------------
 //
 // Two micro-timings isolate what one engine event and one network message
-// cost on the flattened hot path, then the classic run's (events, messages,
+// cost on the flattened hot path, then the shards=1 run's (events, messages,
 // wall) decomposes into estimated shares of wall time: transport
 // (send+deliver, including the delivery event), queue (the remaining
 // non-delivery events' schedule+dispatch overhead), and protocol logic (the
 // residual — the allocator state machines themselves).
 
 /// Self-scheduling chain functor: stays inside EventFn's inline buffer, so
-/// this times the flattened schedule -> heap -> dispatch path alone.
+/// this times the flattened schedule -> heap -> window -> dispatch path
+/// of a one-cell, one-shard kernel alone.
 struct ChainTick {
-  dca::sim::Simulator* sim;
+  dca::sim::ShardedKernel* kernel;
   int* remaining;
   void operator()() const {
-    if (--*remaining > 0) sim->schedule_in(1, ChainTick{sim, remaining});
+    if (--*remaining > 0) {
+      (void)kernel->schedule_local(0, dca::sim::kClassTimer, kernel->now(0) + 1,
+                                   ChainTick{kernel, remaining});
+    }
   }
 };
 
 double measure_queue_ns_per_event() {
-  dca::sim::Simulator sim;
+  dca::sim::ShardedKernel kernel(1, 1, dca::sim::milliseconds(1), 1);
   int remaining = 2'000'000;
   const int total = remaining;
   const auto t0 = std::chrono::steady_clock::now();
-  sim.schedule_in(1, ChainTick{&sim, &remaining});
-  sim.run_to_quiescence();
+  (void)kernel.schedule_local(0, dca::sim::kClassTimer, 1,
+                              ChainTick{&kernel, &remaining});
+  kernel.run_to_quiescence();
   const auto t1 = std::chrono::steady_clock::now();
   return std::chrono::duration<double, std::nano>(t1 - t0).count() / total;
 }
 
 double measure_transport_ns_per_message(const dca::runner::ScenarioConfig& cfg) {
-  // Drives Network::send over the real link table of the bench grid,
-  // round-robin across one cell's interference neighbourhood, with
-  // deliveries drained in batches (mirrors the running engine: sends and
-  // deliveries interleave).
-  dca::sim::Simulator sim;
+  // Drives Transport::send over the real link table of the bench grid on a
+  // one-shard kernel, round-robin across one cell's interference
+  // neighbourhood, with deliveries drained in batches (mirrors the running
+  // engine: sends and deliveries interleave).
   const dca::cell::HexGrid grid(cfg.rows, cfg.cols, cfg.interference_radius,
                                 cfg.wrap);
-  dca::net::Network net(
-      sim, std::make_unique<dca::net::FixedLatency>(cfg.latency), &grid);
+  const dca::net::LinkTable links(grid);
+  dca::net::FixedLatency latency(cfg.latency);
+  const dca::net::FaultConfig no_faults;
+  dca::sim::ShardedKernel kernel(grid.n_cells(), 1, cfg.latency, 1);
+  dca::net::Transport net(kernel, links, latency, no_faults, cfg.seed);
   std::uint64_t delivered = 0;
   net.set_receiver([&delivered](const dca::net::Message&) { ++delivered; });
 
@@ -171,7 +178,7 @@ double measure_transport_ns_per_message(const dca::runner::ScenarioConfig& cfg) 
       msg.to = neighbours[sent % neighbours.size()];
       net.send(msg);
     }
-    sim.run_to_quiescence();
+    kernel.run_to_quiescence();
   }
   const auto t1 = std::chrono::steady_clock::now();
   if (delivered != kMessages) std::abort();  // FIFO floor must not drop any
@@ -189,16 +196,16 @@ struct Breakdown {
 };
 
 Breakdown transport_breakdown(const dca::runner::ScenarioConfig& cfg,
-                              const Measurement& classic) {
+                              const Measurement& run) {
   Breakdown b;
   b.queue_ns_per_event = measure_queue_ns_per_event();
   b.transport_ns_per_message = measure_transport_ns_per_message(cfg);
-  const double wall_ns = classic.wall_s * 1e9;
+  const double wall_ns = run.wall_s * 1e9;
   if (wall_ns <= 0) return b;
-  const double msgs = static_cast<double>(classic.messages);
+  const double msgs = static_cast<double>(run.messages);
   const double other_events =
-      static_cast<double>(classic.events) - msgs;  // non-delivery events
-  b.messages_per_sec = msgs / classic.wall_s;
+      static_cast<double>(run.events) - msgs;  // non-delivery events
+  b.messages_per_sec = msgs / run.wall_s;
   b.transport_share = msgs * b.transport_ns_per_message / wall_ns;
   b.queue_share = other_events * b.queue_ns_per_event / wall_ns;
   b.protocol_share = 1.0 - b.transport_share - b.queue_share;
@@ -359,7 +366,7 @@ int main(int argc, char** argv) {
     policy_choices.push_back(std::move(pc));
   }
 
-  dca::benchutil::heading("engine throughput: classic vs sharded");
+  dca::benchutil::heading("engine throughput: shards=1 vs sharded");
   const unsigned hw = std::thread::hardware_concurrency();
   std::printf("hardware threads: %u, sharded run uses shards=%d, rho=%.2f\n\n",
               hw, shards_n, rho);
@@ -405,16 +412,16 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Where the wall time goes on the classic (shards=1) engine: micro-timed
-  // per-event queue cost and per-message transport cost, scaled by the
-  // first scheme's classic run.
-  dca::benchutil::heading("transport-layer breakdown (classic engine)");
-  const Measurement& classic = results.front();
-  const Breakdown bd = transport_breakdown(bench_config(), classic);
+  // Where the wall time goes at shards=1: micro-timed per-event queue cost
+  // and per-message transport cost, scaled by the first scheme's shards=1
+  // run.
+  dca::benchutil::heading("transport-layer breakdown (shards=1 run)");
+  const Measurement& one_shard = results.front();
+  const Breakdown bd = transport_breakdown(bench_config(), one_shard);
   std::printf("queue dispatch: %6.1f ns/event   transport send+deliver: %6.1f ns/message\n",
               bd.queue_ns_per_event, bd.transport_ns_per_message);
-  std::printf("%s classic run: %.0f messages/s  ->  est. shares: transport %.1f%%  queue %.1f%%  protocol %.1f%%\n",
-              classic.scheme.c_str(), bd.messages_per_sec,
+  std::printf("%s shards=1 run: %.0f messages/s  ->  est. shares: transport %.1f%%  queue %.1f%%  protocol %.1f%%\n",
+              one_shard.scheme.c_str(), bd.messages_per_sec,
               100.0 * bd.transport_share, 100.0 * bd.queue_share,
               100.0 * bd.protocol_share);
 
@@ -440,9 +447,9 @@ int main(int argc, char** argv) {
 
   // Mobility/handoff throughput: the same scenario with short dwells, so
   // nearly every call migrates several times. Handoffs ride HANDOFF
-  // messages over the ordinary links — on the sharded engine many cross a
+  // messages over the ordinary links — at shards > 1 many cross a
   // shard boundary, so this measures the migration machinery's cost and
-  // its cross-shard traffic, classic vs sharded.
+  // its cross-shard traffic, shards=1 vs sharded.
   dca::benchutil::heading("mobility/handoff: events/sec and cross-shard messages");
   struct MobilityRun {
     int shards = 1;
@@ -483,7 +490,7 @@ int main(int argc, char** argv) {
   }
 
   // Crash-recovery overhead: the bench scenario with the crash fault model
-  // on (stations failing ~1/min, cold restarts, resync), classic vs
+  // on (stations failing ~1/min, cold restarts, resync), shards=1 vs
   // sharded. Alongside throughput the trajectory records the availability
   // metrics — uptime fraction and mean time-to-resync — so a protocol
   // change that slows recovery shows up run over run.
@@ -550,9 +557,6 @@ int main(int argc, char** argv) {
       sc.shards = shards;
       sc.threads = threads;
       sc.pin = true;
-      // shards=1 must still exercise the sharded engine (the classic one
-      // has no workers to scale); stream_metrics routes it there.
-      sc.stream_metrics = shards == 1;
       const auto t0 = std::chrono::steady_clock::now();
       const RunResult r = dca::runner::run_uniform(sc, Scheme::kAdaptive, rho);
       const auto t1 = std::chrono::steady_clock::now();
@@ -597,7 +601,7 @@ int main(int argc, char** argv) {
               metro_bytes_per_cell);
 
   // Determinism sanity for the record: events/sec means nothing if the
-  // sharded engine diverged. The merged trace must satisfy every
+  // sharded run diverged. The merged trace must satisfy every
   // conformance invariant (incl. reuse-distance, which substitutes for
   // the cross-shard half of the online Theorem-1 check).
   dca::benchutil::heading("conformance of the merged sharded trace");
@@ -642,8 +646,8 @@ int main(int argc, char** argv) {
   w.value(bd.queue_ns_per_event);
   w.key("transport_ns_per_message");
   w.value(bd.transport_ns_per_message);
-  w.key("classic_scheme");
-  w.value(classic.scheme);
+  w.key("scheme");
+  w.value(one_shard.scheme);
   w.key("messages_per_sec");
   w.value(bd.messages_per_sec);
   w.key("transport_share");

@@ -20,7 +20,6 @@
 #include "metrics/summary.hpp"
 #include "metrics/table.hpp"
 #include "runner/world.hpp"
-#include "traffic/generator.hpp"
 #include "traffic/profile.hpp"
 
 int main() {
@@ -43,13 +42,9 @@ int main() {
            "AcqT p50 [T]", "p95", "p99", "max"});
 
   for (const Scheme s : runner::kAllSchemes) {
-    runner::World w(cfg, s);
     const traffic::UniformProfile profile(cfg.arrival_rate_for_load(rho));
-    traffic::TrafficSource src(
-        w.simulator(), w.grid(), profile, cfg.mean_holding_s, cfg.seed,
-        [&w](const traffic::CallSpec& spec) { w.submit_call(spec); });
-    src.start(cfg.duration);
-    w.simulator().run_to_quiescence();
+    runner::World w(cfg, s, &profile);
+    w.run();
     if (w.interference_violations() != 0 || !w.quiescent()) {
       std::fprintf(stderr, "INVARIANT FAILURE in %s\n",
                    runner::scheme_name(s).c_str());

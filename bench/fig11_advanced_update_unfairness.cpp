@@ -116,7 +116,7 @@ void testutil_offer(World& w, cell::CellId c, traffic::CallId call,
   traffic::CallSpec spec;
   spec.id = call;
   spec.cell = c;
-  spec.arrival = w.simulator().now();
+  spec.arrival = w.now();
   spec.holding = holding;
   w.submit_call(spec);
 }
@@ -124,7 +124,7 @@ void testutil_offer(World& w, cell::CellId c, traffic::CallId call,
 Outcome run_scheme(Scheme scheme, const Scenario& s) {
   const auto cfg = fig11_config();
   World probe(cfg, scheme);  // cheap: topology identical
-  World w(cfg, scheme, make_latency(s, probe.grid().n_cells()));
+  World w(cfg, scheme, nullptr, make_latency(s, probe.grid().n_cells()));
 
   traffic::CallId id = 1;
   const auto hold = sim::minutes(60);
@@ -132,15 +132,14 @@ Outcome run_scheme(Scheme scheme, const Scenario& s) {
   testutil_offer(w, s.c1, id++, hold);
   testutil_offer(w, s.c2, id++, hold);
   for (const cell::CellId p : s.fillers) testutil_offer(w, p, id++, hold);
-  w.simulator().run_until(sim::seconds(2));
+  w.run_until(sim::seconds(2));
 
   // The race: c1 requests first (older timestamp), c2 two ms later, but
   // c2's messages arrive first everywhere.
   testutil_offer(w, s.c1, 100, hold);
-  w.simulator().schedule_in(sim::milliseconds(2), [&w, &s, hold] {
-    testutil_offer(w, s.c2, 200, hold);
-  });
-  w.simulator().run_until(w.simulator().now() + sim::minutes(1));
+  w.run_until(w.now() + sim::milliseconds(2));
+  testutil_offer(w, s.c2, 200, hold);
+  w.run_until(w.now() + sim::minutes(1));
 
   Outcome out;
   for (const auto& r : w.collector().records()) {

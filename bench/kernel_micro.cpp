@@ -1,104 +1,121 @@
 // E-K1 — google-benchmark microbenchmarks of the simulation substrate:
-// event-queue throughput, ChannelSet algebra, interference lookups, and
-// end-to-end simulated-call throughput of the full world.
+// event-queue and kernel throughput, the transport's send paths, ChannelSet
+// algebra, interference lookups, and end-to-end simulated-call throughput
+// of the full world.
 #include <benchmark/benchmark.h>
 
-#include <memory>
+#include <functional>
+#include <span>
+#include <utility>
 
 #include "cell/grid.hpp"
 #include "cell/reuse.hpp"
 #include "cell/spectrum.hpp"
 #include "net/fault.hpp"
 #include "net/latency.hpp"
-#include "net/network.hpp"
+#include "net/link_table.hpp"
+#include "net/transport.hpp"
 #include "runner/experiment.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/random.hpp"
-#include "sim/simulator.hpp"
+#include "sim/shard.hpp"
 
 namespace {
 
 using namespace dca;
 
-void BM_EventQueueScheduleAndPop(benchmark::State& state) {
+void BM_ShardQueueScheduleAndPop(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   sim::RngStream rng(1);
   for (auto _ : state) {
-    sim::EventQueue q;
+    sim::ShardQueue q;
     for (std::size_t i = 0; i < n; ++i) {
-      q.schedule(rng.uniform_int(0, 1'000'000), [] {});
+      (void)q.schedule(sim::EventKey{rng.uniform_int(0, 1'000'000), 0,
+                                     sim::kClassTimer, 0, i},
+                       [] {});
     }
-    while (!q.empty()) benchmark::DoNotOptimize(q.pop().when);
+    while (!q.empty()) benchmark::DoNotOptimize(q.pop().key.when);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_EventQueueScheduleAndPop)->Arg(1024)->Arg(16384);
+BENCHMARK(BM_ShardQueueScheduleAndPop)->Arg(1024)->Arg(16384);
 
-void BM_SimulatorSelfSchedulingChain(benchmark::State& state) {
+void BM_KernelSelfSchedulingChain(benchmark::State& state) {
+  // One cell on one shard: schedule_local, window barrier and dispatch per
+  // event, with nothing else in the queue.
   for (auto _ : state) {
-    sim::Simulator s;
+    sim::ShardedKernel k(1, 1, sim::milliseconds(1), 1);
     int remaining = 10000;
     std::function<void()> tick = [&] {
-      if (--remaining > 0) s.schedule_in(1, tick);
+      if (--remaining > 0) {
+        (void)k.schedule_local(0, sim::kClassTimer, k.now(0) + 1, [&] { tick(); });
+      }
     };
-    s.schedule_in(1, tick);
-    s.run_to_quiescence();
-    benchmark::DoNotOptimize(s.now());
+    (void)k.schedule_local(0, sim::kClassTimer, 1, [&] { tick(); });
+    k.run_to_quiescence();
+    benchmark::DoNotOptimize(k.now(0));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 10000);
 }
-BENCHMARK(BM_SimulatorSelfSchedulingChain);
+BENCHMARK(BM_KernelSelfSchedulingChain);
 
-void BM_NetworkSendDeliver(benchmark::State& state) {
-  // The fault-free transport hot path: LinkId resolution, FIFO-floor
-  // probe, inline delivery closure, dispatch — no reliable-transport
-  // framing. One item = one message end to end.
-  sim::Simulator s;
-  const cell::HexGrid grid(16, 16, 2);
-  net::Network netw(s, std::make_unique<net::FixedLatency>(sim::milliseconds(5)),
-                    &grid);
-  std::uint64_t delivered = 0;
-  netw.set_receiver([&delivered](const net::Message&) { ++delivered; });
-  const cell::CellId center = grid.n_cells() / 2 + 8;
-  const auto in = grid.interference(center);
-  net::Message msg;
-  msg.from = center;
-  std::size_t i = 0;
-  for (auto _ : state) {
-    msg.to = in[i++ % in.size()];
-    netw.send(msg);
-    s.run_to_quiescence();
+/// The transport on a 16x16 grid (radius 2) over a one-shard kernel, with
+/// a counting receiver in place of the nodes.
+struct TransportRig {
+  explicit TransportRig(net::FaultConfig f) : faults(std::move(f)) {
+    transport.set_receiver([this](const net::Message&) { ++delivered; });
   }
-  benchmark::DoNotOptimize(delivered);
+
+  /// Sends one message from the centre cell to the next of its
+  /// interference neighbours, round robin.
+  void send_next() {
+    msg.to = in[next++ % in.size()];
+    transport.send(msg);
+  }
+
+  cell::HexGrid grid{16, 16, 2};
+  net::LinkTable links{grid};
+  net::FixedLatency latency{sim::milliseconds(5)};
+  net::FaultConfig faults;
+  sim::ShardedKernel kernel{grid.n_cells(), 1, sim::milliseconds(5), 1};
+  net::Transport transport{kernel, links, latency, faults, 42};
+  std::uint64_t delivered = 0;
+  const cell::CellId center = grid.n_cells() / 2 + 8;
+  const std::span<const cell::CellId> in = grid.interference(center);
+  net::Message msg = [this] {
+    net::Message m;
+    m.from = center;
+    return m;
+  }();
+  std::size_t next = 0;
+};
+
+void BM_TransportSendDeliver(benchmark::State& state) {
+  // The fault-free transport hot path: LinkId resolution, FIFO-floor
+  // probe, canonical delivery key, inline delivery closure, dispatch — no
+  // reliable-transport framing. One item = one message end to end.
+  TransportRig rig({});
+  for (auto _ : state) {
+    rig.send_next();
+    rig.kernel.run_to_quiescence();
+  }
+  benchmark::DoNotOptimize(rig.delivered);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_NetworkSendDeliver);
+BENCHMARK(BM_TransportSendDeliver);
 
 void BM_TransportSendAckRoundTrip(benchmark::State& state) {
   // Reliable transport engaged (jitter=1us, no drops/dups): one item =
   // data frame out, resequence, cumulative ack back, pending-window erase,
   // RTO cancel — the full send -> ack round trip on the ring buffers.
-  sim::Simulator s;
-  const cell::HexGrid grid(16, 16, 2);
-  net::Network netw(s, std::make_unique<net::FixedLatency>(sim::milliseconds(5)),
-                    &grid);
   net::FaultConfig fc;
   fc.jitter = 1;
-  netw.enable_faults(fc, 42);
-  std::uint64_t delivered = 0;
-  netw.set_receiver([&delivered](const net::Message&) { ++delivered; });
-  const cell::CellId center = grid.n_cells() / 2 + 8;
-  const auto in = grid.interference(center);
-  net::Message msg;
-  msg.from = center;
-  std::size_t i = 0;
+  TransportRig rig(fc);
   for (auto _ : state) {
-    msg.to = in[i++ % in.size()];
-    netw.send(msg);
-    s.run_to_quiescence();
+    rig.send_next();
+    rig.kernel.run_to_quiescence();
   }
-  benchmark::DoNotOptimize(delivered);
+  benchmark::DoNotOptimize(rig.delivered);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_TransportSendAckRoundTrip);
@@ -107,31 +124,17 @@ void BM_TransportDupReorderCocktail(benchmark::State& state) {
   // Lossy-link cocktail (10% drop, 10% dup, 500us jitter): retransmit
   // timers, duplicate suppression, and out-of-order resequencing all hit
   // the per-link rings. Sends go in bursts so frames genuinely reorder.
-  sim::Simulator s;
-  const cell::HexGrid grid(16, 16, 2);
-  net::Network netw(s, std::make_unique<net::FixedLatency>(sim::milliseconds(5)),
-                    &grid);
   net::FaultConfig fc;
   fc.drop_prob = 0.10;
   fc.dup_prob = 0.10;
   fc.jitter = 500;
-  netw.enable_faults(fc, 42);
-  std::uint64_t delivered = 0;
-  netw.set_receiver([&delivered](const net::Message&) { ++delivered; });
-  const cell::CellId center = grid.n_cells() / 2 + 8;
-  const auto in = grid.interference(center);
-  net::Message msg;
-  msg.from = center;
+  TransportRig rig(fc);
   constexpr int kBurst = 16;
-  std::size_t i = 0;
   for (auto _ : state) {
-    for (int b = 0; b < kBurst; ++b) {
-      msg.to = in[i++ % in.size()];
-      netw.send(msg);
-    }
-    s.run_to_quiescence();
+    for (int b = 0; b < kBurst; ++b) rig.send_next();
+    rig.kernel.run_to_quiescence();
   }
-  benchmark::DoNotOptimize(delivered);
+  benchmark::DoNotOptimize(rig.delivered);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kBurst);
 }
 BENCHMARK(BM_TransportDupReorderCocktail);

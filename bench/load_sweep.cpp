@@ -90,10 +90,12 @@ int main() {
   // ---- message composition at one moderate point --------------------------
   benchutil::heading("Message composition at rho = 0.70 (share of total sent)");
   {
-    const char* kind_names[] = {"REQUEST", "RESPONSE", "CHANGE_MODE", "RELEASE",
-                                "ACQUISITION", "TRANSFER"};
     std::vector<std::string> h{"scheme", "total"};
-    for (const auto* k : kind_names) h.emplace_back(k);
+    for (int k = 0; k < net::kNumMsgKinds; ++k) {
+      net::Message m;
+      m.kind = static_cast<net::MsgKind>(k);
+      h.emplace_back(m.kind_name());
+    }
     Table t(h);
     for (const Scheme s : schemes) {
       const auto& r = cell_of(s, 0.7);

@@ -4,13 +4,12 @@
 //
 //   $ ./hotspot_borrowing
 //
-// Demonstrates the lower-level World API (direct call submission and node
+// Demonstrates the lower-level World API (stepping the clock and node
 // introspection) rather than the one-shot experiment drivers.
 #include <cstdio>
 
 #include "core/adaptive.hpp"
 #include "runner/world.hpp"
-#include "traffic/generator.hpp"
 #include "traffic/profile.hpp"
 
 int main() {
@@ -26,23 +25,19 @@ int main() {
   cfg.adaptive.theta_low = 2;
   cfg.adaptive.theta_high = 4;
 
-  runner::World world(cfg, runner::Scheme::kAdaptive);
   const cell::CellId hot = (cfg.rows / 2) * cfg.cols + cfg.cols / 2;
 
   // Light background everywhere; the hot cell runs at 12x for 10 minutes.
   const traffic::HotspotProfile profile(cfg.arrival_rate_for_load(0.12), {hot},
                                         12.0, sim::minutes(10), sim::minutes(20));
-  traffic::TrafficSource source(
-      world.simulator(), world.grid(), profile, cfg.mean_holding_s, cfg.seed,
-      [&world](const traffic::CallSpec& spec) { world.submit_call(spec); });
-  source.start(cfg.duration);
+  runner::World world(cfg, runner::Scheme::kAdaptive, &profile);
 
   const auto& node = dynamic_cast<const core::AdaptiveNode&>(world.node(hot));
 
   std::printf("minute | mode | in-use | borrowed | free primaries | subscribers nearby\n");
   std::printf("-------+------+--------+----------+----------------+-------------------\n");
   for (int minute = 1; minute <= 30; ++minute) {
-    world.simulator().run_until(sim::minutes(minute));
+    world.run_until(sim::minutes(minute));
     int borrowed = (node.in_use() - world.plan().primary(hot)).size();
     int subscribers = 0;
     for (const cell::CellId j : world.grid().interference(hot)) {
@@ -53,9 +48,9 @@ int main() {
                 node.in_use().size(), borrowed, node.free_primary_count(),
                 subscribers);
   }
-  world.simulator().run_to_quiescence();
+  world.run_to_quiescence();
 
-  const auto agg = world.collector().aggregate(world.latency_bound());
+  const auto agg = world.result().agg;
   std::printf("\nhot-spot summary: %llu calls, %.2f%% dropped, "
               "acquisition mix local/update/search = %.2f/%.2f/%.2f\n",
               static_cast<unsigned long long>(agg.offered),

@@ -19,29 +19,22 @@ void Collector::open(std::uint64_t serial, traffic::CallId call, cell::CellId ce
 }
 
 void Collector::on_message(const net::Message& msg) {
-  if (msg.serial == 0) {
-    ++unattributed_;
-    return;
-  }
-  bill(msg.serial, msg.kind);
+  if (msg.serial == 0 || !bill(msg.serial, msg.kind)) ++unattributed_;
 }
 
-void Collector::bill(std::uint64_t serial, net::MsgKind kind) {
+bool Collector::bill(std::uint64_t serial, net::MsgKind kind) {
   const auto it = open_.find(serial);
-  if (it == open_.end()) {
-    // Billed to an already-closed acquisition (e.g. the end-of-call
-    // RELEASE): attribute to the closed record if still reachable, else
-    // count as unattributed. A linear search of closed_ would be O(n);
-    // instead keep a side index from serial -> closed slot.
-    const auto ci = closed_index_.find(serial);
-    if (ci == closed_index_.end()) {
-      ++unattributed_;
-      return;
-    }
-    ++closed_[ci->second].messages[static_cast<std::size_t>(kind)];
-    return;
+  if (it != open_.end()) {
+    ++it->second.messages[static_cast<std::size_t>(kind)];
+    return true;
   }
-  ++it->second.messages[static_cast<std::size_t>(kind)];
+  // Billed to an already-closed acquisition (e.g. the end-of-call
+  // RELEASE): attribute it through the serial -> closed slot side index
+  // (a linear search of closed_ would be O(n)).
+  const auto ci = closed_index_.find(serial);
+  if (ci == closed_index_.end()) return false;
+  ++closed_[ci->second].messages[static_cast<std::size_t>(kind)];
+  return true;
 }
 
 void Collector::close(std::uint64_t serial, sim::SimTime now, proto::Outcome outcome,

@@ -137,9 +137,9 @@ class AggregateBuilder {
 
 /// Aggregates a sequence of closed call records. This is the single
 /// source of truth for Aggregate: Collector::aggregate delegates here, and
-/// the sharded engine calls it directly on the canonically-merged record
-/// vector, so a merged multi-shard run reduces through the *same* code
-/// (and the same floating-point accumulation order) as a one-shard run.
+/// the engine folds its merged shards through the same AggregateBuilder,
+/// so a multi-shard run reduces through the *same* code (and the same
+/// floating-point accumulation order) as a one-shard run.
 /// `T` is the latency bound for delay_in_T; records with t_request <
 /// `warmup` are discarded.
 [[nodiscard]] Aggregate aggregate_records(const std::vector<CallRecord>& records,
@@ -155,9 +155,12 @@ class Collector {
   /// Network observer: bills the message to its serial (if open).
   void on_message(const net::Message& msg);
 
-  /// Bills one message of `kind` to `serial` directly — the sharded
-  /// engine's path for applying foreign-shard billing logs at merge time.
-  void bill(std::uint64_t serial, net::MsgKind kind);
+  /// Bills one message of `kind` to `serial` if this collector holds its
+  /// record (open, or closed while not streaming); returns false, billing
+  /// nothing, otherwise. Exactly one shard's collector opens a given
+  /// serial, so the engine routes a bill no local record takes to the
+  /// other shards at merge time.
+  bool bill(std::uint64_t serial, net::MsgKind kind);
 
   /// Closes the record at the decision instant. `borrowing_neighbors` /
   /// `searching_neighbors` are environment samples taken by the runner.
@@ -169,19 +172,10 @@ class Collector {
     return unattributed_;
   }
 
-  /// True iff this collector holds the record (open or closed) for
-  /// `serial`. The sharded engine uses this to route billing for migrated
-  /// calls: exactly one shard ever opens a given serial's record, so a
-  /// message observed on a shard that does not know the serial must be
-  /// billed through the foreign-billing log instead.
-  [[nodiscard]] bool knows(std::uint64_t serial) const noexcept {
-    return open_.count(serial) != 0 || closed_index_.count(serial) != 0;
-  }
-
   [[nodiscard]] const std::vector<CallRecord>& records() const noexcept {
     return closed_;
   }
-  /// Mutable access for post-run enrichment (the engines fill the
+  /// Mutable access for post-run enrichment (the engine fills the
   /// deferred N_borrow / N_search neighbour samples in place).
   [[nodiscard]] std::vector<CallRecord>& mutable_records() noexcept {
     return closed_;

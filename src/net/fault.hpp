@@ -13,8 +13,8 @@
 //                   messages; the NIC stays alive, so transport ACKs
 //                   still flow and delivery resumes in order
 //
-// When any link fault is active the Network runs a reliable-transport
-// sublayer (per-link sequence numbers, cumulative ACKs, retransmission
+// When any link fault is active the transport (net/transport.hpp) runs a
+// reliable sublayer (per-link sequence numbers, cumulative ACKs, retransmission
 // with backoff, receive-side resequencing) so the protocols keep their
 // required per-link FIFO, exactly-once delivery — but with unbounded,
 // fault-dependent latencies that exercise every timeout path. With the
@@ -91,9 +91,9 @@ struct FaultConfig {
 };
 
 /// Answers "is this directed link severed at time t?" against the
-/// scenario's partition list. Both engines consult the same pure function
-/// at the same (sender-side) draw sites, so the fault schedule — and the
-/// RNG draw sequence after it — stays bit-identical across engines.
+/// scenario's partition list. The transport consults this pure function
+/// at its sender-side draw sites, so the fault schedule — and the
+/// RNG draw sequence after it — stays bit-identical across shard counts.
 class PartitionTimeline {
  public:
   PartitionTimeline() = default;

@@ -38,15 +38,14 @@ class LatencyModel {
   /// Delay for one message from `from` to `to`.
   virtual sim::Duration delay(cell::CellId from, cell::CellId to) = 0;
 
-  /// Invoked once by the network when a LinkTable exists, letting a model
+  /// Invoked once by the transport with its LinkTable, letting a model
   /// flatten per-pair state onto LinkIds (MatrixLatency does). Default:
   /// nothing to flatten.
   virtual void bind_links(const LinkTable& links) { (void)links; }
 
-  /// Delay for one message on a known link. `lid` may be kNoLink (no grid)
-  /// or beyond the bound table (dynamically registered pair); models that
-  /// flatten must fall back to delay(from, to) there. Default forwards to
-  /// delay() so existing models keep exact draw-for-draw behavior.
+  /// Delay for one message on a link of the bound table (the transport's
+  /// path); delay(from, to) answers callers without a table. Default
+  /// forwards to delay() so models keep exact draw-for-draw behavior.
   virtual sim::Duration link_delay(LinkId lid, cell::CellId from,
                                    cell::CellId to) {
     (void)lid;
@@ -125,8 +124,8 @@ class JitterLatency final : public LatencyModel {
 /// directed link, derived purely from (seed, from, to). Unlike
 /// JitterLatency's single shared stream, the draw a message sees depends
 /// only on its link and its position in that link's send sequence — which
-/// is identical in the classic and sharded engines (per-link send order is
-/// canonical), so both engines see the same delays message-for-message.
+/// canonical at every shard count, so every run of a scenario sees the
+/// same delays message-for-message.
 class LinkJitterLatency final : public LatencyModel {
  public:
   LinkJitterLatency(sim::Duration lo, sim::Duration hi, std::uint64_t seed)
@@ -137,7 +136,7 @@ class LinkJitterLatency final : public LatencyModel {
   }
 
   /// Flattens stream storage onto LinkIds so the per-message lookup is an
-  /// array load; pairs outside the table fall back to a map.
+  /// array load; delay() without a table falls back to a map.
   void bind_links(const LinkTable& links) override {
     flat_.clear();
     flat_.resize(static_cast<std::size_t>(links.n_links()));
@@ -225,7 +224,7 @@ class MatrixLatency final : public LatencyModel {
     if (lid >= 0 && static_cast<std::size_t>(lid) < flat_.size()) {
       return flat_[static_cast<std::size_t>(lid)];
     }
-    return delay(from, to);  // unbound / dynamically registered pair
+    return delay(from, to);  // not bound to a table
   }
 
   [[nodiscard]] sim::Duration max_one_way() const override {

@@ -84,8 +84,8 @@ class LinkTable {
     return slots_[static_cast<std::size_t>(row.offset + (to - row.lo))];
   }
 
-  /// As id(), but aborts on a non-interference pair. The sharded engine
-  /// uses this: every protocol send is within an interference
+  /// As id(), but aborts on a non-interference pair. The transport uses
+  /// this: every protocol send is within an interference
   /// neighbourhood, so a miss is a logic bug, not a runtime condition.
   [[nodiscard]] LinkId require(cell::CellId from, cell::CellId to) const noexcept {
     const LinkId lid = id(from, to);

@@ -32,7 +32,7 @@
 #include "net/message.hpp"
 #include "net/timestamp.hpp"
 #include "proto/policy.hpp"
-#include "sim/event_queue.hpp"
+#include "sim/event_store.hpp"
 #include "sim/random.hpp"
 #include "sim/trace.hpp"
 #include "sim/types.hpp"

@@ -1,7 +1,6 @@
 #include "runner/experiment.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <mutex>
 #include <thread>
 
@@ -9,8 +8,7 @@
 #include <sys/resource.h>
 #endif
 
-#include "runner/shard_world.hpp"
-#include "traffic/generator.hpp"
+#include "runner/world.hpp"
 
 namespace dca::runner {
 
@@ -33,55 +31,10 @@ std::uint64_t peak_rss_bytes_now() {
 RunResult run_profile(const ScenarioConfig& config, Scheme scheme,
                       const traffic::LoadProfile& profile,
                       sim::TraceRecorder* trace) {
-  // stream_metrics routes through the sharded engine even at shards == 1:
-  // the classic engine has no window barriers to fold at.
-  if (config.shards > 1 || config.stream_metrics) {
-    RunResult out = run_profile_sharded(config, scheme, profile, trace);
-    out.peak_rss_bytes = peak_rss_bytes_now();
-    return out;
-  }
-  World world(config, scheme);
+  World world(config, scheme, &profile);
   world.set_recorder(trace);
-  traffic::TrafficSource source(
-      world.simulator(), world.grid(), profile, config.mean_holding_s, config.seed,
-      [&world](const traffic::CallSpec& spec) { world.submit_call(spec); });
-  source.start(config.duration);
-
-  // Run through the arrival horizon, then drain: in-flight handshakes and
-  // held calls complete, which also exercises the Theorem 2 check — a
-  // stuck request would leave the world non-quiescent.
-  world.simulator().run_until(config.duration);
-  world.simulator().run_to_quiescence();
-
-  RunResult out;
-  out.scheme = scheme;
-  world.finalize_neighbor_samples();
-  out.agg = world.collector().aggregate(world.latency_bound(), config.warmup);
-  out.total_messages = world.network().total_sent();
-  for (int k = 0; k < net::kNumMsgKinds; ++k) {
-    out.messages_by_kind[static_cast<std::size_t>(k)] =
-        world.network().sent_of(static_cast<net::MsgKind>(k));
-  }
-  out.offered_calls = source.emitted();
-  out.carried_erlangs = world.carried_erlangs(config.duration);
-  out.violations = world.interference_violations();
-  out.executed_events = world.simulator().executed();
-  out.quiescent = world.quiescent();
-  out.transport = world.network().transport_stats();
-  out.availability = world.availability();
-  if (trace != nullptr) {
-    // Same-instant ties spanning cells execute in insertion order here but
-    // in (t, cell) order under the sharded fold merge; sort the buffered
-    // trace into that canonical order so the trace is engine-invariant.
-    // kRunEnd goes in afterwards, last in both engines.
-    trace->canonicalize();
-    sim::TraceEvent end;
-    end.kind = sim::TraceKind::kRunEnd;
-    end.t = world.simulator().now();
-    end.a = out.quiescent ? 1 : 0;
-    end.b = static_cast<std::int64_t>(world.active_calls());
-    trace->emit(end);
-  }
+  world.run();
+  RunResult out = world.result();
   out.peak_rss_bytes = peak_rss_bytes_now();
   return out;
 }

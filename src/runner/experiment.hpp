@@ -1,11 +1,10 @@
-// One-call experiment drivers: assemble a World, drive a traffic profile
-// through it, and return the aggregated results every bench/table consumes.
+// One-call experiment drivers: assemble a World (runner/world.hpp), drive
+// a traffic profile through it, and return the aggregated results every
+// bench/table consumes.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "metrics/availability.hpp"
@@ -13,7 +12,6 @@
 #include "net/fault.hpp"
 #include "net/message.hpp"
 #include "runner/scenario.hpp"
-#include "runner/world.hpp"
 #include "sim/trace.hpp"
 #include "traffic/profile.hpp"
 
@@ -24,9 +22,9 @@ struct RunResult {
   metrics::Aggregate agg;
   std::uint64_t total_messages = 0;
   /// Protocol messages whose sender and receiver cells live on different
-  /// shards (always 0 on the classic shards=1 engine). An engine-cost
-  /// metric, not a simulation result: it varies with shards/partition
-  /// while every simulation output stays bit-identical.
+  /// shards (always 0 at shards = 1). An engine-cost metric, not a
+  /// simulation result: it varies with shards/partition while every
+  /// simulation output stays bit-identical.
   std::uint64_t cross_shard_messages = 0;
   std::array<std::uint64_t, net::kNumMsgKinds> messages_by_kind{};
   std::uint64_t offered_calls = 0;  // including warmup

@@ -1,23 +1,21 @@
-// Deferred neighbour-flag sampling, shared by both engines.
+// Deferred neighbour-flag sampling.
 //
 // The paper's N_borrow / N_search statistics sample, at every request's
 // close instant, how many interference neighbours are in borrowing /
-// searching mode. Sampling that live is trivial on the classic
-// single-queue engine but impossible on the sharded one (a neighbour on
-// another shard is mid-window, its state unreadable), and worse, a live
-// sample is sensitive to *intra-instant execution order* — an
-// implementation detail the two engines do not share.
+// searching mode. Sampling that live is impossible across shards (a
+// neighbour on another shard is mid-window, its state unreadable), and
+// worse, a live sample is sensitive to *intra-instant execution order*.
 //
-// Both engines therefore record a per-cell timeline of flag changes (one
+// The engine therefore records a per-cell timeline of flag changes (one
 // entry after each executed event that changed the cell's flags) and
-// reconstruct the samples after the run with a single shared convention:
+// reconstructs the samples after the run with one convention:
 // the close at (t, closer) observes neighbour j's flags *after* j's
 // events at instant t when j < closer, and *before* them otherwise —
 // i.e. flags as of the canonical (when, owner) event order, which is a
 // pure function of the scenario. Timelines only need the final flag
 // state per (cell, instant) to agree, and that is fixed by the (bit-
-// identical) event streams, so both engines reconstruct the same counts
-// for any shard/thread configuration.
+// identical) event streams, so the same counts come out for any
+// shard/thread configuration.
 //
 // Storage: one 8-byte word per change — (t << 2) | borrowing << 1 |
 // searching. A busy metro cell flips flags thousands of times over a

@@ -1,5 +1,5 @@
-// Scheme -> AllocatorNode construction, shared by the classic World and
-// the sharded engine so both assemble byte-identical protocol agents.
+// Scheme -> AllocatorNode construction: every node of the World, on every
+// shard, is assembled here.
 #pragma once
 
 #include <memory>

@@ -29,7 +29,9 @@ std::string validate_scenario(const ScenarioConfig& c) {
              "interference region";
   }
   if (c.mean_holding_s <= 0.0) return "mean holding time must be positive";
-  if (c.latency < 0) return "latency cannot be negative";
+  if (c.latency <= 0)
+    return "the event engine needs latency > 0 (the per-link latency floors "
+           "are its lookahead)";
   if (c.latency_jitter < 0) return "latency_jitter cannot be negative";
   if (c.mean_dwell_s < 0.0) return "mean dwell cannot be negative";
   if (c.duration <= 0) return "duration must be positive";
@@ -74,16 +76,7 @@ std::string validate_scenario(const ScenarioConfig& c) {
            "request_timeout";
   if (c.shards < 1) return "shards must be >= 1";
   if (c.threads < 0) return "threads cannot be negative";
-  if (c.shards > 1) {
-    if (c.shards > c.rows * c.cols)
-      return "more shards than cells";
-    if (c.latency <= 0)
-      return "sharded execution needs latency > 0 (the per-link latency "
-             "floors are the engine's lookahead)";
-  }
-  if (c.stream_metrics && c.latency <= 0)
-    return "stream_metrics runs on the sharded engine and needs latency > 0 "
-           "(the per-link latency floors are the engine's lookahead)";
+  if (c.shards > c.rows * c.cols) return "more shards than cells";
   if (c.radio_fade_prob < 0.0 || c.radio_fade_prob >= 1.0)
     return "radio_fade_prob must be in [0, 1)";
   {
@@ -115,7 +108,7 @@ std::unique_ptr<net::LatencyModel> make_scenario_latency(
   if (c.latency_jitter > 0) {
     // Uniform in [latency - jitter, latency], floored at 1 us so time
     // always advances. Per-link streams keep the draw sequence identical
-    // across engines (see LinkJitterLatency).
+    // at any shard count (see LinkJitterLatency).
     const sim::Duration lo =
         std::max<sim::Duration>(c.latency - c.latency_jitter, 1);
     return std::make_unique<net::LinkJitterLatency>(lo, c.latency, c.seed);

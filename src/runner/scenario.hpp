@@ -72,15 +72,14 @@ struct ScenarioConfig {
   sim::Duration duration = sim::minutes(30);
   sim::Duration warmup = sim::minutes(5);
 
-  /// Engine parallelism. shards == 1 (default) runs the classic
-  /// single-queue engine, bit-identical to earlier builds. shards > 1
-  /// partitions cells across per-shard event queues synchronized on the
-  /// minimum per-link latency floor; results are bit-identical for any
-  /// shards/threads value, including latency_jitter and mobility (both
-  /// draw from streams derived purely from stable identifiers, so no
-  /// global RNG ordering is involved).
+  /// Engine parallelism: the engine partitions cells across this many
+  /// event queues (default 1), synchronized on the minimum per-link
+  /// latency floor; results are bit-identical for any shards/threads
+  /// value, including latency_jitter and mobility (both draw from streams
+  /// derived purely from stable identifiers, so no global RNG ordering is
+  /// involved).
   int shards = 1;
-  /// Worker threads for the sharded engine; 0 = min(shards, hardware).
+  /// Worker threads for the shards; 0 = min(shards, hardware).
   /// Never affects results, only wall-clock.
   int threads = 0;
   /// How cells map onto shards (shards > 1 only). Never affects results —
@@ -89,7 +88,7 @@ struct ScenarioConfig {
   /// neighbourhoods shard-local and is the default; kStriped is the legacy
   /// cell % shards interleaving.
   cell::Partition partition = cell::Partition::kBlocks;
-  /// Pin sharded-engine workers to distinct allowed CPUs (worker i -> the
+  /// Pin the engine's workers to distinct allowed CPUs (worker i -> the
   /// i-th CPU of the process affinity mask). Wall-clock stability only —
   /// never affects results. Silently unavailable off Linux.
   bool pin = false;
@@ -97,9 +96,7 @@ struct ScenarioConfig {
   /// engine at window barriers instead of buffering every call record to
   /// the end of the run: peak memory stays bounded by the in-flight
   /// working set instead of growing with call count. Aggregates are
-  /// bit-identical to the buffered path. Routes through the sharded
-  /// engine even when shards == 1 (the classic engine has no windows to
-  /// stream at).
+  /// bit-identical to the buffered path, at any shard count.
   bool stream_metrics = false;
 
   // Update-family retry cap (the paper's schemes may retry unboundedly;
@@ -157,8 +154,7 @@ struct ScenarioConfig {
 
 /// Builds the latency model a scenario prescribes: LinkJitterLatency when
 /// latency_jitter > 0 (uniform in [latency - jitter, latency] from
-/// per-link streams), else FixedLatency. Both engines construct their
-/// model through this factory so delays match draw-for-draw.
+/// per-link streams), else FixedLatency.
 [[nodiscard]] std::unique_ptr<net::LatencyModel> make_scenario_latency(
     const ScenarioConfig& config);
 

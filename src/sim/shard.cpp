@@ -32,7 +32,10 @@ ShardedKernel::ShardedKernel(int n_cells, int n_shards, Duration lookahead,
 
 ShardedKernel::ShardedKernel(std::vector<int> partition, int n_shards,
                              Duration lookahead, int n_threads)
-    : n_shards_(n_shards), lookahead_(lookahead), partition_(std::move(partition)) {
+    : n_shards_(n_shards),
+      lookahead_(lookahead),
+      partition_(std::move(partition)),
+      local_seq_(partition_.size(), 0) {
   const int n_cells = static_cast<int>(partition_.size());
   if (n_shards_ < 1 || n_cells < n_shards_) {
     std::fprintf(stderr, "ShardedKernel: invalid shard count %d for %d cells\n",
@@ -156,7 +159,7 @@ void ShardedKernel::window_barrier_completion() {
     return;
   }
   if (deadline_ != kTimeNever && gmin + lookahead_ > deadline_) {
-    window_cap_ = deadline_ + 1;  // inclusive deadline, matching Simulator
+    window_cap_ = deadline_ + 1;  // inclusive deadline
   } else {
     window_cap_ = gmin + lookahead_;
   }

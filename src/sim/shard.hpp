@@ -1,10 +1,10 @@
 // Shard-aware deterministically-parallel discrete-event kernel.
 //
-// The classic Simulator (simulator.hpp) executes one global event heap and
-// breaks timestamp ties by insertion order — a total order that exists only
-// on a single thread. This kernel partitions events across shards (cells
-// are mapped to shards; every event is owned by exactly one cell) and
-// replaces insertion-order tie-breaking with a *canonical event key*
+// The simulator's only event engine. Breaking timestamp ties by insertion
+// order would give a total order that exists only on a single thread, so
+// this kernel partitions events across shards (cells are mapped to shards;
+// every event is owned by exactly one cell) and orders them by a
+// *canonical event key*
 //
 //     (when, owner cell, class, sub, seq)
 //
@@ -45,9 +45,9 @@
 
 namespace dca::sim {
 
-// Canonical event classes, ordered to reproduce the legacy insertion-order
-// tie-break for the systematic same-instant collisions (see
-// docs/ARCHITECTURE.md "Determinism contract"):
+// Canonical event classes, ordered by when each kind of event is created
+// relative to the instant it fires (see docs/ARCHITECTURE.md "The
+// canonical-key contract"):
 //   * control (pause/resume timelines) is scheduled far ahead of anything
 //     else that could share its instant;
 //   * protocol/transport timers are always armed before any same-instant
@@ -76,9 +76,9 @@ struct EventKey {
   friend constexpr auto operator<=>(const EventKey&, const EventKey&) = default;
 };
 
-/// One shard's pending-event set, ordered by canonical key. Same
-/// slab/generation storage as sim::EventQueue (see event_store.hpp): POD
-/// heap entries, pooled callbacks, O(1) generation-bump cancellation.
+/// One shard's pending-event set, ordered by canonical key, on the
+/// slab/generation storage of event_store.hpp: POD heap entries, pooled
+/// callbacks, O(1) generation-bump cancellation.
 class ShardQueue {
  public:
   using Action = EventFn;
@@ -186,6 +186,9 @@ class ShardedKernel {
   ShardedKernel(const ShardedKernel&) = delete;
   ShardedKernel& operator=(const ShardedKernel&) = delete;
 
+  [[nodiscard]] int n_cells() const noexcept {
+    return static_cast<int>(partition_.size());
+  }
   [[nodiscard]] int n_shards() const noexcept { return n_shards_; }
   [[nodiscard]] int n_threads() const noexcept { return n_threads_; }
   [[nodiscard]] int shard_of(std::int32_t cellId) const noexcept {
@@ -217,6 +220,22 @@ class ShardedKernel {
           key, std::forward<F>(action));
     }
     return schedule_remote(key, Action(std::forward<F>(action)), dest);
+  }
+
+  /// Schedules a cell-local event (any class but kClassDelivery, whose
+  /// `sub`/`seq` name a link) keyed by the owner's own scheduling counter:
+  /// same-(when, owner, class) events fire in the order they were
+  /// scheduled. Every local event of a cell draws from the one counter,
+  /// whoever schedules it, so callers sharing a cell share its tie order.
+  template <typename F>
+  EventId schedule_local(std::int32_t owner, std::uint8_t klass, SimTime when,
+                         F&& action) {
+    EventKey key;
+    key.when = when;
+    key.owner = owner;
+    key.klass = klass;
+    key.seq = ++local_seq_[static_cast<std::size_t>(owner)];
+    return schedule(key, std::forward<F>(action));
   }
 
   /// Cancels a same-shard event by its owner cell and handle.
@@ -281,6 +300,9 @@ class ShardedKernel {
   int n_threads_;
   Duration lookahead_;
   std::vector<int> partition_;  // cell -> shard
+  // Per-cell local-event counters; a cell's entry is only touched by
+  // events of its own shard (or during single-threaded set-up).
+  std::vector<std::uint64_t> local_seq_;
   std::vector<Shard> shards_;
   // outbox_[parity][src * n_shards + dst]; writers fill parity_, readers
   // drain 1 - parity_. The barrier completion flips parity.

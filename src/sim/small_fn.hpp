@@ -4,8 +4,8 @@
 // std::function heap-allocates any capture larger than ~2 pointers, which
 // on the simulation hot path means one malloc/free per scheduled message
 // delivery (a delivery closure carries a ~200-byte net::Message by value).
-// SmallFn reserves enough inline storage for every closure the engines
-// schedule, so the schedule/fire path performs no heap allocation at all;
+// SmallFn reserves enough inline storage for every closure the engine
+// schedules, so the schedule/fire path performs no heap allocation at all;
 // callables that genuinely exceed the buffer (none in-tree — the network
 // layer static_asserts its delivery closures fit) fall back to the heap
 // rather than failing to compile.
@@ -31,8 +31,8 @@
 namespace dca::sim {
 
 /// Inline capture capacity of the event callback. Sized so a message
-/// delivery closure (network pointer + a full net::Message by value) stays
-/// inline; net/network.cpp and runner/shard_world.cpp static_assert this.
+/// delivery closure (transport pointer + a full net::Message by value)
+/// stays inline; net/transport.cpp and runner/world.cpp static_assert this.
 inline constexpr std::size_t kEventFnCapacity = 256;
 
 /// Inline capture capacity of a protocol timer callback (TimerFn): the
@@ -166,7 +166,7 @@ class SmallFn<R(Args...), Capacity> {
   alignas(std::max_align_t) unsigned char buf_[Capacity];
 };
 
-/// The event-callback type both engines store per scheduled event.
+/// The event-callback type the kernel stores per scheduled event.
 using EventFn = SmallFn<void(), kEventFnCapacity>;
 
 /// The protocol-timer callback type carried across proto::NodeEnv.

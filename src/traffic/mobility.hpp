@@ -1,12 +1,12 @@
-// Serial-derived mobility: the pure functions both engines use to decide
+// Serial-derived mobility: the pure functions the engine uses to decide
 // when a call leaves its cell and where it goes.
 //
 // A migrating call is identified by an encoded serial packing (call, hop):
 // the low 44 bits carry the original CallId, the high bits count completed
 // handoffs. Dwell times and destination picks are drawn from substreams
 // derived from (scenario seed, serial) alone — no engine-global mobility
-// stream — so the classic engine and every shard of the sharded engine
-// compute identical trajectories regardless of how calls interleave.
+// stream — so every shard computes identical trajectories regardless of
+// how calls interleave.
 #pragma once
 
 #include <cassert>

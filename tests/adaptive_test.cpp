@@ -39,7 +39,7 @@ TEST(Adaptive, LocalModeIsFreeAndInstant) {
   EXPECT_EQ(r.outcome, proto::Outcome::kAcquiredLocal);
   EXPECT_EQ(r.delay(), 0);
   EXPECT_EQ(r.total_messages(), 0u);
-  EXPECT_EQ(w.network().total_sent(), 0u) << "Table 2: adaptive costs nothing";
+  EXPECT_EQ(w.total_sent(), 0u) << "Table 2: adaptive costs nothing";
   EXPECT_EQ(adaptive(w, c).mode(), 0);
 }
 
@@ -51,7 +51,7 @@ TEST(Adaptive, ExhaustionSwitchesToBorrowingAndAnnounces) {
                                          sim::minutes(5));
   // Third acquisition leaves 0 free primaries < theta_low: check_mode fires.
   EXPECT_TRUE(adaptive(w, c).is_borrowing());
-  w.simulator().run_until(w.simulator().now() + sim::seconds(1));
+  w.run_until(w.now() + sim::seconds(1));
   // Every neighbour now lists c in its UpdateS set.
   for (const cell::CellId j : w.grid().interference(c)) {
     EXPECT_TRUE(adaptive(w, j).update_subscribers().contains(c));
@@ -65,10 +65,10 @@ TEST(Adaptive, FourthCallBorrowsViaUpdateRound) {
   const auto N = w.grid().interference(c).size();
   for (int i = 0; i < 3; ++i) offer_call(w, c, static_cast<traffic::CallId>(i + 1),
                                          sim::minutes(5));
-  w.simulator().run_until(w.simulator().now() + sim::seconds(1));
+  w.run_until(w.now() + sim::seconds(1));
 
   offer_call(w, c, 4, sim::minutes(5));
-  w.simulator().run_until(w.simulator().now() + sim::seconds(1));
+  w.run_until(w.now() + sim::seconds(1));
   const auto& r = w.collector().records().back();
   EXPECT_EQ(r.outcome, proto::Outcome::kAcquiredUpdate);
   EXPECT_EQ(r.attempts, 1);
@@ -89,7 +89,7 @@ TEST(Adaptive, GrantersMarkBorrowedChannelInterfered) {
   const cell::CellId c = testutil::center_cell(cfg);
   for (int i = 0; i < 4; ++i) offer_call(w, c, static_cast<traffic::CallId>(i + 1),
                                          sim::minutes(5));
-  w.simulator().run_until(w.simulator().now() + sim::seconds(1));
+  w.run_until(w.now() + sim::seconds(1));
   const auto borrowedSet = w.node(c).in_use() - w.plan().primary(c);
   ASSERT_EQ(borrowedSet.size(), 1);
   const cell::ChannelId ch = borrowedSet.first();
@@ -107,7 +107,7 @@ TEST(Adaptive, ReturnsToLocalModeWhenLoadDrops) {
   EXPECT_TRUE(adaptive(w, c).is_borrowing());
   // All three calls end after 10 s; the releases raise the free-primary
   // prediction past theta_high and the node returns to local mode.
-  w.simulator().run_to_quiescence();
+  w.run_to_quiescence();
   EXPECT_EQ(adaptive(w, c).mode(), 0);
   EXPECT_GE(adaptive(w, c).switches_to_local(), 1u);
   // Neighbours drop c from their UpdateS sets again.
@@ -127,12 +127,12 @@ TEST(Adaptive, HysteresisPreventsFlapping) {
   // Take 2 of 3 primaries for good: one free primary left.
   offer_call(w, c, 1, sim::minutes(60));
   offer_call(w, c, 2, sim::minutes(60));
-  w.simulator().run_until(w.simulator().now() + sim::seconds(1));
+  w.run_until(w.now() + sim::seconds(1));
   const auto switches_before = adaptive(w, c).switches_to_borrowing();
   // Churn the third primary: acquire/release repeatedly.
   for (int i = 0; i < 10; ++i) {
     offer_call(w, c, static_cast<traffic::CallId>(10 + i), sim::seconds(2));
-    w.simulator().run_until(w.simulator().now() + sim::seconds(5));
+    w.run_until(w.now() + sim::seconds(5));
   }
   const auto switches_after = adaptive(w, c).switches_to_borrowing();
   // Once borrowing (s hits 0 < theta_low), releases bring s back to only
@@ -148,20 +148,20 @@ TEST(Adaptive, LocalAcquisitionInBorrowingModeNotifiesSubscribers) {
   // Drive `other` into borrowing mode so it subscribes to its neighbours.
   for (int i = 0; i < 3; ++i)
     offer_call(w, other, static_cast<traffic::CallId>(i + 1), sim::minutes(30));
-  w.simulator().run_until(w.simulator().now() + sim::seconds(1));
+  w.run_until(w.now() + sim::seconds(1));
   ASSERT_TRUE(adaptive(w, c).update_subscribers().contains(other));
 
   // A local acquisition at c must now be announced to `other` (and only to
   // subscribers).
-  const auto acq_before = w.network().sent_of(net::MsgKind::kAcquisition);
+  const auto acq_before = w.sent_of(net::MsgKind::kAcquisition);
   offer_call(w, c, 50, sim::minutes(5));
   const auto& r = w.collector().records().back();
   EXPECT_EQ(r.outcome, proto::Outcome::kAcquiredLocal);
   EXPECT_EQ(r.delay(), 0) << "announcement is asynchronous; service stays instant";
-  const auto acq_sent = w.network().sent_of(net::MsgKind::kAcquisition) - acq_before;
+  const auto acq_sent = w.sent_of(net::MsgKind::kAcquisition) - acq_before;
   const auto subscribers = adaptive(w, c).update_subscribers().size();
   EXPECT_EQ(acq_sent, subscribers);
-  w.simulator().run_until(w.simulator().now() + sim::seconds(1));
+  w.run_until(w.now() + sim::seconds(1));
   EXPECT_TRUE(adaptive(w, other).interfered().contains(w.node(c).in_use().first()));
 }
 
@@ -173,26 +173,26 @@ TEST(Adaptive, FallsBackToSearchAfterAlphaFailedRounds) {
   const cell::CellId c = testutil::center_cell(cfg);
   for (int i = 0; i < 3; ++i) offer_call(w, c, static_cast<traffic::CallId>(i + 1),
                                          sim::minutes(60));
-  w.simulator().run_until(w.simulator().now() + sim::seconds(1));
+  w.run_until(w.now() + sim::seconds(1));
   traffic::CallId id = 100;
   for (const cell::CellId j : w.grid().interference(c)) {
     for (int i = 0; i < 3; ++i) {
       offer_call(w, j, id++, sim::minutes(60));
-      w.simulator().run_until(w.simulator().now() + sim::milliseconds(500));
+      w.run_until(w.now() + sim::milliseconds(500));
     }
   }
-  w.simulator().run_until(w.simulator().now() + sim::seconds(5));
+  w.run_until(w.now() + sim::seconds(5));
 
   // All 21 channels are now used within c's region: the next request can
   // neither use a primary nor borrow; it searches and comes up empty.
   offer_call(w, c, 999, sim::minutes(5));
-  w.simulator().run_until(w.simulator().now() + sim::seconds(30));
+  w.run_until(w.now() + sim::seconds(30));
   const auto& r = w.collector().records().back();
   EXPECT_EQ(r.outcome, proto::Outcome::kBlockedNoChannel);
   EXPECT_EQ(w.interference_violations(), 0u);
   // The failed search must have announced (ACQUISITION with no channel) so
   // the region's waiting counters return to zero.
-  w.simulator().run_to_quiescence();
+  w.run_to_quiescence();
   EXPECT_TRUE(w.quiescent());
   for (const cell::CellId j : w.grid().interference(c)) {
     EXPECT_EQ(adaptive(w, j).waiting(), 0);
@@ -211,9 +211,9 @@ TEST(Adaptive, SearchFindsChannelUpdateRoundsMissed) {
     for (cell::CellId c = 0; c < w.grid().n_cells(); c += 2) {
       offer_call(w, c, id++, sim::seconds(40));
     }
-    w.simulator().run_until(w.simulator().now() + sim::seconds(10));
+    w.run_until(w.now() + sim::seconds(10));
   }
-  w.simulator().run_to_quiescence();
+  w.run_to_quiescence();
   EXPECT_TRUE(w.quiescent());
   EXPECT_EQ(w.interference_violations(), 0u);
   EXPECT_EQ(w.collector().records().size(), static_cast<std::size_t>(id - 1));
@@ -228,7 +228,7 @@ TEST(Adaptive, ConcurrentHotCellsNeverInterfere) {
   for (int i = 0; i < 8; ++i) {
     offer_call(w, a, id++, sim::minutes(10));
     offer_call(w, b, id++, sim::minutes(10));
-    w.simulator().run_until(w.simulator().now() + sim::seconds(3));
+    w.run_until(w.now() + sim::seconds(3));
   }
   EXPECT_EQ(w.interference_violations(), 0u);
   EXPECT_FALSE(w.node(a).in_use().intersects(w.node(b).in_use()));
@@ -241,15 +241,15 @@ TEST(Adaptive, BorrowedChannelReleaseReachesWholeRegion) {
   // Borrow one channel (call 4), all long-lived except the borrowed one.
   for (int i = 0; i < 3; ++i) offer_call(w, c, static_cast<traffic::CallId>(i + 1),
                                          sim::minutes(60));
-  w.simulator().run_until(w.simulator().now() + sim::seconds(1));
+  w.run_until(w.now() + sim::seconds(1));
   offer_call(w, c, 4, sim::seconds(30));
-  w.simulator().run_until(w.simulator().now() + sim::seconds(1));
+  w.run_until(w.now() + sim::seconds(1));
   const auto borrowedSet = w.node(c).in_use() - w.plan().primary(c);
   ASSERT_EQ(borrowedSet.size(), 1);
   const cell::ChannelId ch = borrowedSet.first();
 
   // Let the borrowed call end; every neighbour must unmark the channel.
-  w.simulator().run_until(w.simulator().now() + sim::minutes(2));
+  w.run_until(w.now() + sim::minutes(2));
   for (const cell::CellId j : w.grid().interference(c)) {
     EXPECT_FALSE(adaptive(w, j).interfered().contains(ch)) << "neighbour " << j;
   }
@@ -262,12 +262,12 @@ TEST(Adaptive, QueuedRequestsServeInOrder) {
   // Force borrowing so requests take a round trip and queue up.
   for (int i = 0; i < 3; ++i) offer_call(w, c, static_cast<traffic::CallId>(i + 1),
                                          sim::minutes(30));
-  w.simulator().run_until(w.simulator().now() + sim::seconds(1));
+  w.run_until(w.now() + sim::seconds(1));
   offer_call(w, c, 10, sim::minutes(30));
   offer_call(w, c, 11, sim::minutes(30));
   offer_call(w, c, 12, sim::minutes(30));
   EXPECT_GE(w.node(c).queued(), 2u);
-  w.simulator().run_until(w.simulator().now() + sim::seconds(10));
+  w.run_until(w.now() + sim::seconds(10));
   // All three decided, in submission order.
   const auto& recs = w.collector().records();
   std::vector<traffic::CallId> order;
@@ -285,9 +285,9 @@ TEST(Adaptive, StrictFig4VariantStaysSafe) {
   for (int wave = 0; wave < 4; ++wave) {
     for (cell::CellId c = 0; c < w.grid().n_cells(); c += 2)
       offer_call(w, c, id++, sim::seconds(30));
-    w.simulator().run_until(w.simulator().now() + sim::seconds(8));
+    w.run_until(w.now() + sim::seconds(8));
   }
-  w.simulator().run_to_quiescence();
+  w.run_to_quiescence();
   EXPECT_TRUE(w.quiescent());
   EXPECT_EQ(w.interference_violations(), 0u);
 }
@@ -300,9 +300,9 @@ TEST(Adaptive, RandomLenderAblationStaysSafe) {
   for (int wave = 0; wave < 4; ++wave) {
     for (cell::CellId c = 0; c < w.grid().n_cells(); ++c)
       offer_call(w, c, id++, sim::seconds(30));
-    w.simulator().run_until(w.simulator().now() + sim::seconds(8));
+    w.run_until(w.now() + sim::seconds(8));
   }
-  w.simulator().run_to_quiescence();
+  w.run_to_quiescence();
   EXPECT_TRUE(w.quiescent());
   EXPECT_EQ(w.interference_violations(), 0u);
 }
@@ -316,9 +316,9 @@ TEST(Adaptive, UpdateSetsEventuallyConsistentAtQuiescence) {
   for (int wave = 0; wave < 5; ++wave) {
     for (cell::CellId c = 0; c < w.grid().n_cells(); c += 2)
       offer_call(w, c, id++, sim::seconds(30));
-    w.simulator().run_until(w.simulator().now() + sim::seconds(10));
+    w.run_until(w.now() + sim::seconds(10));
   }
-  w.simulator().run_to_quiescence();
+  w.run_to_quiescence();
   ASSERT_TRUE(w.quiescent());
   for (cell::CellId i = 0; i < w.grid().n_cells(); ++i) {
     const auto& ni = adaptive(w, i);
@@ -341,20 +341,20 @@ TEST(Adaptive, RepackReturnsBorrowedChannelsEarly) {
   // Three short primary calls + one long borrowed call.
   for (int i = 0; i < 3; ++i) offer_call(w, c, static_cast<traffic::CallId>(i + 1),
                                          sim::seconds(20));
-  w.simulator().run_until(w.simulator().now() + sim::seconds(1));
+  w.run_until(w.now() + sim::seconds(1));
   offer_call(w, c, 4, sim::minutes(10));
-  w.simulator().run_until(w.simulator().now() + sim::seconds(1));
+  w.run_until(w.now() + sim::seconds(1));
   ASSERT_EQ((w.node(c).in_use() - w.plan().primary(c)).size(), 1)
       << "call 4 runs on a borrowed channel";
   // The short calls end at ~20 s; the long call must migrate onto a freed
   // primary and the borrowed channel must leave service.
-  w.simulator().run_until(sim::seconds(60));
+  w.run_until(sim::seconds(60));
   EXPECT_EQ(w.node(c).in_use().size(), 1);
   EXPECT_TRUE((w.node(c).in_use() - w.plan().primary(c)).empty())
       << "the surviving call now sits on a primary";
   EXPECT_EQ(w.reassignments(), 1u);
   EXPECT_EQ(w.interference_violations(), 0u);
-  w.simulator().run_to_quiescence();
+  w.run_to_quiescence();
   EXPECT_TRUE(w.quiescent());
 }
 

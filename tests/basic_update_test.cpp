@@ -21,7 +21,7 @@ TEST(BasicUpdate, SoloAcquisitionCostsOneHandshakePlusBroadcasts) {
   const cell::CellId c = testutil::center_cell(cfg);
   const auto N = w.grid().interference(c).size();
   offer_call(w, c, 1, sim::seconds(10));
-  w.simulator().run_until(sim::seconds(1));
+  w.run_until(sim::seconds(1));
 
   ASSERT_EQ(w.collector().records().size(), 1u);
   const auto& r = w.collector().records()[0];
@@ -32,7 +32,7 @@ TEST(BasicUpdate, SoloAcquisitionCostsOneHandshakePlusBroadcasts) {
   EXPECT_EQ(r.total_messages(), 3 * N);
 
   // After the call ends, the RELEASE broadcast completes Table 2's 4N.
-  w.simulator().run_to_quiescence();
+  w.run_to_quiescence();
   EXPECT_EQ(w.collector().records()[0].total_messages(), 4 * N);
 }
 
@@ -41,7 +41,7 @@ TEST(BasicUpdate, NeighborsLearnUsageThroughBroadcasts) {
   World w(cfg, Scheme::kBasicUpdate);
   const cell::CellId c = testutil::center_cell(cfg);
   offer_call(w, c, 1, sim::seconds(30));
-  w.simulator().run_until(sim::seconds(1));
+  w.run_until(sim::seconds(1));
   const cell::ChannelId ch = w.node(c).in_use().first();
   ASSERT_NE(ch, cell::kNoChannel);
   for (const cell::CellId j : w.grid().interference(c)) {
@@ -49,7 +49,7 @@ TEST(BasicUpdate, NeighborsLearnUsageThroughBroadcasts) {
     EXPECT_TRUE(nb.interfered().contains(ch)) << "neighbor " << j;
   }
   // ... and forget it again after the release.
-  w.simulator().run_to_quiescence();
+  w.run_to_quiescence();
   for (const cell::CellId j : w.grid().interference(c)) {
     const auto& nb = dynamic_cast<const proto::BasicUpdateNode&>(w.node(j));
     EXPECT_FALSE(nb.interfered().contains(ch));
@@ -65,7 +65,7 @@ TEST(BasicUpdate, SameChannelConflictGoesToOlderTimestamp) {
   const cell::CellId b = w.grid().neighbors(a)[0];
   offer_call(w, a, 1, sim::minutes(1));
   offer_call(w, b, 2, sim::minutes(1));
-  w.simulator().run_until(sim::seconds(2));
+  w.run_until(sim::seconds(2));
   for (const auto& r : w.collector().records())
     EXPECT_TRUE(proto::is_acquired(r.outcome));
   EXPECT_FALSE(w.node(a).in_use().intersects(w.node(b).in_use()));
@@ -81,7 +81,7 @@ TEST(BasicUpdate, RetriesConsumeAttemptsUnderContention) {
   // Occupy 18 of 21 channels in the center cell.
   for (int i = 0; i < 18; ++i) {
     offer_call(w, c, static_cast<traffic::CallId>(i + 1), sim::minutes(30));
-    w.simulator().run_until(w.simulator().now() + sim::seconds(1));
+    w.run_until(w.now() + sim::seconds(1));
   }
   // Now two interfering neighbours contend for the remaining 3 channels.
   const cell::CellId a = w.grid().neighbors(c)[0];
@@ -90,7 +90,7 @@ TEST(BasicUpdate, RetriesConsumeAttemptsUnderContention) {
     offer_call(w, a, static_cast<traffic::CallId>(100 + i), sim::minutes(30));
     offer_call(w, b, static_cast<traffic::CallId>(200 + i), sim::minutes(30));
   }
-  w.simulator().run_until(w.simulator().now() + sim::seconds(5));
+  w.run_until(w.now() + sim::seconds(5));
   EXPECT_EQ(w.interference_violations(), 0u);
   int acquired = 0, failed = 0;
   for (const auto& r : w.collector().records()) {
@@ -107,11 +107,11 @@ TEST(BasicUpdate, BlocksLocallyWhenNothingBelievedFree) {
   const cell::CellId c = testutil::center_cell(cfg);
   for (int i = 0; i < 21; ++i) {
     offer_call(w, c, static_cast<traffic::CallId>(i + 1), sim::minutes(30));
-    w.simulator().run_until(w.simulator().now() + sim::seconds(1));
+    w.run_until(w.now() + sim::seconds(1));
   }
   EXPECT_EQ(w.node(c).in_use().size(), 21);
   offer_call(w, c, 99, sim::minutes(30));
-  w.simulator().run_until(w.simulator().now() + sim::seconds(1));
+  w.run_until(w.now() + sim::seconds(1));
   const auto& last = w.collector().records().back();
   EXPECT_EQ(last.outcome, proto::Outcome::kBlockedNoChannel);
   EXPECT_EQ(last.total_messages(), 0u) << "local information suffices to fail fast";
@@ -126,7 +126,7 @@ TEST(BasicUpdate, StarvationCapReportsStarved) {
   // believes exactly one channel free.
   for (int i = 0; i < 20; ++i) {
     offer_call(w, c, static_cast<traffic::CallId>(i + 1), sim::minutes(30));
-    w.simulator().run_until(w.simulator().now() + sim::seconds(1));
+    w.run_until(w.now() + sim::seconds(1));
   }
   // Two interfering neighbours race for that single channel: both must
   // pick it, the older timestamp wins, and with the retry cap at 1 the
@@ -136,7 +136,7 @@ TEST(BasicUpdate, StarvationCapReportsStarved) {
   ASSERT_TRUE(w.grid().interferes(a, b));
   offer_call(w, a, 100, sim::minutes(1));
   offer_call(w, b, 200, sim::minutes(1));
-  w.simulator().run_until(w.simulator().now() + sim::seconds(5));
+  w.run_until(w.now() + sim::seconds(5));
   int acquired = 0, starved = 0;
   for (const auto& r : w.collector().records()) {
     if (r.call < 100) continue;
@@ -155,7 +155,7 @@ TEST(BasicUpdate, QuiescenceAfterLoad) {
   for (cell::CellId c = 0; c < w.grid().n_cells(); c += 3) {
     offer_call(w, c, id++, sim::seconds(20));
   }
-  w.simulator().run_to_quiescence();
+  w.run_to_quiescence();
   EXPECT_TRUE(w.quiescent());
   EXPECT_EQ(w.interference_violations(), 0u);
   for (cell::CellId c = 0; c < w.grid().n_cells(); ++c)

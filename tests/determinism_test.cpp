@@ -4,8 +4,11 @@
 // the seed, not from host scheduling).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
 #include <vector>
 
+#include "runner/conformance.hpp"
 #include "runner/experiment.hpp"
 #include "sim/trace.hpp"
 
@@ -91,8 +94,8 @@ TEST(Determinism, FaultInjectedRunReplaysBitIdentically) {
 }
 
 // The tentpole guarantee: partitioning the world across shards (and any
-// worker thread count) reproduces the classic single-queue engine bit for
-// bit — headline metrics, FP aggregates, and the full structured trace.
+// worker thread count) reproduces the one-shard run bit for bit — headline
+// metrics, FP aggregates, and the full structured trace.
 TEST(Determinism, ShardedEngineMatchesClassicBitExactly) {
   const runner::ScenarioConfig cfg = small_config();
   for (const Scheme s : {Scheme::kBasicSearch, Scheme::kAdaptive}) {
@@ -150,7 +153,7 @@ TEST(Determinism, ShardedEngineMatchesClassicUnderFaults) {
 // dropped, heavy duplication, jitter wider than the base latency, plus
 // MSS pauses) drives the flat per-link rings hard — deep retransmit
 // windows, long reorder runs, pause backlogs — and the full structured
-// trace must still match the classic engine event for event at every
+// trace must still match the one-shard run event for event at every
 // shard count.
 TEST(Determinism, LinkTableSurvivesFullFaultCocktailBitExactly) {
   runner::ScenarioConfig cfg = small_config();
@@ -179,7 +182,7 @@ TEST(Determinism, LinkTableSurvivesFullFaultCocktailBitExactly) {
       cs.threads = 0;
       sim::TraceRecorder recs;
       const RunResult rs = runner::run_uniform(cs, s, 0.9, &recs);
-      expect_same_result(r1, rs, "stress cocktail, classic vs sharded");
+      expect_same_result(r1, rs, "stress cocktail, shards=1 vs N");
       EXPECT_EQ(rec1.events(), recs.events())
           << "full trace must be identical at shards=" << shards;
     }
@@ -208,6 +211,81 @@ TEST(Determinism, TracingItselfDoesNotPerturbTheRun) {
   const RunResult traced = runner::run_uniform(cfg, Scheme::kAdaptive, 0.8, &rec);
   const RunResult plain = runner::run_uniform(cfg, Scheme::kAdaptive, 0.8);
   expect_same_result(traced, plain, "traced vs untraced");
+}
+
+// -- trace digests pinned to fixed values --------------------------------
+//
+// FNV-1a-64 of trace_to_jsonl for three scenarios, recorded when the
+// simulator still had a second, independently written engine and every
+// engine and shard count agreed on them. Trace equality is checked
+// against these constants, not against another engine.
+
+std::uint64_t fnv1a64(const std::string& s) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char ch : s) {
+    h ^= static_cast<unsigned char>(ch);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// 6x6, radius 2, 21 channels (3 primaries per cell), 3 minutes.
+runner::ScenarioConfig digest_config() {
+  runner::ScenarioConfig c;
+  c.rows = 6;
+  c.cols = 6;
+  c.interference_radius = 2;
+  c.n_channels = 21;
+  c.cluster = 7;
+  c.mean_holding_s = 60.0;
+  c.latency = sim::milliseconds(5);
+  c.seed = 42;
+  c.duration = sim::minutes(3);
+  c.warmup = 0;
+  c.adaptive.theta_low = 1;
+  c.adaptive.theta_high = 2;
+  return c;
+}
+
+void expect_trace_digest(runner::ScenarioConfig cfg, Scheme scheme, double rho,
+                         std::uint64_t digest, std::size_t events) {
+  for (const int shards : {1, 2, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    cfg.shards = shards;
+    cfg.threads = 2;
+    sim::TraceRecorder rec;
+    const RunResult r = runner::run_uniform(cfg, scheme, rho, &rec);
+    EXPECT_EQ(r.violations, 0u);
+    EXPECT_TRUE(r.quiescent);
+    EXPECT_EQ(rec.size(), events);
+    EXPECT_EQ(fnv1a64(runner::trace_to_jsonl(rec.events())), digest);
+  }
+}
+
+TEST(TraceDigest, AdaptiveClean) {
+  expect_trace_digest(digest_config(), Scheme::kAdaptive, 0.8,
+                      0x4284b13de0de75b2ull, 906);
+}
+
+TEST(TraceDigest, AdaptiveDropDupJitterCrashPartition) {
+  runner::ScenarioConfig cfg = digest_config();
+  cfg.fault.drop_prob = 0.05;
+  cfg.fault.dup_prob = 0.02;
+  cfg.fault.jitter = sim::milliseconds(2);
+  cfg.fault.crash_rate_per_min = 0.5;
+  cfg.fault.crash_mean_s = 2.0;
+  cfg.fault.partitions.push_back(
+      net::PartitionSpec{{0, 1, 2, 6, 7, 8}, sim::seconds(60), sim::seconds(90)});
+  cfg.request_timeout = sim::milliseconds(100);
+  expect_trace_digest(cfg, Scheme::kAdaptive, 0.7, 0xe3cd2bd653e21909ull, 126894);
+}
+
+TEST(TraceDigest, BasicSearchMobilityJitter) {
+  runner::ScenarioConfig cfg = digest_config();
+  cfg.mean_dwell_s = 10.0;
+  cfg.latency_jitter = sim::milliseconds(3);
+  expect_trace_digest(cfg, Scheme::kBasicSearch, 0.7, 0x32e9ecf76ab10869ull,
+                      10060);
 }
 
 }  // namespace

@@ -11,8 +11,8 @@
 #include "net/fault.hpp"
 #include "net/latency.hpp"
 #include "net/message.hpp"
-#include "net/network.hpp"
-#include "sim/simulator.hpp"
+#include "net/transport.hpp"
+#include "net_harness.hpp"
 #include "sim/trace.hpp"
 
 namespace dca::net {
@@ -20,12 +20,14 @@ namespace {
 
 class FaultNetFixture : public ::testing::Test {
  protected:
-  sim::Simulator simulator;
-  Network net{simulator, std::make_unique<FixedLatency>(100)};
+  std::unique_ptr<testnet::Harness> h;
   std::vector<Message> delivered;
 
-  void SetUp() override {
-    net.set_receiver([this](const Message& m) { delivered.push_back(m); });
+  /// Builds the transport under `cfg` (faults are fixed at construction).
+  Transport& start(const FaultConfig& cfg = {}, std::uint64_t seed = 7) {
+    h = std::make_unique<testnet::Harness>(cfg, seed);
+    h->transport.set_receiver([this](const Message& m) { delivered.push_back(m); });
+    return h->transport;
   }
 
   static Message mk(cell::CellId from, cell::CellId to, int tag) {
@@ -37,7 +39,7 @@ class FaultNetFixture : public ::testing::Test {
     return m;
   }
 
-  void send_burst(int n) {
+  void send_burst(Transport& net, int n) {
     for (int i = 0; i < n; ++i) net.send(mk(0, 1, i));
   }
 
@@ -51,12 +53,12 @@ class FaultNetFixture : public ::testing::Test {
 TEST_F(FaultNetFixture, DropsAreRetransmittedExactlyOnceInOrder) {
   FaultConfig cfg;
   cfg.drop_prob = 0.4;
-  net.enable_faults(cfg, /*seed=*/7);
-  send_burst(60);
-  simulator.run_to_quiescence();
+  Transport& net = start(cfg, /*seed=*/7);
+  send_burst(net, 60);
+  h->run();
   expect_exactly_once_in_order(60);
-  EXPECT_GT(net.transport_stats().frames_dropped, 0u);
-  EXPECT_GT(net.transport_stats().retransmissions, 0u);
+  EXPECT_GT(net.stats().frames_dropped, 0u);
+  EXPECT_GT(net.stats().retransmissions, 0u);
   // The paper's message-complexity counter must not see transport frames.
   EXPECT_EQ(net.total_sent(), 60u);
 }
@@ -64,19 +66,19 @@ TEST_F(FaultNetFixture, DropsAreRetransmittedExactlyOnceInOrder) {
 TEST_F(FaultNetFixture, DuplicatesAreFiltered) {
   FaultConfig cfg;
   cfg.dup_prob = 1.0;  // every frame delivered twice
-  net.enable_faults(cfg, 7);
-  send_burst(20);
-  simulator.run_to_quiescence();
+  Transport& net = start(cfg);
+  send_burst(net, 20);
+  h->run();
   expect_exactly_once_in_order(20);
-  EXPECT_EQ(net.transport_stats().frames_duplicated, 20u);
+  EXPECT_EQ(net.stats().frames_duplicated, 20u);
 }
 
 TEST_F(FaultNetFixture, JitterCannotReorderALink) {
   FaultConfig cfg;
   cfg.jitter = 5000;  // 50x the base latency: wild physical reordering
-  net.enable_faults(cfg, 7);
-  send_burst(40);
-  simulator.run_to_quiescence();
+  Transport& net = start(cfg);
+  send_burst(net, 40);
+  h->run();
   expect_exactly_once_in_order(40);
 }
 
@@ -85,12 +87,12 @@ TEST_F(FaultNetFixture, FullCocktailStillExactlyOnceInOrder) {
   cfg.drop_prob = 0.3;
   cfg.dup_prob = 0.3;
   cfg.jitter = 2000;
-  net.enable_faults(cfg, 99);
+  Transport& net = start(cfg, 99);
   for (int i = 0; i < 30; ++i) {
     net.send(mk(0, 1, i));
     net.send(mk(2, 1, 100 + i));  // second link interleaved
   }
-  simulator.run_to_quiescence();
+  h->run();
   ASSERT_EQ(delivered.size(), 60u);
   int next01 = 0, next21 = 100;
   for (const Message& m : delivered) {
@@ -105,17 +107,18 @@ TEST_F(FaultNetFixture, FullCocktailStillExactlyOnceInOrder) {
 }
 
 TEST_F(FaultNetFixture, PauseHoldsDeliveryAndResumeFlushesInOrder) {
+  Transport& net = start();
   net.pause(1);
   EXPECT_TRUE(net.is_paused(1));
-  send_burst(5);
+  send_burst(net, 5);
   net.send(mk(0, 2, 77));  // other destinations unaffected
-  simulator.run_to_quiescence();
+  h->run();
   ASSERT_EQ(delivered.size(), 1u);
   EXPECT_EQ(delivered[0].to, 2);
 
   delivered.clear();
   net.resume(1);
-  simulator.run_to_quiescence();
+  EXPECT_FALSE(net.is_paused(1));
   expect_exactly_once_in_order(5);
 }
 
@@ -125,51 +128,75 @@ TEST_F(FaultNetFixture, PausedStationKeepsAckingUnderDrops) {
   // order) the moment the process resumes.
   FaultConfig cfg;
   cfg.drop_prob = 0.3;
-  net.enable_faults(cfg, 13);
+  Transport& net = start(cfg, 13);
   net.pause(1);
-  send_burst(25);
-  simulator.run_to_quiescence();
+  send_burst(net, 25);
+  h->run();
   EXPECT_TRUE(delivered.empty());
   net.resume(1);
-  simulator.run_to_quiescence();
   expect_exactly_once_in_order(25);
 }
 
 TEST_F(FaultNetFixture, RecorderSeesDropsDupsAndRetransmits) {
-  sim::TraceRecorder rec;
-  net.set_recorder(&rec);
   FaultConfig cfg;
   cfg.drop_prob = 0.4;
   cfg.dup_prob = 0.4;
-  net.enable_faults(cfg, 7);
-  send_burst(40);
-  simulator.run_to_quiescence();
+  Transport& net = start(cfg);
+  sim::TraceRecorder rec;
+  net.set_recorder([&rec](const sim::TraceEvent& e) { rec.emit(e); });
+  send_burst(net, 40);
+  h->run();
   std::uint64_t drops = 0, dups = 0, rexmits = 0;
   for (const sim::TraceEvent& e : rec.events()) {
     if (e.kind == sim::TraceKind::kDrop) ++drops;
     if (e.kind == sim::TraceKind::kDup) ++dups;
     if (e.kind == sim::TraceKind::kRetransmit) ++rexmits;
   }
-  EXPECT_EQ(drops, net.transport_stats().frames_dropped);
-  EXPECT_EQ(dups, net.transport_stats().frames_duplicated);
-  EXPECT_EQ(rexmits, net.transport_stats().retransmissions);
+  EXPECT_EQ(drops, net.stats().frames_dropped);
+  EXPECT_EQ(dups, net.stats().frames_duplicated);
+  EXPECT_EQ(rexmits, net.stats().retransmissions);
   EXPECT_GT(drops, 0u);
+}
+
+TEST_F(FaultNetFixture, PartitionCutsTrafficUntilTheHeal) {
+  FaultConfig cfg;
+  cfg.partitions.push_back(PartitionSpec{{1}, 0, 50'000});  // cell 1 cut off
+  Transport& net = start(cfg);
+  std::vector<sim::SimTime> at;
+  net.set_receiver([&](const Message& m) {
+    delivered.push_back(m);
+    at.push_back(h->now());
+  });
+  send_burst(net, 10);
+  net.send(mk(2, 3, 99));  // a link that does not cross the cut keeps working
+  h->run();
+  ASSERT_EQ(delivered.size(), 11u);
+  EXPECT_EQ(delivered.front().channel, 99);
+  EXPECT_EQ(at.front(), 100);
+  for (std::size_t i = 1; i < delivered.size(); ++i) {
+    EXPECT_EQ(delivered[i].channel, static_cast<int>(i - 1));
+    EXPECT_GE(at[i], 50'000) << "nothing crosses the cut before the heal";
+  }
+  // Severed frames are losses (the retransmission timer carries the
+  // traffic over the heal), not protocol messages.
+  EXPECT_GT(net.stats().frames_dropped, 0u);
+  EXPECT_GT(net.stats().retransmissions, 0u);
+  EXPECT_EQ(net.total_sent(), 11u);
 }
 
 using DeliveryLog = std::vector<std::tuple<sim::SimTime, cell::CellId, int>>;
 
 DeliveryLog run_faulty_burst(std::uint64_t seed) {
-  sim::Simulator simulator;
-  Network net{simulator, std::make_unique<FixedLatency>(100)};
-  DeliveryLog log;
-  net.set_receiver([&](const Message& m) {
-    log.emplace_back(simulator.now(), m.from, m.channel);
-  });
   FaultConfig cfg;
   cfg.drop_prob = 0.25;
   cfg.dup_prob = 0.25;
   cfg.jitter = 1500;
-  net.enable_faults(cfg, seed);
+  testnet::Harness h(cfg, seed);
+  Transport& net = h.transport;
+  DeliveryLog log;
+  net.set_receiver([&](const Message& m) {
+    log.emplace_back(h.now(), m.from, m.channel);
+  });
   for (int i = 0; i < 50; ++i) {
     Message m;
     m.kind = MsgKind::kRequest;
@@ -178,7 +205,7 @@ DeliveryLog run_faulty_burst(std::uint64_t seed) {
     m.channel = i;
     net.send(m);
   }
-  simulator.run_to_quiescence();
+  h.run();
   return log;
 }
 

@@ -23,7 +23,7 @@ TEST(Fca, AcquiresInstantlyWithZeroMessages) {
   EXPECT_EQ(r.outcome, proto::Outcome::kAcquiredLocal);
   EXPECT_EQ(r.delay(), 0);
   EXPECT_EQ(r.total_messages(), 0u);
-  EXPECT_EQ(w.network().total_sent(), 0u);
+  EXPECT_EQ(w.total_sent(), 0u);
 }
 
 TEST(Fca, ServesExactlyPrimarySetSize) {
@@ -63,7 +63,7 @@ TEST(Fca, ReleaseMakesChannelReusable) {
   offer_call(w, c, 2, sim::seconds(10));
   offer_call(w, c, 3, sim::seconds(10));
   EXPECT_EQ(w.node(c).in_use().size(), 3);
-  w.simulator().run_to_quiescence();  // calls end, channels released
+  w.run_to_quiescence();  // calls end, channels released
   EXPECT_TRUE(w.node(c).in_use().empty());
   offer_call(w, c, 4, sim::seconds(10));
   EXPECT_EQ(w.collector().records().back().outcome, proto::Outcome::kAcquiredLocal);
@@ -82,7 +82,7 @@ TEST(Fca, NeighborsReusePatternNeverInterferes) {
   for (cell::CellId c = 0; c < w.grid().n_cells(); ++c) {
     EXPECT_EQ(w.node(c).in_use().size(), 3);
   }
-  w.simulator().run_to_quiescence();
+  w.run_to_quiescence();
   EXPECT_TRUE(w.quiescent());
 }
 

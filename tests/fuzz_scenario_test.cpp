@@ -63,8 +63,8 @@ RandomScenario draw(sim::RngStream& rng) {
   s.cfg.duration = sim::minutes(3);
   s.cfg.warmup = 0;
   s.cfg.seed = rng.uniform_int(1, 1 << 30);
-  // Engine: mostly classic, but a healthy share of sharded runs — now
-  // legal in combination with jitter and mobility drawn above.
+  // Engine: mostly one shard, but a healthy share of sharded runs — legal
+  // in combination with jitter and mobility drawn above.
   if (rng.bernoulli(0.4)) {
     const int max_shards = std::min(8, s.cfg.rows * s.cfg.cols);
     s.cfg.shards = static_cast<int>(rng.uniform_int(2, max_shards));
@@ -121,9 +121,10 @@ TEST(FuzzScenario, RandomConfigurationsReplayDeterministically) {
 }
 
 TEST(FuzzScenario, ShardedMatchesClassicOnRandomConfigurations) {
-  // Cross-engine equivalence under fuzzing: random scenarios — with
-  // jitter and mobility forced on frequently — must produce bit-identical
-  // results and traces on the classic and sharded engines.
+  // Shard-count equivalence under fuzzing: random scenarios — with jitter
+  // and mobility forced on frequently — must produce bit-identical results
+  // and traces at one shard and at several ("Classic" in the test name is
+  // the one-shard reference).
   sim::RngStream r2(0xEC1D3);
   for (int trial = 0; trial < 12; ++trial) {
     RandomScenario s = draw(r2);
@@ -135,11 +136,11 @@ TEST(FuzzScenario, ShardedMatchesClassicOnRandomConfigurations) {
                  << "x" << s.cfg.cols << " jitter " << s.cfg.latency_jitter
                  << " dwell " << s.cfg.mean_dwell_s << " seed " << s.cfg.seed);
 
-    runner::ScenarioConfig classic_cfg = s.cfg;
-    classic_cfg.shards = 1;
-    sim::TraceRecorder rec_classic;
-    const RunResult a = runner::run_uniform(classic_cfg, s.scheme, s.rho,
-                                            &rec_classic);
+    runner::ScenarioConfig one_shard_cfg = s.cfg;
+    one_shard_cfg.shards = 1;
+    sim::TraceRecorder rec_one_shard;
+    const RunResult a = runner::run_uniform(one_shard_cfg, s.scheme, s.rho,
+                                            &rec_one_shard);
 
     runner::ScenarioConfig sharded_cfg = s.cfg;
     const int max_shards = std::min(8, sharded_cfg.rows * sharded_cfg.cols);
@@ -161,7 +162,7 @@ TEST(FuzzScenario, ShardedMatchesClassicOnRandomConfigurations) {
     EXPECT_EQ(a.carried_erlangs, b.carried_erlangs);
     EXPECT_EQ(a.violations, 0u);
     EXPECT_EQ(b.violations, 0u);
-    EXPECT_EQ(rec_classic.events(), rec_sharded.events())
+    EXPECT_EQ(rec_one_shard.events(), rec_sharded.events())
         << "engine traces diverged at shards=" << sharded_cfg.shards;
   }
 }
@@ -228,7 +229,7 @@ TEST(FuzzScenario, FaultCocktailNeverBreaksInvariantsOrQuiescence) {
 }
 
 TEST(FuzzScenario, CrashCocktailShardedMatchesClassic) {
-  // Cross-engine equivalence with the crash-recovery fault model forced
+  // Shard-count equivalence with the crash-recovery fault model forced
   // on, layered over the random fault cocktail (drops, dups, jitter,
   // pauses, partitions) and frequent mobility: full traces and
   // availability accounting must be bit-identical at any shard count.
@@ -246,11 +247,11 @@ TEST(FuzzScenario, CrashCocktailShardedMatchesClassic) {
                  << s.cfg.fault.crash_mean_s << "s partitions "
                  << s.cfg.fault.partitions.size() << " seed " << s.cfg.seed);
 
-    runner::ScenarioConfig classic_cfg = s.cfg;
-    classic_cfg.shards = 1;
-    sim::TraceRecorder rec_classic;
+    runner::ScenarioConfig one_shard_cfg = s.cfg;
+    one_shard_cfg.shards = 1;
+    sim::TraceRecorder rec_one_shard;
     const RunResult a =
-        runner::run_uniform(classic_cfg, s.scheme, s.rho, &rec_classic);
+        runner::run_uniform(one_shard_cfg, s.scheme, s.rho, &rec_one_shard);
     EXPECT_EQ(a.violations, 0u);
     EXPECT_TRUE(a.quiescent);
 
@@ -267,7 +268,7 @@ TEST(FuzzScenario, CrashCocktailShardedMatchesClassic) {
       EXPECT_EQ(a.carried_erlangs, b.carried_erlangs);
       EXPECT_EQ(a.availability, b.availability);
       EXPECT_EQ(b.violations, 0u);
-      EXPECT_EQ(rec_classic.events(), rec_sharded.events())
+      EXPECT_EQ(rec_one_shard.events(), rec_sharded.events())
           << "engine traces diverged at shards=" << sharded_cfg.shards;
     }
   }

@@ -1,8 +1,8 @@
-// Cross-engine equivalence battery for the two knobs the sharded engine
+// Shards-1-vs-N equivalence battery for the two knobs sharded execution
 // historically rejected: latency jitter and mobility/handoff. The
-// acceptance bar is the one that made the engine trustworthy in the first
-// place — full-trace EXPECT_EQ against the classic single-queue engine at
-// every shard/thread count — plus migration-specific property tests:
+// acceptance bar is full-trace EXPECT_EQ against the one-shard run at
+// every shard/thread count (the "Classic" in the test names is that
+// one-shard reference) — plus migration-specific property tests:
 // every HANDOFF_LEAVE pairs with exactly one HANDOFF_RECV, no call is
 // billed twice, and the usage integral is conserved across migration.
 #include <gtest/gtest.h>
@@ -64,15 +64,15 @@ void expect_same_result(const RunResult& a, const RunResult& b,
   EXPECT_EQ(a.transport, b.transport);
 }
 
-/// Runs `cfg` classic, then at shards 1/2/4/8 x threads 1/4, and demands
-/// bit-identical results and full traces everywhere. Returns the classic
-/// trace for further property checks.
+/// Runs `cfg` at one shard, then at shards 1/2/4/8 x threads 1/4, and
+/// demands bit-identical results and full traces everywhere. Returns the
+/// one-shard trace for further property checks.
 std::vector<sim::TraceEvent> battery(const runner::ScenarioConfig& cfg,
                                      Scheme scheme, double rho) {
-  sim::TraceRecorder classic_rec;
-  const RunResult classic = runner::run_uniform(cfg, scheme, rho, &classic_rec);
-  EXPECT_TRUE(classic.quiescent);
-  EXPECT_EQ(classic.violations, 0u);
+  sim::TraceRecorder one_shard_rec;
+  const RunResult one_shard = runner::run_uniform(cfg, scheme, rho, &one_shard_rec);
+  EXPECT_TRUE(one_shard.quiescent);
+  EXPECT_EQ(one_shard.violations, 0u);
   for (const int shards : {1, 2, 4, 8}) {
     for (const int threads : {1, 4}) {
       SCOPED_TRACE("shards=" + std::to_string(shards) +
@@ -83,13 +83,13 @@ std::vector<sim::TraceEvent> battery(const runner::ScenarioConfig& cfg,
       EXPECT_EQ(runner::validate_scenario(cs), "");
       sim::TraceRecorder rec;
       const RunResult r = runner::run_uniform(cs, scheme, rho, &rec);
-      expect_same_result(classic, r, "classic vs sharded");
-      EXPECT_EQ(classic_rec.events(), rec.events())
+      expect_same_result(one_shard, r, "shards=1 vs N");
+      EXPECT_EQ(one_shard_rec.events(), rec.events())
           << "full trace must be bit-identical at shards=" << shards
           << " threads=" << threads;
     }
   }
-  return classic_rec.events();
+  return one_shard_rec.events();
 }
 
 // ---------------------------------------------------------------------------
@@ -170,7 +170,7 @@ TEST(HandoffShardDeterminism, JitterMobilityFaultCocktailMatchesClassic) {
 }
 
 // ---------------------------------------------------------------------------
-// Migration property tests (on the sharded engine's merged trace).
+// Migration property tests (on a sharded run's merged trace).
 // ---------------------------------------------------------------------------
 
 TEST(HandoffShardProperties, EveryLeaveHasExactlyOneRecv) {
@@ -259,17 +259,17 @@ TEST(HandoffShardProperties, MergedTracePassesConformanceUnderMigration) {
 TEST(HandoffShardProperties, UsageIntegralConservedAcrossMigration) {
   // The usage integral (carried Erlangs) must not change when calls
   // migrate across shard boundaries: compare a heavily-sharded mobile run
-  // against classic, and also require that mobility only ever *lowers*
+  // against one shard, and also require that mobility only ever *lowers*
   // carried traffic relative to no mobility (handoff gaps and failures
   // shed usage, never mint it).
   auto cfg = base_config();
   cfg.mean_dwell_s = 30.0;
-  const RunResult classic = runner::run_uniform(cfg, Scheme::kAdaptive, 0.8);
+  const RunResult one_shard = runner::run_uniform(cfg, Scheme::kAdaptive, 0.8);
   runner::ScenarioConfig cs = cfg;
   cs.shards = 8;
   cs.threads = 4;
   const RunResult sharded = runner::run_uniform(cs, Scheme::kAdaptive, 0.8);
-  EXPECT_EQ(classic.carried_erlangs, sharded.carried_erlangs);
+  EXPECT_EQ(one_shard.carried_erlangs, sharded.carried_erlangs);
   EXPECT_GT(sharded.agg.handoff_offered, 0u);
 
   runner::ScenarioConfig still = base_config();

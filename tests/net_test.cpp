@@ -1,15 +1,20 @@
-// Unit tests for the network substrate: timestamps, latency models,
-// message delivery, counters, and the observer hook.
+// Unit tests for the network substrate: timestamps, latency models, and
+// the transport's plain path — delivery, per-link FIFO, canonical
+// same-instant order and counters.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "cell/grid.hpp"
 #include "net/latency.hpp"
 #include "net/message.hpp"
-#include "net/network.hpp"
 #include "net/timestamp.hpp"
-#include "sim/simulator.hpp"
+#include "net/transport.hpp"
+#include "net_harness.hpp"
+#include "sim/log.hpp"
 
 namespace dca::net {
 namespace {
@@ -79,8 +84,8 @@ TEST(Latency, MatrixOverridesPerLink) {
 
 class NetworkFixture : public ::testing::Test {
  protected:
-  sim::Simulator simulator;
-  Network net{simulator, std::make_unique<FixedLatency>(100)};
+  testnet::Harness h;
+  Transport& net = h.transport;
   std::vector<Message> delivered;
 
   void SetUp() override {
@@ -99,9 +104,9 @@ class NetworkFixture : public ::testing::Test {
 TEST_F(NetworkFixture, DeliversAfterLatency) {
   net.send(mk(0, 1, MsgKind::kRequest));
   EXPECT_TRUE(delivered.empty());
-  simulator.run_to_quiescence();
+  h.run();
   ASSERT_EQ(delivered.size(), 1u);
-  EXPECT_EQ(simulator.now(), 100);
+  EXPECT_EQ(h.now(), 100);
   EXPECT_EQ(delivered[0].from, 0);
   EXPECT_EQ(delivered[0].to, 1);
 }
@@ -112,7 +117,7 @@ TEST_F(NetworkFixture, PerLinkFifoWithFixedLatency) {
     m.channel = i;
     net.send(m);
   }
-  simulator.run_to_quiescence();
+  h.run();
   ASSERT_EQ(delivered.size(), 5u);
   for (int i = 0; i < 5; ++i) EXPECT_EQ(delivered[static_cast<size_t>(i)].channel, i);
 }
@@ -120,7 +125,7 @@ TEST_F(NetworkFixture, PerLinkFifoWithFixedLatency) {
 TEST(NetworkFifo, JitteredLinkNeverReorders) {
   // A latency model that draws wildly different delays must not let a
   // later send overtake an earlier one on the SAME directed link (the
-  // paper's protocols assume ordered channels; see header comment).
+  // paper's protocols assume ordered channels; see transport.hpp).
   class SawtoothLatency final : public LatencyModel {
    public:
     sim::Duration delay(cell::CellId, cell::CellId) override {
@@ -133,19 +138,18 @@ TEST(NetworkFifo, JitteredLinkNeverReorders) {
    private:
     int n_ = 0;
   };
-  sim::Simulator simulator;
-  Network net{simulator, std::make_unique<SawtoothLatency>()};
+  testnet::Harness h({}, 7, std::make_unique<SawtoothLatency>());
   std::vector<int> order;
-  net.set_receiver([&](const Message& m) { order.push_back(m.channel); });
+  h.transport.set_receiver([&](const Message& m) { order.push_back(m.channel); });
   for (int i = 0; i < 10; ++i) {
     Message m;
     m.kind = MsgKind::kRelease;
     m.from = 0;
     m.to = 1;
     m.channel = i;
-    net.send(m);
+    h.transport.send(m);
   }
-  simulator.run_to_quiescence();
+  h.run();
   ASSERT_EQ(order.size(), 10u);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
 }
@@ -160,25 +164,25 @@ TEST(NetworkFifo, DifferentLinksStillRace) {
     }
     [[nodiscard]] sim::Duration max_one_way() const override { return 1000; }
   };
-  sim::Simulator simulator;
-  Network net{simulator, std::make_unique<PerDestLatency>()};
+  testnet::Harness h({}, 7, std::make_unique<PerDestLatency>());
   std::vector<cell::CellId> order;
-  net.set_receiver([&](const Message& m) { order.push_back(m.to); });
+  h.transport.set_receiver([&](const Message& m) { order.push_back(m.to); });
   Message slow;
   slow.kind = MsgKind::kRelease;
   slow.from = 0;
   slow.to = 1;
-  net.send(slow);
+  h.transport.send(slow);
   Message fast = slow;
   fast.to = 2;
-  net.send(fast);
-  simulator.run_to_quiescence();
+  h.transport.send(fast);
+  h.run();
   ASSERT_EQ(order.size(), 2u);
   EXPECT_EQ(order[0], 2) << "cross-link overtaking is allowed";
   EXPECT_EQ(order[1], 1);
 }
 
 TEST_F(NetworkFixture, CountersByKind) {
+  // Counted at send time, before anything is delivered.
   net.send(mk(0, 1, MsgKind::kRequest));
   net.send(mk(1, 0, MsgKind::kResponse));
   net.send(mk(1, 2, MsgKind::kResponse));
@@ -186,27 +190,51 @@ TEST_F(NetworkFixture, CountersByKind) {
   EXPECT_EQ(net.sent_of(MsgKind::kRequest), 1u);
   EXPECT_EQ(net.sent_of(MsgKind::kResponse), 2u);
   EXPECT_EQ(net.sent_of(MsgKind::kAcquisition), 0u);
-  net.reset_counters();
-  EXPECT_EQ(net.total_sent(), 0u);
+  EXPECT_EQ(net.cross_shard_sent(), 0u);  // one shard
+  h.run();
+  EXPECT_EQ(delivered.size(), 3u);
+  EXPECT_EQ(net.total_sent(), 3u);
+}
+
+TEST_F(NetworkFixture, SameInstantArrivalsResolveBySourceThenSendOrder) {
+  // Fixed latency lands all four sends on one instant at cell 0: they fire
+  // in canonical (source cell, per-link send order), not in send order.
+  net.send(mk(3, 0, MsgKind::kRequest));
+  net.send(mk(1, 0, MsgKind::kResponse));
+  net.send(mk(3, 0, MsgKind::kRelease));
+  net.send(mk(2, 0, MsgKind::kChangeMode));
+  h.run();
+  ASSERT_EQ(delivered.size(), 4u);
+  EXPECT_EQ(delivered[0].kind, MsgKind::kResponse);    // from 1
+  EXPECT_EQ(delivered[1].kind, MsgKind::kChangeMode);  // from 2
+  EXPECT_EQ(delivered[2].kind, MsgKind::kRequest);     // from 3, first
+  EXPECT_EQ(delivered[3].kind, MsgKind::kRelease);     // from 3, second
 }
 
 TEST_F(NetworkFixture, ObserverSeesEveryMessageAtSendTime) {
-  int observed = 0;
-  net.set_observer([&](const Message&) { ++observed; });
+  // The per-message log observes each send when it happens, not when it
+  // is delivered.
+  sim::TraceLog log;
+  log.set_level(sim::LogLevel::kTrace);
+  std::vector<std::string> lines;
+  log.set_sink([&](std::string_view line) { lines.emplace_back(line); });
+  net.set_log(&log);
   net.send(mk(0, 1, MsgKind::kAcquisition));
-  EXPECT_EQ(observed, 1) << "observer fires at send, not delivery";
-  simulator.run_to_quiescence();
-  EXPECT_EQ(observed, 1);
+  ASSERT_EQ(lines.size(), 1u) << "observer fires at send, not delivery";
+  EXPECT_NE(lines[0].find("0 -> 1 ACQUISITION"), std::string::npos) << lines[0];
+  h.run();
+  EXPECT_EQ(lines.size(), 1u);
+  EXPECT_EQ(delivered.size(), 1u);
 }
 
 TEST_F(NetworkFixture, UseSetPayloadSurvivesDelivery) {
-  Message m = mk(4, 1, MsgKind::kResponse);
+  Message m = mk(3, 1, MsgKind::kResponse);
   m.res_type = ResType::kSearchReply;
   m.use = cell::ChannelSet(70);
   m.use.insert(13);
   m.use.insert(42);
   net.send(m);
-  simulator.run_to_quiescence();
+  h.run();
   ASSERT_EQ(delivered.size(), 1u);
   EXPECT_TRUE(delivered[0].use.contains(13));
   EXPECT_TRUE(delivered[0].use.contains(42));

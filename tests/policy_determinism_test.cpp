@@ -1,5 +1,5 @@
-// Cross-engine determinism for the non-default allocation policies: a
-// policy plugs into both engines through the same NodeContext seam, so a
+// Shard-count determinism for the non-default allocation policies: a
+// policy plugs into every node through the same NodeContext seam, so a
 // policied run must stay a pure function of the scenario — bit-identical
 // across shard counts and worker thread counts, full structured trace
 // included. Also checks the proof policies actually change behaviour
@@ -88,7 +88,7 @@ void expect_engine_invariant(const std::string& spec_text, Scheme scheme) {
       cs.threads = threads;
       sim::TraceRecorder recs;
       const RunResult rs = runner::run_uniform(cs, scheme, 0.8, &recs);
-      expect_same_result(r1, rs, "classic vs sharded");
+      expect_same_result(r1, rs, "shards=1 vs N");
       EXPECT_EQ(rec1.events(), recs.events()) << "full merged trace";
     }
   }

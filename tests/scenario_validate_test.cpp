@@ -1,5 +1,9 @@
 // Tests for scenario validation (fail-fast configuration checking).
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+
+#include <cstdio>
+#include <string>
 
 #include "runner/scenario.hpp"
 #include "test_util.hpp"
@@ -145,7 +149,7 @@ TEST(ValidateScenario, ShardedEngineConstraints) {
   EXPECT_NE(validate_scenario(c).find("more shards than cells"),
             std::string::npos);
   // The lookahead comes from the per-link latency floors, so a zero
-  // latency has no conservative window to offer.
+  // latency has no conservative window to offer — at any shard count.
   c = ScenarioConfig{};
   c.shards = 4;
   c.latency = 0;
@@ -164,6 +168,36 @@ TEST(ValidateScenario, ShardedEngineConstraints) {
   c.fault.drop_prob = 0.1;
   c.request_timeout = sim::milliseconds(400);
   EXPECT_EQ(validate_scenario(c), "");
+}
+
+constexpr const char* kLatencyMessage =
+    "the event engine needs latency > 0 (the per-link latency floors are its "
+    "lookahead)";
+
+TEST(ValidateScenario, LatencyMustBePositiveAtEveryShardCount) {
+  ScenarioConfig c;
+  ASSERT_EQ(c.shards, 1);
+  c.latency = 0;
+  EXPECT_EQ(validate_scenario(c), kLatencyMessage);
+  c.latency = -5;
+  EXPECT_EQ(validate_scenario(c), kLatencyMessage);
+  c.latency = 1;
+  EXPECT_EQ(validate_scenario(c), "");
+}
+
+TEST(ValidateScenario, DcasimRejectsZeroLatencyWithExitTwo) {
+  // The CLI path: rejected up front with the message, never a crash.
+  const std::string cmd =
+      std::string(DCASIM_PATH) + " --latency-ms 0 --duration-min 1 2>&1";
+  FILE* pipe = popen(cmd.c_str(), "r");
+  ASSERT_NE(pipe, nullptr);
+  std::string out;
+  char buf[256];
+  while (std::fgets(buf, sizeof buf, pipe) != nullptr) out += buf;
+  const int status = pclose(pipe);
+  ASSERT_TRUE(WIFEXITED(status)) << out;
+  EXPECT_EQ(WEXITSTATUS(status), 2) << out;
+  EXPECT_NE(out.find(kLatencyMessage), std::string::npos) << out;
 }
 
 }  // namespace

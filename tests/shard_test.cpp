@@ -42,9 +42,9 @@ TEST(EventKey, OrdersByFieldsInDeclarationOrder) {
 }
 
 TEST(EventKey, ClassConstantsEncodeTheLegacyTieBreak) {
-  // Control < arrival < progress < timer < delivery — the order the
-  // legacy insertion-id tie-break produces for systematic same-instant
-  // collisions (see the header comment).
+  // Control < arrival < progress < timer < delivery — the order in which
+  // same-instant events of each kind are created (see the header
+  // comment).
   EXPECT_LT(kClassControl, kClassArrival);
   EXPECT_LT(kClassArrival, kClassProgress);
   EXPECT_LT(kClassProgress, kClassTimer);
@@ -77,6 +77,39 @@ TEST(ShardQueue, CancelPreventsExecutionAndLateCancelIsNoop) {
   f.action();
   EXPECT_EQ(fired, 10);
   q.cancel(b);  // already popped: must be a no-op
+  q.cancel(kInvalidEventId);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(ShardQueue, CancelledHeadIsSkippedByNextKey) {
+  ShardQueue q;
+  const EventId id = q.schedule(EventKey{5, 0, kClassTimer, 0, 1}, [] {});
+  (void)q.schedule(EventKey{9, 0, kClassTimer, 0, 2}, [] {});
+  q.cancel(id);
+  EXPECT_EQ(q.next_key().when, 9);
+}
+
+TEST(ShardQueue, CancelAfterFireDoesNotCorruptLiveCount) {
+  // Cancelling a handle that already fired must not touch the live count:
+  // empty() would otherwise report true while a real event is pending.
+  ShardQueue q;
+  const EventId fired = q.schedule(EventKey{1, 0, kClassTimer, 0, 1}, [] {});
+  q.pop().action();  // `fired` is gone
+  bool ran = false;
+  (void)q.schedule(EventKey{2, 0, kClassTimer, 0, 2}, [&] { ran = true; });
+  q.cancel(fired);  // stale handle: must be a true no-op
+  EXPECT_FALSE(q.empty());
+  EXPECT_EQ(q.size(), 1u);
+  q.pop().action();
+  EXPECT_TRUE(ran);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(ShardQueue, CancelTwiceAndCancelInvalidAreNoops) {
+  ShardQueue q;
+  const EventId id = q.schedule(EventKey{5, 0, kClassTimer, 0, 1}, [] {});
+  q.cancel(id);
+  q.cancel(id);
   q.cancel(kInvalidEventId);
   EXPECT_TRUE(q.empty());
 }

@@ -2,13 +2,13 @@
 // clock semantics, RNG stream independence, and the trace log.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <vector>
 
-#include "sim/event_queue.hpp"
 #include "sim/log.hpp"
 #include "sim/random.hpp"
-#include "sim/simulator.hpp"
+#include "sim/shard.hpp"
 #include "sim/types.hpp"
 
 namespace dca::sim {
@@ -29,188 +29,95 @@ TEST(Types, FromSecondsTruncatesAndClamps) {
   EXPECT_DOUBLE_EQ(to_milliseconds(2'500), 2.5);
 }
 
-TEST(EventQueue, FiresInTimeOrder) {
-  EventQueue q;
-  std::vector<int> fired;
-  q.schedule(30, [&] { fired.push_back(3); });
-  q.schedule(10, [&] { fired.push_back(1); });
-  q.schedule(20, [&] { fired.push_back(2); });
-  while (!q.empty()) q.pop().action();
-  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
-}
+// -- the event kernel's clock semantics, on one shard -----------------------
 
-TEST(EventQueue, TiesBreakBySchedulingOrder) {
-  EventQueue q;
-  std::vector<int> fired;
-  for (int i = 0; i < 5; ++i) {
-    q.schedule(42, [&fired, i] { fired.push_back(i); });
-  }
-  while (!q.empty()) q.pop().action();
-  EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3, 4}));
-}
+/// One cell on one shard: the kernel as a plain sequential simulator.
+ShardedKernel one_cell() { return ShardedKernel(1, 1, milliseconds(1), 1); }
 
-TEST(EventQueue, CancelPreventsExecution) {
-  EventQueue q;
-  bool ran = false;
-  const EventId id = q.schedule(5, [&] { ran = true; });
-  q.schedule(6, [] {});
-  q.cancel(id);
-  EXPECT_EQ(q.size(), 1u);
-  while (!q.empty()) q.pop().action();
-  EXPECT_FALSE(ran);
-}
-
-TEST(EventQueue, CancelledHeadIsSkippedByNextTime) {
-  EventQueue q;
-  const EventId id = q.schedule(5, [] {});
-  q.schedule(9, [] {});
-  q.cancel(id);
-  EXPECT_EQ(q.next_time(), 9);
-}
-
-TEST(EventQueue, CancelAfterFireDoesNotCorruptLiveCount) {
-  // Regression (code review): cancelling an id that already fired used to
-  // insert a tombstone and decrement the live count, making empty() report
-  // true while a real event was still pending.
-  EventQueue q;
-  const EventId fired = q.schedule(1, [] {});
-  q.pop().action();          // `fired` is gone
-  bool ran = false;
-  q.schedule(2, [&] { ran = true; });
-  q.cancel(fired);           // stale handle: must be a true no-op
-  EXPECT_FALSE(q.empty());
-  EXPECT_EQ(q.size(), 1u);
-  ASSERT_FALSE(q.empty());
-  q.pop().action();
-  EXPECT_TRUE(ran);
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, CancelTwiceAndCancelInvalidAreNoops) {
-  EventQueue q;
-  const EventId id = q.schedule(5, [] {});
-  q.cancel(id);
-  q.cancel(id);
-  q.cancel(kInvalidEventId);
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, ClearDropsEverything) {
-  EventQueue q;
-  q.schedule(1, [] {});
-  q.schedule(2, [] {});
-  q.clear();
-  EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.next_time(), kTimeNever);
+EventId at(ShardedKernel& k, SimTime when, EventFn fn) {
+  return k.schedule_local(0, kClassTimer, when, std::move(fn));
 }
 
 TEST(Simulator, NowAdvancesToEventTime) {
-  Simulator s;
+  ShardedKernel k = one_cell();
   SimTime seen = -1;
-  s.schedule_in(100, [&] { seen = s.now(); });
-  s.run_to_quiescence();
+  (void)at(k, 100, [&] { seen = k.now(0); });
+  k.run_to_quiescence();
   EXPECT_EQ(seen, 100);
-  EXPECT_EQ(s.now(), 100);
-}
-
-TEST(Simulator, NegativeDelayMeansNow) {
-  Simulator s;
-  s.schedule_in(50, [] {});
-  s.run_to_quiescence();
-  SimTime seen = -1;
-  s.schedule_in(-10, [&] { seen = s.now(); });
-  s.run_to_quiescence();
-  EXPECT_EQ(seen, 50);
+  EXPECT_EQ(k.now(0), 100);
 }
 
 TEST(Simulator, RunUntilStopsAtDeadlineAndAdvancesClock) {
-  Simulator s;
+  ShardedKernel k = one_cell();
   int fired = 0;
-  for (SimTime t = 10; t <= 100; t += 10) s.schedule_at(t, [&] { ++fired; });
-  s.run_until(55);
+  for (SimTime t = 10; t <= 100; t += 10) (void)at(k, t, [&] { ++fired; });
+  k.run_until(55);
   EXPECT_EQ(fired, 5);
-  EXPECT_EQ(s.now(), 55);  // clock moves to the deadline even with no event there
-  s.run_to_quiescence();
+  EXPECT_EQ(k.now(0), 55);  // clock moves to the deadline even with no event there
+  k.run_to_quiescence();
   EXPECT_EQ(fired, 10);
 }
 
 TEST(Simulator, EventsAtDeadlineDoFire) {
-  Simulator s;
+  ShardedKernel k = one_cell();
   bool ran = false;
-  s.schedule_at(70, [&] { ran = true; });
-  s.run_until(70);
+  (void)at(k, 70, [&] { ran = true; });
+  k.run_until(70);
   EXPECT_TRUE(ran);
 }
 
 TEST(Simulator, EventsScheduleMoreEvents) {
-  Simulator s;
+  ShardedKernel k = one_cell();
   std::vector<SimTime> ticks;
   std::function<void()> chain = [&] {
-    ticks.push_back(s.now());
-    if (ticks.size() < 4) s.schedule_in(10, chain);
+    ticks.push_back(k.now(0));
+    if (ticks.size() < 4) (void)at(k, k.now(0) + 10, [&] { chain(); });
   };
-  s.schedule_in(10, chain);
-  s.run_to_quiescence();
+  (void)at(k, 10, [&] { chain(); });
+  k.run_to_quiescence();
   EXPECT_EQ(ticks, (std::vector<SimTime>{10, 20, 30, 40}));
 }
 
 TEST(Simulator, ExecutedCountsEvents) {
-  Simulator s;
-  for (int i = 0; i < 7; ++i) s.schedule_in(i, [] {});
-  s.run_to_quiescence();
-  EXPECT_EQ(s.executed(), 7u);
+  ShardedKernel k = one_cell();
+  for (int i = 0; i < 7; ++i) (void)at(k, i, [] {});
+  k.run_to_quiescence();
+  EXPECT_EQ(k.executed(), 7u);
 }
 
-// -- run_until tie handling (the legacy-order contract the sharded
-//    kernel's canonical keys must reproduce; see docs/ARCHITECTURE.md) --
-
 TEST(Simulator, SameInstantEventsFireInSchedulingOrder) {
-  Simulator s;
+  // schedule_local keys same-(when, owner, class) events by the owner's
+  // own counter, whoever schedules them — including an event scheduled
+  // mid-instant for the same instant, which runs after those queued.
+  ShardedKernel k(2, 1, milliseconds(1), 1);
   std::vector<int> fired;
-  s.schedule_at(100, [&] { fired.push_back(1); });
-  s.schedule_at(100, [&] {
+  (void)k.schedule_local(1, kClassTimer, 100, [&] { fired.push_back(1); });
+  (void)k.schedule_local(1, kClassTimer, 100, [&] {
     fired.push_back(2);
-    // An event scheduled mid-instant for the same instant runs after
-    // everything already queued there (insertion order is the tie-break).
-    s.schedule_at(100, [&] { fired.push_back(4); });
+    (void)k.schedule_local(1, kClassTimer, 100, [&] { fired.push_back(4); });
   });
-  s.schedule_at(100, [&] { fired.push_back(3); });
-  s.run_until(100);
-  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3, 4}));
-  EXPECT_EQ(s.now(), 100);
+  (void)k.schedule_local(1, kClassTimer, 100, [&] { fired.push_back(3); });
+  // Another owner's counter is independent, and owner 0 orders first.
+  (void)k.schedule_local(0, kClassTimer, 100, [&] { fired.push_back(0); });
+  k.run_until(100);
+  EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(k.now(0), 100);
 }
 
 TEST(Simulator, CancelOfAlreadyPoppedEventIsHarmless) {
-  Simulator s;
+  ShardedKernel k = one_cell();
   int fired = 0;
-  const EventId a = s.schedule_in(10, [&] { ++fired; });
-  EventId b = kInvalidEventId;
-  b = s.schedule_in(20, [&] { ++fired; });
-  s.run_until(15);
+  const EventId a = at(k, 10, [&] { ++fired; });
+  const EventId b = at(k, 20, [&] { ++fired; });
+  k.run_until(15);
   EXPECT_EQ(fired, 1);
-  s.cancel(a);  // already fired: must not corrupt the pending set
-  EXPECT_EQ(s.pending(), 1u);
-  s.cancel(a);  // and twice
-  s.run_to_quiescence();
+  k.cancel(0, a);  // already fired: must not corrupt the pending set
+  EXPECT_EQ(k.pending(), 1u);
+  k.cancel(0, a);  // and twice
+  k.run_to_quiescence();
   EXPECT_EQ(fired, 2);
-  s.cancel(b);  // after the whole queue drained
-  EXPECT_EQ(s.pending(), 0u);
-}
-
-TEST(Simulator, ScheduleAtInThePastClampsToNow) {
-  Simulator s;
-  std::vector<SimTime> fired_at;
-  s.schedule_at(50, [&] {
-    // "In the past" from inside an event at t=50.
-    s.schedule_at(10, [&] { fired_at.push_back(s.now()); });
-  });
-  s.schedule_at(60, [&] { fired_at.push_back(s.now()); });
-  s.run_to_quiescence();
-  // The clamped event fires at 50 (current instant), before the one at 60.
-  ASSERT_EQ(fired_at.size(), 2u);
-  EXPECT_EQ(fired_at[0], 50);
-  EXPECT_EQ(fired_at[1], 60);
-  EXPECT_EQ(s.executed(), 3u);
+  k.cancel(0, b);  // after the whole queue drained
+  EXPECT_EQ(k.pending(), 0u);
 }
 
 TEST(Rng, SameSeedSameSequence) {

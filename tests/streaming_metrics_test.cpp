@@ -149,8 +149,8 @@ TEST(StreamingMetrics, StreamedTraceIsByteIdenticalAndConformant) {
 }
 
 TEST(StreamingMetrics, SmallGridSingleShardStreams) {
-  // shards == 1 with stream_metrics routes through the sharded engine;
-  // the result must still match the classic engine bit for bit.
+  // shards == 1 with stream_metrics folds at window barriers too; the
+  // result must still match the buffered run bit for bit.
   const ScenarioConfig cfg = testutil::small_config();
   expect_equivalent_runs(cfg, Scheme::kAdaptive, 0.8);
   expect_equivalent_runs(cfg, Scheme::kBasicSearch, 0.8);

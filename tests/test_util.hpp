@@ -53,7 +53,7 @@ inline std::uint64_t offer_call(runner::World& world, cell::CellId cellId,
   traffic::CallSpec spec;
   spec.id = call;
   spec.cell = cellId;
-  spec.arrival = world.simulator().now();
+  spec.arrival = world.now();
   spec.holding = holding;
   world.submit_call(spec);
   return call;

@@ -12,7 +12,7 @@
 #include "cell/reuse.hpp"
 #include "mock_env.hpp"
 #include "proto/allocator.hpp"
-#include "sim/simulator.hpp"
+#include "sim/shard.hpp"
 #include "sim/small_fn.hpp"
 
 namespace {
@@ -20,11 +20,11 @@ namespace {
 using namespace dca;
 
 // A TimerFn must nest inside the kernel's EventFn when an environment
-// forwards it to a simulator (World::schedule_in relies on this).
+// forwards it to the kernel (ShardEnv::schedule_in relies on this).
 static_assert(sim::EventFn::fits_inline<sim::TimerFn>(),
               "TimerFn must fit inside EventFn's inline buffer");
 
-/// Simulator-backed NodeEnv for timer tests. `can_cancel` false models an
+/// Kernel-backed NodeEnv for timer tests (one cell, one shard). `can_cancel` false models an
 /// environment with lazy (or absent) cancellation: cancel_scheduled is
 /// ignored and superseded events still fire, so only the node's
 /// generation counter keeps stale callbacks quiet.
@@ -32,7 +32,7 @@ class TimerEnv final : public proto::NodeEnv {
  public:
   explicit TimerEnv(bool can_cancel) : can_cancel_(can_cancel), rng_(1) {}
 
-  [[nodiscard]] sim::SimTime now() const override { return sim.now(); }
+  [[nodiscard]] sim::SimTime now() const override { return sim.now(0); }
   void send(net::Message) override {}
   [[nodiscard]] sim::Duration latency_bound() const override {
     return sim::milliseconds(5);
@@ -48,14 +48,16 @@ class TimerEnv final : public proto::NodeEnv {
 
   sim::EventId schedule_in(sim::Duration delay, sim::TimerFn fn) override {
     ++timers_scheduled;
-    return sim.schedule_in(delay, std::move(fn));
+    return sim.schedule_local(0, sim::kClassTimer,
+                              sim.now(0) + (delay > 0 ? delay : 0), std::move(fn));
   }
   void cancel_scheduled(sim::EventId id) override {
     ++cancels_requested;
-    if (can_cancel_) sim.cancel(id);
+    if (can_cancel_) sim.cancel(0, id);
   }
 
-  sim::Simulator sim;
+  sim::ShardedKernel sim{/*n_cells=*/1, /*n_shards=*/1, sim::milliseconds(1),
+                         /*n_threads=*/1};
   int timers_scheduled = 0;
   int cancels_requested = 0;
 

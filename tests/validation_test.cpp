@@ -5,6 +5,10 @@
 // metrics) to ground truth.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <string>
+
 #include "analysis/erlang.hpp"
 #include "runner/experiment.hpp"
 #include "test_util.hpp"
@@ -86,6 +90,43 @@ INSTANTIATE_TEST_SUITE_P(Loads, FcaErlangValidation,
                          [](const ::testing::TestParamInfo<double>& info) {
                            return "rho" +
                                   std::to_string(static_cast<int>(info.param * 100));
+                         });
+
+// Statistical oracle with nothing in common with the engine: over 20
+// independent seeds, FCA's mean drop rate on the 14x14 torus (196
+// identical M/M/10/10 loss systems) must have Erlang-B inside its 99%
+// confidence interval.
+class ErlangBOracle : public ::testing::TestWithParam<double> {};
+
+TEST_P(ErlangBOracle, FcaDropRateCiCoversErlangB) {
+  const double rho = GetParam();
+  runner::ScenarioConfig cfg = testutil::paper_config();
+  cfg.rows = 14;
+  cfg.cols = 14;
+  cfg.wrap = cell::Wrap::kToroidal;
+  // A warmup of ~7 holding times: the empty start has decayed to noise.
+  cfg.warmup = sim::minutes(20);
+  cfg.duration = sim::minutes(80);
+  constexpr int kSeeds = 20;
+  const runner::Replicated rep = runner::run_replicated(cfg, Scheme::kFca, rho, kSeeds);
+  ASSERT_EQ(rep.drop_rate.count(), static_cast<std::uint64_t>(kSeeds));
+  EXPECT_EQ(rep.violations, 0u);
+
+  // Student t, 19 degrees of freedom, two-sided 99%.
+  constexpr double kT99 = 2.861;
+  const double half = kT99 * rep.drop_rate.stddev() / std::sqrt(double{kSeeds});
+  const double theory = analysis::erlang_b(10, 10.0 * rho);
+  EXPECT_GT(half, 0.0);
+  EXPECT_GE(theory, rep.drop_rate.mean() - half)
+      << "rho=" << rho << " mean=" << rep.drop_rate.mean() << " +- " << half;
+  EXPECT_LE(theory, rep.drop_rate.mean() + half)
+      << "rho=" << rho << " mean=" << rep.drop_rate.mean() << " +- " << half;
+}
+
+INSTANTIATE_TEST_SUITE_P(Loads, ErlangBOracle, ::testing::Values(0.6, 1.0),
+                         [](const ::testing::TestParamInfo<double>& p) {
+                           return "rho" +
+                                  std::to_string(static_cast<int>(p.param * 100));
                          });
 
 TEST(Validation, DynamicSchemesBeatErlangBViaTrunkPooling) {

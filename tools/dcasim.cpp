@@ -19,7 +19,6 @@
 #include "runner/conformance.hpp"
 #include "runner/experiment.hpp"
 #include "runner/world.hpp"
-#include "traffic/generator.hpp"
 #include "traffic/profile.hpp"
 
 namespace {
@@ -83,14 +82,14 @@ int main(int argc, char** argv) {
                   "fault: scheduled partitions 'cells@start_s..end_s', "
                   "';'-separated, e.g. '0,1,8@300..420;9@600..700'")
       .add_double("timeout-ms", 0.0, "protocol request timeout (0 = no timers)")
-      .add_int("shards", 1, "event-engine shards (1 = classic engine)")
+      .add_int("shards", 1, "event-engine shards (1 = one event queue)")
       .add_int("threads", 0, "sharded-engine workers (0 = one per shard)")
       .add_string("partition", "blocks",
                   "cell->shard map: blocks (hex blocks) | striped (cell % shards)")
       .add_flag("pin", "pin sharded-engine workers to distinct CPUs (Linux)")
       .add_flag("stream-metrics",
                 "fold metrics/trace out of the engine at window barriers "
-                "(bounded memory; uses the sharded engine even at shards 1)")
+                "(bounded memory)")
       .add_double("fade-prob", 0.0, "radio: per-(cell,channel) fade probability")
       .add_double("fade-bucket-ms", 1000.0, "radio: fade coherence time [ms]")
       .add_string("config", "", "scenario file applied before other options")

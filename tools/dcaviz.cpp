@@ -9,7 +9,6 @@
 
 #include "runner/cli.hpp"
 #include "runner/world.hpp"
-#include "traffic/generator.hpp"
 #include "traffic/profile.hpp"
 #include "viz/svg.hpp"
 
@@ -62,21 +61,20 @@ int main(int argc, char** argv) {
 
   // Build the world (also used for a snapshot sim when requested) —
   // cheapest way to share grid/plan construction and validation.
-  runner::World world(cfg, runner::Scheme::kAdaptive);
-
   const std::string snapshot = args.get_string("snapshot");
+  const double rate = cfg.arrival_rate_for_load(args.get_double("rho"));
+  const cell::CellId hot = (cfg.rows / 2) * cfg.cols + cfg.cols / 2;
+  const traffic::UniformProfile uni(rate);
+  const traffic::HotspotProfile hs(rate, {hot}, 10.0, 0, cfg.duration);
+  const traffic::LoadProfile* load = nullptr;
   if (!snapshot.empty()) {
-    const double rate = cfg.arrival_rate_for_load(args.get_double("rho"));
-    const cell::CellId hot = (cfg.rows / 2) * cfg.cols + cfg.cols / 2;
-    const traffic::UniformProfile uni(rate);
-    const traffic::HotspotProfile hs(rate, {hot}, 10.0, 0, cfg.duration);
-    const traffic::LoadProfile& profile =
-        snapshot == "hotspot" ? static_cast<const traffic::LoadProfile&>(hs) : uni;
-    traffic::TrafficSource src(
-        world.simulator(), world.grid(), profile, cfg.mean_holding_s, cfg.seed,
-        [&world](const traffic::CallSpec& spec) { world.submit_call(spec); });
-    src.start(cfg.duration);
-    world.simulator().run_until(cfg.duration);  // mid-flight: usage visible
+    load = snapshot == "hotspot" ? static_cast<const traffic::LoadProfile*>(&hs)
+                                 : &uni;
+  }
+  runner::World world(cfg, runner::Scheme::kAdaptive, load);
+
+  if (!snapshot.empty()) {
+    world.run_until(cfg.duration);  // mid-flight: usage visible
     opt.in_use.resize(static_cast<std::size_t>(world.grid().n_cells()));
     for (cell::CellId c = 0; c < world.grid().n_cells(); ++c) {
       opt.in_use[static_cast<std::size_t>(c)] = world.node(c).in_use().size();

@@ -164,7 +164,7 @@ int main(int argc, char** argv) {
   }
 
   // The scenario matrix. Smoke keeps one point per axis (plus the shards
-  // axis, which is the cross-engine check) so CI exercises every scheme ×
+  // axis, which is the shard-count check) so CI exercises every scheme ×
   // policy combination in seconds; full crosses all axes.
   std::vector<Axes> matrix;
   if (smoke) {
