@@ -599,6 +599,23 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(metro_r.offered_calls),
               static_cast<double>(metro_r.peak_rss_bytes) / (1024.0 * 1024.0),
               metro_bytes_per_cell);
+  // World set-up of the same scenario: a 1 us arrival horizon and no warmup
+  // build and tear down the world but simulate nothing. Median of five
+  // builds, since one is mostly noise.
+  dca::runner::ScenarioConfig metro_setup = metro;
+  metro_setup.duration = 1;
+  metro_setup.warmup = 0;
+  std::vector<double> setup_probes;
+  for (int k = 0; k < 5; ++k) {
+    const auto t0 = std::chrono::steady_clock::now();
+    (void)dca::runner::run_uniform(metro_setup, Scheme::kAdaptive, rho);
+    setup_probes.push_back(
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count());
+  }
+  std::sort(setup_probes.begin(), setup_probes.end());
+  const double metro_setup_s = setup_probes[setup_probes.size() / 2];
+  std::printf("  world set-up %.4f s (median of %zu)\n", metro_setup_s,
+              setup_probes.size());
 
   // Determinism sanity for the record: events/sec means nothing if the
   // sharded run diverged. The merged trace must satisfy every
@@ -792,6 +809,8 @@ int main(int argc, char** argv) {
   w.value(metro_r.peak_rss_bytes);
   w.key("bytes_per_cell");
   w.value(metro_bytes_per_cell);
+  w.key("setup_s");
+  w.value(metro_setup_s);
   w.end_object();
   w.key("partition_comparison");
   w.begin_object();

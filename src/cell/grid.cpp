@@ -32,27 +32,40 @@ HexGrid::HexGrid(int rows, int cols, int interference_radius, Wrap wrap)
   for (int y = 0; y < rows_; ++y)
     for (int x = 0; x < cols_; ++x) axial_.push_back(offset_to_axial(x, y));
 
-  neighbors_.resize(n);
-  interference_.resize(n);
-  std::size_t degree_sum = 0;
-  for (CellId a = 0; a < n_cells(); ++a) {
-    for (const Axial d : kHexDirections) {
-      const CellId b = cell_at(axial(a) + d);
-      if (b != kNoCell && b != a) neighbors_[static_cast<std::size_t>(a)].push_back(b);
+  // The radius-r hex ball minus its centre: every (dq, dr) with
+  // max(|dq|, |dr|, |dq + dr|) <= r, 3r(r+1) of them.
+  std::vector<Axial> ball;
+  ball.reserve(static_cast<std::size_t>(3 * radius_ * (radius_ + 1)));
+  for (int dq = -radius_; dq <= radius_; ++dq) {
+    for (int dr = std::max(-radius_, -dq - radius_);
+         dr <= std::min(radius_, -dq + radius_); ++dr) {
+      if (dq != 0 || dr != 0) ball.push_back(Axial{dq, dr});
     }
-    auto& nb = neighbors_[static_cast<std::size_t>(a)];
-    std::sort(nb.begin(), nb.end());
-    nb.erase(std::unique(nb.begin(), nb.end()), nb.end());
-
-    for (CellId b = 0; b < n_cells(); ++b) {
-      if (a != b && distance(a, b) <= radius_)
-        interference_[static_cast<std::size_t>(a)].push_back(b);
-    }
-    const auto deg = interference_[static_cast<std::size_t>(a)].size();
-    degree_sum += deg;
-    max_degree_ = std::max(max_degree_, static_cast<int>(deg));
   }
-  mean_degree_ = static_cast<double>(degree_sum) / static_cast<double>(n_cells());
+
+  neighbors_.start.reserve(n + 1);
+  neighbors_.ids.reserve(n * kHexDirections.size());
+  interference_.start.reserve(n + 1);
+  interference_.ids.reserve(n * ball.size());
+  for (CellId a = 0; a < n_cells(); ++a) {
+    append_row(neighbors_, a, kHexDirections);
+    append_row(interference_, a, ball);
+    max_degree_ = std::max(max_degree_, static_cast<int>(interference(a).size()));
+  }
+  mean_degree_ = static_cast<double>(interference_.ids.size()) /
+                 static_cast<double>(n_cells());
+}
+
+void HexGrid::append_row(Csr& table, CellId c, std::span<const Axial> offsets) const {
+  const auto first = table.ids.size();
+  for (const Axial d : offsets) {
+    const CellId b = cell_at(axial(c) + d);
+    if (b != kNoCell && b != c) table.ids.push_back(b);
+  }
+  const auto begin = table.ids.begin() + static_cast<std::ptrdiff_t>(first);
+  std::sort(begin, table.ids.end());
+  table.ids.erase(std::unique(begin, table.ids.end()), table.ids.end());
+  table.start.push_back(table.ids.size());
 }
 
 CellId HexGrid::cell_at(Axial a) const noexcept {

@@ -22,6 +22,13 @@
 //    (odd-r offset rows must re-align across the vertical seam); a valid
 //    cluster-7 colouring additionally needs cols % 7 == 0 and
 //    rows % 14 == 0 (e.g. 14x14).
+//
+// Construction is O(cells x r^2) for interference radius r: each cell's
+// region is the 3r(r+1) axial offsets of its radius-r hex ball, mapped
+// through cell_at (which wraps on a torus), then sorted. Neighbour lists
+// and interference regions live in two flat offset + array (CSR) tables,
+// and every list is in ascending id order — protocol broadcasts fan out in
+// that order, so it is part of the simulated result.
 #pragma once
 
 #include <cstdint>
@@ -68,13 +75,13 @@ class HexGrid {
 
   /// The (up to six) directly adjacent cells, ascending by id.
   [[nodiscard]] std::span<const CellId> neighbors(CellId c) const {
-    return neighbors_[static_cast<std::size_t>(c)];
+    return neighbors_.row(c);
   }
 
   /// Interference region IN_c: all other cells within the interference
   /// radius, ascending by id. Symmetric: a ∈ IN(b) iff b ∈ IN(a).
   [[nodiscard]] std::span<const CellId> interference(CellId c) const {
-    return interference_[static_cast<std::size_t>(c)];
+    return interference_.row(c);
   }
 
   /// True iff a and b interfere (a != b and within the radius).
@@ -91,15 +98,30 @@ class HexGrid {
   }
 
  private:
+  /// Per-cell id lists in one array: row c is ids[start[c], start[c+1]).
+  struct Csr {
+    std::vector<std::size_t> start{0};
+    std::vector<CellId> ids;
+
+    [[nodiscard]] std::span<const CellId> row(CellId c) const {
+      const auto i = static_cast<std::size_t>(c);
+      return {ids.data() + start[i], start[i + 1] - start[i]};
+    }
+  };
+
+  /// Appends the cells at `offsets` from `c` (skipping off-grid ones) as
+  /// c's row, ascending and de-duplicated.
+  void append_row(Csr& table, CellId c, std::span<const Axial> offsets) const;
+
   int rows_;
   int cols_;
   int radius_;
   Wrap wrap_;
   int max_degree_ = 0;
   double mean_degree_ = 0.0;
-  std::vector<Axial> axial_;                      // by cell id
-  std::vector<std::vector<CellId>> neighbors_;    // by cell id
-  std::vector<std::vector<CellId>> interference_; // by cell id
+  std::vector<Axial> axial_;  // by cell id
+  Csr neighbors_;
+  Csr interference_;
 };
 
 }  // namespace dca::cell

@@ -8,7 +8,11 @@
 // grid is. LinkTable enumerates that universe once — LinkId L(c -> d) for
 // every d in IN(c), assigned in (from ascending, to ascending) order so
 // ids are a pure function of the grid — and answers id(from, to) with two
-// array loads and a bounded scan of one interference row. All per-link
+// array loads: the source's row, then a lookup strip indexed by to - from
+// that holds the partner's rank in the row. A strip depends only on the
+// row's offsets {d - c}, which all cells away from the grid edges and
+// seams share (one list per row parity), so each distinct offset list
+// gets one strip and memory stays linear in the links. All per-link
 // transport state (FIFO clocks, reliable-transport tx/rx, fault RNG
 // streams, latency overrides) then lives in flat vectors indexed by
 // LinkId instead of std::map/std::unordered_map keyed by the pair.
@@ -26,6 +30,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <utility>
 #include <vector>
 
@@ -46,33 +51,43 @@ class LinkTable {
 
   explicit LinkTable(const cell::HexGrid& grid) {
     const auto n = static_cast<std::size_t>(grid.n_cells());
+    std::size_t n_ends = 0;
+    for (cell::CellId c = 0; c < grid.n_cells(); ++c)
+      n_ends += grid.interference(c).size();
     rows_.resize(n);
-    LinkId next = 0;
-    for (std::size_t c = 0; c < n; ++c) {
-      const auto in = grid.interference(static_cast<cell::CellId>(c));
-      Row& row = rows_[c];
-      row.base = next;
-      row.lo = in.empty() ? 0 : in.front();
-      row.hi = in.empty() ? -1 : in.back();
-      row.offset = static_cast<std::int32_t>(slots_.size());
-      // Per-source lookup strip over [lo, hi]: dense ids for interference
-      // partners, kNoLink holes elsewhere. Interference rows are compact
-      // (radius-bounded), so the strips stay small.
-      const auto width = static_cast<std::size_t>(row.hi - row.lo + 1);
-      slots_.resize(slots_.size() + width, kNoLink);
+    ends_.reserve(n_ends);
+    std::map<std::vector<std::int32_t>, std::int32_t> strip_of;  // offsets -> strip
+    std::vector<std::int32_t> offsets;
+    for (cell::CellId c = 0; c < grid.n_cells(); ++c) {
+      const auto in = grid.interference(c);
+      Row& row = rows_[static_cast<std::size_t>(c)];
+      row.base = static_cast<LinkId>(ends_.size());
+      offsets.clear();
       for (const cell::CellId d : in) {
-        slots_[static_cast<std::size_t>(row.offset + (d - row.lo))] = next;
-        ends_.push_back({static_cast<cell::CellId>(c), d});
-        ++next;
+        ends_.emplace_back(c, d);
+        offsets.push_back(d - c);
+      }
+      if (in.empty()) continue;
+      row.lo = offsets.front();
+      row.width = offsets.back() - offsets.front() + 1;
+      const auto [it, fresh] =
+          strip_of.try_emplace(offsets, static_cast<std::int32_t>(ranks_.size()));
+      row.strip = it->second;
+      if (!fresh) continue;
+      ranks_.resize(ranks_.size() + static_cast<std::size_t>(row.width), kNoRank);
+      for (std::size_t k = 0; k < offsets.size(); ++k) {
+        ranks_[static_cast<std::size_t>(row.strip + offsets[k] - row.lo)] =
+            static_cast<std::int32_t>(k);
       }
     }
-    n_links_ = next;
   }
 
   /// Number of enumerated directed links (0 for a default-constructed table).
-  [[nodiscard]] LinkId n_links() const noexcept { return n_links_; }
+  [[nodiscard]] LinkId n_links() const noexcept {
+    return static_cast<LinkId>(ends_.size());
+  }
 
-  [[nodiscard]] bool empty() const noexcept { return n_links_ == 0; }
+  [[nodiscard]] bool empty() const noexcept { return ends_.empty(); }
 
   /// LinkId of from -> to, or kNoLink when the pair is not an interference
   /// link of the grid (or no grid was supplied). O(1): row lookup + strip
@@ -80,8 +95,10 @@ class LinkTable {
   [[nodiscard]] LinkId id(cell::CellId from, cell::CellId to) const noexcept {
     if (static_cast<std::size_t>(from) >= rows_.size()) return kNoLink;
     const Row& row = rows_[static_cast<std::size_t>(from)];
-    if (to < row.lo || to > row.hi) return kNoLink;
-    return slots_[static_cast<std::size_t>(row.offset + (to - row.lo))];
+    const std::int64_t at = std::int64_t{to} - from - row.lo;
+    if (at < 0 || at >= row.width) return kNoLink;
+    const std::int32_t rank = ranks_[static_cast<std::size_t>(row.strip + at)];
+    return rank == kNoRank ? kNoLink : row.base + rank;
   }
 
   /// As id(), but aborts on a non-interference pair. The transport uses
@@ -105,17 +122,18 @@ class LinkTable {
   }
 
  private:
+  static constexpr std::int32_t kNoRank = -1;
+
   struct Row {
-    cell::CellId lo = 0;         // smallest interference partner id
-    cell::CellId hi = -1;        // largest interference partner id
-    std::int32_t offset = 0;     // start of this row's strip in slots_
-    LinkId base = 0;             // first LinkId of this source (unused holes aside)
+    std::int32_t lo = 0;      // smallest partner offset d - c
+    std::int32_t width = 0;   // strip length: largest offset - lo + 1
+    std::int32_t strip = 0;   // start of this row's strip in ranks_
+    LinkId base = 0;          // first LinkId of this source
   };
 
-  std::vector<Row> rows_;                                  // by source cell
-  std::vector<LinkId> slots_;                              // row strips, kNoLink holes
+  std::vector<Row> rows_;            // by source cell
+  std::vector<std::int32_t> ranks_;  // shared strips: partner rank, or kNoRank
   std::vector<std::pair<cell::CellId, cell::CellId>> ends_;  // by LinkId
-  LinkId n_links_ = 0;
 };
 
 /// Sparse ring buffer keyed by 64-bit sequence number, for per-link

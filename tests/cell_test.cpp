@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <set>
+#include <vector>
 
 #include "cell/grid.hpp"
 #include "cell/hex.hpp"
@@ -384,6 +385,57 @@ TEST(Torus, GreedyColoringWorksOnAnyTorus) {
 // The geometric property the advanced-update scheme relies on: for interior
 // cells, every pair of interfering cells shares, for every foreign colour,
 // a primary of that colour visible to both (see DESIGN.md).
+// ------------------------------------------------------------- oracle ----
+
+// The O(cells^2) definition of the grid's lists: every other cell within
+// `radius` hops, scanned in ascending id order.
+std::vector<CellId> scan_within(const HexGrid& g, CellId a, int radius) {
+  std::vector<CellId> out;
+  for (CellId b = 0; b < g.n_cells(); ++b) {
+    if (b != a && g.distance(a, b) <= radius) out.push_back(b);
+  }
+  return out;
+}
+
+void expect_lists_match_scan(const HexGrid& g) {
+  SCOPED_TRACE(::testing::Message()
+               << g.rows() << "x" << g.cols() << " r=" << g.interference_radius()
+               << (g.wrap() == Wrap::kToroidal ? " torus" : " bounded"));
+  for (CellId a = 0; a < g.n_cells(); ++a) {
+    const auto nb = g.neighbors(a);
+    const auto in = g.interference(a);
+    ASSERT_EQ(std::vector<CellId>(nb.begin(), nb.end()), scan_within(g, a, 1))
+        << "neighbours of cell " << a;
+    ASSERT_EQ(std::vector<CellId>(in.begin(), in.end()),
+              scan_within(g, a, g.interference_radius()))
+        << "interference region of cell " << a;
+  }
+}
+
+// The hex-ball walk yields exactly the pairwise-distance scan, element for
+// element (broadcast fan-out order depends on it), on bounded grids of
+// every shape, including rows or columns narrower than the ball.
+TEST(GridOracle, BoundedListsEqualDistanceScan) {
+  const int sides[] = {1, 2, 3, 4, 5, 7, 10, 13, 24};
+  for (int radius = 1; radius <= 4; ++radius)
+    for (const int rows : sides)
+      for (const int cols : sides)
+        expect_lists_match_scan(HexGrid(rows, cols, radius));
+}
+
+// Same on every legal torus shape near the smallest one (even rows, both
+// sides > 2r), where the ball reaches across one or both seams, and on a
+// larger one with an interior.
+TEST(GridOracle, ToroidalListsEqualDistanceScan) {
+  for (int radius = 1; radius <= 4; ++radius) {
+    const int min_side = 2 * radius + 1;
+    for (int rows = min_side + 1; rows <= min_side + 5; rows += 2)
+      for (int cols = min_side; cols <= min_side + 4; ++cols)
+        expect_lists_match_scan(HexGrid(rows, cols, radius, Wrap::kToroidal));
+    expect_lists_match_scan(HexGrid(14, 21, radius, Wrap::kToroidal));
+  }
+}
+
 TEST(Reuse, InteriorArbitrationCoverageHolds) {
   const HexGrid g(12, 12, 2);
   const ReusePlan plan = ReusePlan::cluster(g, 70, 7);

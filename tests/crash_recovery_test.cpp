@@ -81,7 +81,7 @@ void expect_same_result(const RunResult& a, const RunResult& b,
 // The tentpole guarantee: the crash/partition/resync machinery is
 // shard-invariant — shards=1 vs shards=2/4 x threads=1/4, full structured
 // trace compared event for event, with the entire cocktail active.
-TEST(CrashRecovery, ShardedEngineMatchesClassicThroughCrashes) {
+TEST(CrashRecovery, ShardedEngineMatchesOneShardThroughCrashes) {
   const runner::ScenarioConfig cfg = cocktail_config();
   for (const Scheme s : {Scheme::kBasicSearch, Scheme::kAdaptive}) {
     SCOPED_TRACE(runner::scheme_name(s));

@@ -96,7 +96,7 @@ TEST(Determinism, FaultInjectedRunReplaysBitIdentically) {
 // The tentpole guarantee: partitioning the world across shards (and any
 // worker thread count) reproduces the one-shard run bit for bit — headline
 // metrics, FP aggregates, and the full structured trace.
-TEST(Determinism, ShardedEngineMatchesClassicBitExactly) {
+TEST(Determinism, ShardedEngineMatchesOneShardBitExactly) {
   const runner::ScenarioConfig cfg = small_config();
   for (const Scheme s : {Scheme::kBasicSearch, Scheme::kAdaptive}) {
     SCOPED_TRACE(runner::scheme_name(s));
@@ -124,7 +124,7 @@ TEST(Determinism, ShardedEngineMatchesClassicBitExactly) {
 // Same guarantee with the full fault cocktail: drops, duplicates, fault
 // jitter, MSS pauses, and protocol timeouts all live on per-cell/per-link
 // streams, so the shard decomposition cannot perturb them.
-TEST(Determinism, ShardedEngineMatchesClassicUnderFaults) {
+TEST(Determinism, ShardedEngineMatchesOneShardUnderFaults) {
   runner::ScenarioConfig cfg = small_config();
   cfg.fault.drop_prob = 0.08;
   cfg.fault.dup_prob = 0.05;

@@ -120,11 +120,10 @@ TEST(FuzzScenario, RandomConfigurationsReplayDeterministically) {
   }
 }
 
-TEST(FuzzScenario, ShardedMatchesClassicOnRandomConfigurations) {
+TEST(FuzzScenario, ShardedMatchesOneShardOnRandomConfigurations) {
   // Shard-count equivalence under fuzzing: random scenarios — with jitter
   // and mobility forced on frequently — must produce bit-identical results
-  // and traces at one shard and at several ("Classic" in the test name is
-  // the one-shard reference).
+  // and traces at one shard and at several.
   sim::RngStream r2(0xEC1D3);
   for (int trial = 0; trial < 12; ++trial) {
     RandomScenario s = draw(r2);
@@ -228,7 +227,7 @@ TEST(FuzzScenario, FaultCocktailNeverBreaksInvariantsOrQuiescence) {
   }
 }
 
-TEST(FuzzScenario, CrashCocktailShardedMatchesClassic) {
+TEST(FuzzScenario, CrashCocktailShardedMatchesOneShard) {
   // Shard-count equivalence with the crash-recovery fault model forced
   // on, layered over the random fault cocktail (drops, dups, jitter,
   // pauses, partitions) and frequent mobility: full traces and

@@ -1,8 +1,7 @@
 // Shards-1-vs-N equivalence battery for the two knobs sharded execution
 // historically rejected: latency jitter and mobility/handoff. The
 // acceptance bar is full-trace EXPECT_EQ against the one-shard run at
-// every shard/thread count (the "Classic" in the test names is that
-// one-shard reference) — plus migration-specific property tests:
+// every shard/thread count — plus migration-specific property tests:
 // every HANDOFF_LEAVE pairs with exactly one HANDOFF_RECV, no call is
 // billed twice, and the usage integral is conserved across migration.
 #include <gtest/gtest.h>
@@ -126,7 +125,7 @@ TEST(HandoffShardValidation, StillTrueConstraintsRemain) {
 // The equivalence battery.
 // ---------------------------------------------------------------------------
 
-TEST(HandoffShardDeterminism, JitterOnlyMatchesClassic) {
+TEST(HandoffShardDeterminism, JitterOnlyMatchesOneShard) {
   auto cfg = base_config();
   cfg.latency_jitter = sim::milliseconds(2);
   for (const Scheme s : {Scheme::kBasicSearch, Scheme::kAdaptive}) {
@@ -135,7 +134,7 @@ TEST(HandoffShardDeterminism, JitterOnlyMatchesClassic) {
   }
 }
 
-TEST(HandoffShardDeterminism, MobilityOnlyMatchesClassic) {
+TEST(HandoffShardDeterminism, MobilityOnlyMatchesOneShard) {
   auto cfg = base_config();
   cfg.mean_dwell_s = 45.0;
   for (const Scheme s : {Scheme::kFca, Scheme::kAdaptive}) {
@@ -151,7 +150,7 @@ TEST(HandoffShardDeterminism, MobilityOnlyMatchesClassic) {
   }
 }
 
-TEST(HandoffShardDeterminism, JitterMobilityFaultCocktailMatchesClassic) {
+TEST(HandoffShardDeterminism, JitterMobilityFaultCocktailMatchesOneShard) {
   auto cfg = base_config();
   cfg.duration = sim::minutes(1);
   cfg.warmup = sim::seconds(10);

@@ -6,17 +6,19 @@
 //     against every paper invariant while the trace itself is discarded
 //     through a sink (nothing is buffered);
 //   * a peak-RSS budget in bytes per cell — the regression tripwire for
-//     the compact per-cell state. The floor is the three mt19937_64
-//     streams per cell (~7.5 KiB, unswappable without breaking
-//     bit-identity) plus node/link/truth state; on top of that ride the
-//     ~9 Erlangs/cell of live-call state this load sustains, the fixed
-//     process overhead (binary + gtest + allocator, which amortizes at
-//     metro scale but not over 3600 cells), and ~64 B per offered call
-//     of deferred message-tally state. Measured: ~44 KiB/cell here
-//     (60x60, 30 s, ~194k calls) and ~25 KiB/cell at 300x300 with 10^6
-//     calls. The 64 KiB ceiling leaves ~1.4x headroom so real leaks
-//     (per-cell vectors sized by n_cells again, un-pruned timelines,
-//     buffered records) trip it while allocator noise does not.
+//     the compact per-cell state. The floor, measured as this scenario at
+//     zero load (no calls, so no random stream is ever derived), is
+//     ~6.2 KiB/cell: node, link, transport and truth state plus the fixed
+//     process overhead (binary, gtest, allocator), which amortizes to
+//     ~5.4 KiB/cell at 300x300. Each cell that draws adds its protocol stream
+//     (one mt19937_64, ~2.5 KiB, derived on first draw; the arrival and
+//     holding streams are dropped once the arrival plan is made). On top
+//     ride the ~9 Erlangs/cell of live-call state this load sustains and
+//     ~64 B per offered call of deferred message-tally state. Measured:
+//     ~40 KiB/cell here (60x60, 30 s, ~194k calls). The 64 KiB ceiling
+//     leaves ~1.6x headroom so real leaks (per-cell vectors sized by
+//     n_cells again, un-pruned timelines, buffered records) trip it while
+//     allocator noise does not.
 //
 // Runs under the `metro` ctest label; CI's release lane includes it.
 #include <cstdint>

@@ -1,15 +1,17 @@
-// Unit tests for the network substrate: timestamps, latency models, and
-// the transport's plain path — delivery, per-link FIFO, canonical
+// Unit tests for the network substrate: timestamps, latency models, the
+// link enumeration, and the transport's plain path — delivery, per-link FIFO, canonical
 // same-instant order and counters.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "cell/grid.hpp"
 #include "net/latency.hpp"
+#include "net/link_table.hpp"
 #include "net/message.hpp"
 #include "net/timestamp.hpp"
 #include "net/transport.hpp"
@@ -239,6 +241,33 @@ TEST_F(NetworkFixture, UseSetPayloadSurvivesDelivery) {
   EXPECT_TRUE(delivered[0].use.contains(13));
   EXPECT_TRUE(delivered[0].use.contains(42));
   EXPECT_EQ(delivered[0].use.size(), 2);
+}
+
+// Link ids enumerate (from, to) over every interference pair in ascending
+// order; id() inverts endpoints() and answers kNoLink for everything else,
+// out-of-range cells included.
+TEST(LinkTable, IdsEnumerateInterferencePairsInOrder) {
+  for (const cell::Wrap wrap : {cell::Wrap::kBounded, cell::Wrap::kToroidal}) {
+    const cell::HexGrid grid(8, 7, 2, wrap);
+    const LinkTable links(grid);
+    LinkId expected = 0;
+    for (cell::CellId from = -1; from <= grid.n_cells(); ++from) {
+      for (cell::CellId to = -1; to <= grid.n_cells(); ++to) {
+        const bool pair = grid.valid(from) && grid.valid(to) && grid.interferes(from, to);
+        const LinkId lid = links.id(from, to);
+        if (!pair) {
+          EXPECT_EQ(lid, kNoLink) << from << " -> " << to;
+          continue;
+        }
+        ASSERT_EQ(lid, expected) << from << " -> " << to;
+        EXPECT_EQ(links.endpoints(lid), std::make_pair(from, to));
+        ++expected;
+      }
+    }
+    EXPECT_EQ(links.n_links(), expected);
+  }
+  EXPECT_EQ(LinkTable().id(0, 1), kNoLink);
+  EXPECT_TRUE(LinkTable().empty());
 }
 
 TEST(MessageNames, KindNamesMatchPaper) {
