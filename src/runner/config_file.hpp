@@ -10,11 +10,15 @@
 //   theta_low = 2
 //   theta_high = 4
 //
-// Unknown keys and malformed values are errors.
+// Unknown keys and malformed values are errors. Every option is declared
+// once, in config_file.cpp's option table; the file parser, the serializer
+// and the command-line flags (key `k` is flag `--k` with `_` -> `-`) all
+// read that one declaration.
 #pragma once
 
 #include <string>
 
+#include "runner/cli.hpp"
 #include "runner/scenario.hpp"
 
 namespace dca::runner {
@@ -30,8 +34,18 @@ namespace dca::runner {
 [[nodiscard]] bool load_scenario_file(const std::string& path,
                                       ScenarioConfig& config, std::string& error);
 
-/// Serializes a config back to the same format (round-trips through
-/// apply_scenario_text).
+/// Serializes a config back to the same format. Round-trips exactly:
+/// apply_scenario_text(scenario_to_text(c)) onto ScenarioConfig{} gives c.
 [[nodiscard]] std::string scenario_to_text(const ScenarioConfig& config);
+
+/// Registers one flag per scenario option: `--<key>` with `_` -> `-`. Bool
+/// options are presence flags (setting the key to true); the others take a
+/// value in the file grammar. Help shows ScenarioConfig{}'s defaults.
+void add_scenario_flags(ArgParser& args);
+
+/// Applies the scenario flags the user set (and only those) onto `config`.
+/// Returns false with `error` naming the flag and key on a bad value.
+[[nodiscard]] bool apply_scenario_flags(const ArgParser& args,
+                                        ScenarioConfig& config, std::string& error);
 
 }  // namespace dca::runner

@@ -127,16 +127,6 @@ struct ScenarioConfig {
   /// correct for fault-free runs, where every response always arrives.
   sim::Duration request_timeout = 0;
 
-  /// Radio-quality noise: probability that a given (cell, channel) is
-  /// fading — temporarily unusable for *new* acquisitions — during any
-  /// given coherence bucket. 0 (default) disables the model entirely.
-  /// The fade field is a pure hash of (seed, cell, channel, bucket), so
-  /// it consumes no RNG stream and perturbs no other draw.
-  double radio_fade_prob = 0.0;
-  /// Coherence time of a fade state, i.e. how long a (cell, channel)
-  /// stays faded/clear before being re-drawn.
-  sim::Duration radio_fade_bucket = sim::seconds(1);
-
   /// Offered load per cell in Erlangs normalized to the primary-set size:
   /// rho = lambda * holding / |PR|  =>  lambda = rho * |PR| / holding.
   [[nodiscard]] double arrival_rate_for_load(double rho) const {

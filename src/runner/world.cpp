@@ -132,9 +132,6 @@ void World::ShardEnv::cancel_scheduled(sim::EventId id) {
   world->kernel_.cancel(current, id);
 }
 void World::ShardEnv::record(const sim::TraceEvent& ev) { world->emit(ev); }
-bool World::ShardEnv::channel_usable(CellId cellId, cell::ChannelId ch) const {
-  return world->noise_.usable(cellId, ch, now());
-}
 
 // -- construction ----------------------------------------------------------
 
@@ -151,7 +148,6 @@ World::World(const ScenarioConfig& config, Scheme scheme,
       links_(grid_),
       latency_(latency_override ? std::move(latency_override)
                                 : make_scenario_latency(config)),
-      noise_(config.seed, config.radio_fade_prob, config.radio_fade_bucket),
       kernel_(make_kernel(config, grid_, links_, *latency_)),
       states_(static_cast<std::size_t>(config.shards)) {
   // A broken reuse plan voids every guarantee downstream; fail fast even

@@ -49,7 +49,6 @@
 #include "net/link_table.hpp"
 #include "net/transport.hpp"
 #include "proto/allocator.hpp"
-#include "radio/noise.hpp"
 #include "runner/experiment.hpp"
 #include "runner/flag_timeline.hpp"
 #include "runner/scenario.hpp"
@@ -185,8 +184,6 @@ class World {
     sim::EventId schedule_in(sim::Duration delay, sim::TimerFn fn) override;
     void cancel_scheduled(sim::EventId id) override;
     void record(const sim::TraceEvent& ev) override;
-    [[nodiscard]] bool channel_usable(cell::CellId cellId,
-                                      cell::ChannelId ch) const override;
   };
 
   struct PendingCall {
@@ -304,7 +301,6 @@ class World {
   // latency model, which may keep a pointer to it after bind_links.
   net::LinkTable links_;
   std::unique_ptr<net::LatencyModel> latency_;
-  radio::NoiseField noise_;
   sim::ShardedKernel kernel_;
   std::unique_ptr<net::Transport> transport_;
   std::vector<ShardState> states_;

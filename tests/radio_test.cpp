@@ -7,11 +7,7 @@
 
 #include "cell/grid.hpp"
 #include "cell/reuse.hpp"
-#include "proto/allocator.hpp"
-#include "radio/noise.hpp"
 #include "radio/signal.hpp"
-#include "runner/world.hpp"
-#include "test_util.hpp"
 
 namespace dca::radio {
 namespace {
@@ -87,90 +83,6 @@ TEST(Signal, IsolatedColorHasInfiniteSir) {
   const SirResult r = worst_case_sir(grid, plan, 0, 4.0);
   EXPECT_TRUE(std::isinf(r.sir_db));
   EXPECT_EQ(r.interferers, 0);
-}
-
-// -- NoiseField: the seeded radio-fade hook ------------------------------
-
-TEST(Noise, DisabledFieldIsAlwaysUsable) {
-  const NoiseField f(/*seed=*/1, /*fade_prob=*/0.0, sim::seconds(1));
-  EXPECT_FALSE(f.enabled());
-  for (cell::CellId c = 0; c < 20; ++c) {
-    for (int ch = 0; ch < 20; ++ch) {
-      EXPECT_TRUE(f.usable(c, ch, sim::seconds(c + ch)));
-    }
-  }
-}
-
-TEST(Noise, PureFunctionOfSeedCellChannelBucket) {
-  const NoiseField a(42, 0.4, sim::seconds(1));
-  const NoiseField b(42, 0.4, sim::seconds(1));  // separate instance
-  const NoiseField other_seed(43, 0.4, sim::seconds(1));
-  int differs_from_other_seed = 0;
-  for (cell::CellId c = 0; c < 16; ++c) {
-    for (int ch = 0; ch < 16; ++ch) {
-      const sim::SimTime t = sim::milliseconds(100 * (c + ch));
-      EXPECT_EQ(a.usable(c, ch, t), b.usable(c, ch, t));
-      if (a.usable(c, ch, t) != other_seed.usable(c, ch, t)) {
-        ++differs_from_other_seed;
-      }
-    }
-  }
-  EXPECT_GT(differs_from_other_seed, 0);
-}
-
-TEST(Noise, ConstantWithinBucketRedrawnAcrossBuckets) {
-  const NoiseField f(7, 0.5, sim::seconds(1));
-  int redraws = 0;
-  for (int ch = 0; ch < 64; ++ch) {
-    // Any two instants inside one coherence bucket agree...
-    EXPECT_EQ(f.usable(0, ch, 0), f.usable(0, ch, sim::seconds(1) - 1));
-    // ...while consecutive buckets are independent draws: some flip.
-    if (f.usable(0, ch, 0) != f.usable(0, ch, sim::seconds(1))) ++redraws;
-  }
-  EXPECT_GT(redraws, 0);
-}
-
-TEST(Noise, FadedFractionTracksFadeProb) {
-  const double p = 0.3;
-  const NoiseField f(99, p, sim::seconds(1));
-  int faded = 0;
-  const int n_cells = 100, n_channels = 100;
-  for (cell::CellId c = 0; c < n_cells; ++c) {
-    for (int ch = 0; ch < n_channels; ++ch) {
-      if (!f.usable(c, ch, 0)) ++faded;
-    }
-  }
-  const double frac = static_cast<double>(faded) / (n_cells * n_channels);
-  EXPECT_NEAR(frac, p, 0.02);
-}
-
-TEST(Noise, FcaSkipsFadedChannelsForNewAcquisitions) {
-  // End-to-end through the scenario knob: with fading on, a new call must
-  // land on the first *usable* primary channel, not merely the first free
-  // one. Replicate the allocator's pick against an identical field.
-  auto cfg = testutil::small_config();
-  cfg.radio_fade_prob = 0.5;
-  runner::World w(cfg, runner::Scheme::kFca);
-  const cell::CellId c = testutil::center_cell(cfg);
-  testutil::offer_call(w, c, 1, sim::minutes(5));
-
-  const NoiseField field(cfg.seed, cfg.radio_fade_prob, cfg.radio_fade_bucket);
-  cell::ChannelId expected = w.plan().primary(c).first();
-  while (expected != cell::kNoChannel && !field.usable(c, expected, 0)) {
-    expected = w.plan().primary(c).next_after(expected);
-  }
-
-  ASSERT_EQ(w.collector().records().size(), 1u);
-  const auto& rec = w.collector().records()[0];
-  if (expected == cell::kNoChannel) {
-    EXPECT_EQ(rec.outcome, proto::Outcome::kBlockedNoChannel);
-    EXPECT_TRUE(w.node(c).in_use().empty());
-  } else {
-    EXPECT_EQ(rec.outcome, proto::Outcome::kAcquiredLocal);
-    ASSERT_EQ(w.node(c).in_use().size(), 1);
-    EXPECT_TRUE(w.node(c).in_use().contains(expected));
-    EXPECT_TRUE(field.usable(c, expected, 0));
-  }
 }
 
 }  // namespace

@@ -2,7 +2,10 @@
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include "runner/scenario.hpp"
@@ -185,19 +188,76 @@ TEST(ValidateScenario, LatencyMustBePositiveAtEveryShardCount) {
   EXPECT_EQ(validate_scenario(c), "");
 }
 
+struct Exit {
+  int status = -1;  // exit code, or -1 when the process did not exit
+  std::string out;
+};
+
+// Runs `args` through the dcasim binary and captures stdout (plus stderr
+// when `args` redirects it).
+Exit run_dcasim(const std::string& args) {
+  Exit e;
+  FILE* pipe = popen((std::string(DCASIM_PATH) + " " + args).c_str(), "r");
+  if (pipe == nullptr) return e;
+  char buf[256];
+  while (std::fgets(buf, sizeof buf, pipe) != nullptr) e.out += buf;
+  const int status = pclose(pipe);
+  if (WIFEXITED(status)) e.status = WEXITSTATUS(status);
+  return e;
+}
+
 TEST(ValidateScenario, DcasimRejectsZeroLatencyWithExitTwo) {
   // The CLI path: rejected up front with the message, never a crash.
-  const std::string cmd =
-      std::string(DCASIM_PATH) + " --latency-ms 0 --duration-min 1 2>&1";
-  FILE* pipe = popen(cmd.c_str(), "r");
-  ASSERT_NE(pipe, nullptr);
-  std::string out;
-  char buf[256];
-  while (std::fgets(buf, sizeof buf, pipe) != nullptr) out += buf;
-  const int status = pclose(pipe);
-  ASSERT_TRUE(WIFEXITED(status)) << out;
-  EXPECT_EQ(WEXITSTATUS(status), 2) << out;
-  EXPECT_NE(out.find(kLatencyMessage), std::string::npos) << out;
+  const Exit e = run_dcasim("--latency-ms 0 --duration-min 1 2>&1");
+  EXPECT_EQ(e.status, 2) << e.out;
+  EXPECT_NE(e.out.find(kLatencyMessage), std::string::npos) << e.out;
+}
+
+TEST(ValidateScenario, DcasimRejectsOutOfRangeIntWithExitTwo) {
+  const Exit e = run_dcasim("--rows 4294967304 --dump-config 2>&1");
+  EXPECT_EQ(e.status, 2) << e.out;
+  EXPECT_NE(e.out.find("bad value for rows"), std::string::npos) << e.out;
+}
+
+TEST(ValidateScenario, DcasimFlagsMatchConfigFile) {
+  // The same values as a scenario file and as flags (key `k` is flag `--k`
+  // with `_` -> `-`; a `true` bool is a presence flag) must give the same
+  // effective scenario, byte for byte.
+  const std::string text =
+      "rows = 14\ncols = 14\ntorus = true\nchannels = 35\nholding_s = 97.25\n"
+      "latency_ms = 2.5\njitter_ms = 0.75\nduration_min = 0.76131501666666667\n"
+      "warmup_min = 0.1\nseed = 18446744073709551557\nmax_update_attempts = 4\n"
+      "update_pick = lowest\npolicy = handoff-priority(guard=3)\ntheta_low = 3\n"
+      "theta_high = 6\nalpha = 2\nwindow_s = 7\nstrict_fig4 = true\n"
+      "repack = true\ndrop_prob = 0.0123456789\ndup_prob = 0.05\n"
+      "fault_jitter_ms = 3\npause_rate_per_min = 0.5\npause_mean_s = 2\n"
+      "crash_rate_per_min = 0.25\ncrash_mean_s = 10\n"
+      "net_partition = 0,1,8 @ 1..2.5; 9 @ 3.000001..4\ntimeout_ms = 250\n"
+      "shards = 4\nthreads = 2\npartition = striped\npin = true\n"
+      "stream_metrics = true\n";
+  const std::string path = testing::TempDir() + "dcasim_flags_match.ini";
+  {
+    std::ofstream out(path);
+    out << text;
+  }
+  std::string flags;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) {
+    const auto eq = line.find(" = ");
+    std::string flag = line.substr(0, eq);
+    std::replace(flag.begin(), flag.end(), '_', '-');
+    const std::string value = line.substr(eq + 3);
+    flags += " --" + flag + (value == "true" ? "" : " '" + value + "'");
+  }
+
+  const Exit from_file = run_dcasim("--dump-config --config " + path);
+  const Exit from_flags = run_dcasim("--dump-config" + flags);
+  ASSERT_EQ(from_file.status, 0) << from_file.out;
+  ASSERT_EQ(from_flags.status, 0) << flags;
+  EXPECT_EQ(from_flags.out, from_file.out);
+  EXPECT_NE(from_file.out.find("seed = 18446744073709551557\n"), std::string::npos)
+      << from_file.out;
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -15,7 +15,7 @@
 //
 // Exit status is 0 only when every run in the campaign was clean; any
 // violation prints the offending (scheme, rate, partition, seed) cell so
-// the failure is reproducible with dcasim --crash-rate/--net-partition.
+// the failure is reproducible with dcasim --crash-rate-per-min/--net-partition.
 #include <cstdio>
 #include <cstring>
 #include <string>

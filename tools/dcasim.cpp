@@ -45,59 +45,19 @@ int main(int argc, char** argv) {
       "distributed dynamic channel allocation simulator (Kahol et al. 1998)");
   args.add_string("scheme", "adaptive",
                   "fca | search | update | advupdate | advsearch | adaptive | all")
-      .add_int("rows", 8, "grid rows")
-      .add_int("cols", 8, "grid columns")
-      .add_int("channels", 70, "spectrum size")
-      .add_int("cluster", 7, "reuse cluster size (3 or 7)")
-      .add_int("radius", 2, "interference radius in hops")
-      .add_flag("torus", "wraparound grid (rows%14==0, cols%7==0 for cluster 7)")
       .add_double("rho", 0.6, "offered Erlang/cell, normalized to |PR|")
       .add_string("profile", "uniform", "uniform | hotspot")
       .add_double("hot-factor", 10.0, "hot-spot load multiplier")
       .add_int("hot-cell", -1, "hot cell id (-1 = grid center)")
-      .add_double("duration-min", 30.0, "simulated minutes of traffic")
-      .add_double("warmup-min", 5.0, "minutes excluded from statistics")
-      .add_double("holding-s", 180.0, "mean call holding time [s]")
-      .add_double("latency-ms", 5.0, "one-way control latency T [ms]")
-      .add_double("jitter-ms", 0.0, "uniform latency jitter below T [ms]")
-      .add_double("dwell-s", 0.0, "mean cell dwell time for mobility (0 = off)")
-      .add_int("seed", 1, "RNG seed")
       .add_int("seeds", 1, "replications (mean +/- sd when > 1)")
-      .add_int("theta-low", 2, "adaptive: enter borrowing below this prediction")
-      .add_int("theta-high", 4, "adaptive: return to local at this prediction")
-      .add_int("alpha", 3, "adaptive: update rounds before searching")
-      .add_double("window-s", 30.0, "adaptive: NFC prediction window [s]")
-      .add_flag("repack", "adaptive: migrate borrowed calls onto freed primaries")
-      .add_int("max-attempts", 10, "update-family retry cap")
-      .add_string("policy", "default",
-                  "allocation policy, name or name(k=v,...); see PROTOCOL.md")
-      .add_double("drop-prob", 0.0, "fault: per-frame drop probability [0,0.9]")
-      .add_double("dup-prob", 0.0, "fault: per-frame duplication probability")
-      .add_double("fault-jitter-ms", 0.0, "fault: extra per-frame jitter [ms]")
-      .add_double("pause-rate", 0.0, "fault: MSS pauses per minute per cell")
-      .add_double("pause-mean-s", 0.0, "fault: mean MSS pause length [s]")
-      .add_double("crash-rate", 0.0, "fault: MSS crashes per minute per cell")
-      .add_double("crash-mean-s", 0.0, "fault: mean MSS outage length [s]")
-      .add_string("net-partition", "",
-                  "fault: scheduled partitions 'cells@start_s..end_s', "
-                  "';'-separated, e.g. '0,1,8@300..420;9@600..700'")
-      .add_double("timeout-ms", 0.0, "protocol request timeout (0 = no timers)")
-      .add_int("shards", 1, "event-engine shards (1 = one event queue)")
-      .add_int("threads", 0, "sharded-engine workers (0 = one per shard)")
-      .add_string("partition", "blocks",
-                  "cell->shard map: blocks (hex blocks) | striped (cell % shards)")
-      .add_flag("pin", "pin sharded-engine workers to distinct CPUs (Linux)")
-      .add_flag("stream-metrics",
-                "fold metrics/trace out of the engine at window barriers "
-                "(bounded memory)")
-      .add_double("fade-prob", 0.0, "radio: per-(cell,channel) fade probability")
-      .add_double("fade-bucket-ms", 1000.0, "radio: fade coherence time [ms]")
       .add_string("config", "", "scenario file applied before other options")
       .add_string("trace", "", "write the structured event trace (JSONL) here")
       .add_flag("conformance", "check the trace against the paper's invariants")
       .add_flag("dump-config", "print the effective scenario file and exit")
       .add_flag("csv", "emit CSV instead of an aligned table")
       .add_flag("json", "emit a JSON array of result objects");
+  // Scenario options: one flag per scenario-file key (`_` -> `-`).
+  runner::add_scenario_flags(args);
   if (!args.parse(argc, argv)) {
     std::fprintf(stderr, "dcasim: %s\n(use --help)\n", args.error().c_str());
     return 2;
@@ -114,106 +74,16 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Defaults come from ScenarioConfig (identical to the CLI defaults), a
-  // scenario file overrides them, and explicitly given CLI options win.
+  // Defaults come from ScenarioConfig, a scenario file overrides them, and
+  // the scenario flags the user set win.
   runner::ScenarioConfig cfg;
-  if (!args.get_string("config").empty()) {
-    std::string err;
-    if (!runner::load_scenario_file(args.get_string("config"), cfg, err)) {
-      std::fprintf(stderr, "dcasim: %s\n", err.c_str());
-      return 2;
-    }
+  const std::string config_path = args.get_string("config");
+  if (std::string err;
+      (!config_path.empty() && !runner::load_scenario_file(config_path, cfg, err)) ||
+      !runner::apply_scenario_flags(args, cfg, err)) {
+    std::fprintf(stderr, "dcasim: %s\n", err.c_str());
+    return 2;
   }
-  const bool no_file = args.get_string("config").empty();
-  const auto use = [&](const char* name) { return no_file || args.was_set(name); };
-  if (use("rows")) cfg.rows = static_cast<int>(args.get_int("rows"));
-  if (use("cols")) cfg.cols = static_cast<int>(args.get_int("cols"));
-  if (use("channels")) cfg.n_channels = static_cast<int>(args.get_int("channels"));
-  if (use("cluster")) cfg.cluster = static_cast<int>(args.get_int("cluster"));
-  if (use("radius"))
-    cfg.interference_radius = static_cast<int>(args.get_int("radius"));
-  if (no_file || args.was_set("torus"))
-    cfg.wrap =
-        args.get_flag("torus") ? cell::Wrap::kToroidal : cell::Wrap::kBounded;
-  if (use("duration-min"))
-    cfg.duration = sim::from_seconds(args.get_double("duration-min") * 60.0);
-  if (use("warmup-min"))
-    cfg.warmup = sim::from_seconds(args.get_double("warmup-min") * 60.0);
-  if (use("holding-s")) cfg.mean_holding_s = args.get_double("holding-s");
-  if (use("latency-ms"))
-    cfg.latency = sim::from_seconds(args.get_double("latency-ms") / 1000.0);
-  if (use("jitter-ms"))
-    cfg.latency_jitter = sim::from_seconds(args.get_double("jitter-ms") / 1000.0);
-  if (use("dwell-s")) cfg.mean_dwell_s = args.get_double("dwell-s");
-  if (use("seed")) cfg.seed = static_cast<std::uint64_t>(args.get_int("seed"));
-  if (use("max-attempts"))
-    cfg.max_update_attempts = static_cast<int>(args.get_int("max-attempts"));
-  if (use("policy")) {
-    std::string specError;
-    if (!proto::parse_policy_spec(args.get_string("policy"), cfg.policy,
-                                  specError)) {
-      std::fprintf(stderr, "dcasim: %s\n", specError.c_str());
-      return 2;
-    }
-  }
-  if (use("theta-low"))
-    cfg.adaptive.theta_low = static_cast<int>(args.get_int("theta-low"));
-  if (use("theta-high"))
-    cfg.adaptive.theta_high = static_cast<int>(args.get_int("theta-high"));
-  if (use("alpha")) cfg.adaptive.alpha = static_cast<int>(args.get_int("alpha"));
-  if (use("window-s"))
-    cfg.adaptive.window = sim::from_seconds(args.get_double("window-s"));
-  if (no_file || args.was_set("repack"))
-    cfg.adaptive.repack = args.get_flag("repack");
-  if (use("drop-prob")) cfg.fault.drop_prob = args.get_double("drop-prob");
-  if (use("dup-prob")) cfg.fault.dup_prob = args.get_double("dup-prob");
-  if (use("fault-jitter-ms"))
-    cfg.fault.jitter = sim::from_seconds(args.get_double("fault-jitter-ms") / 1000.0);
-  if (use("pause-rate")) cfg.fault.pause_rate_per_min = args.get_double("pause-rate");
-  if (use("pause-mean-s")) cfg.fault.pause_mean_s = args.get_double("pause-mean-s");
-  if (use("crash-rate")) cfg.fault.crash_rate_per_min = args.get_double("crash-rate");
-  if (use("crash-mean-s")) cfg.fault.crash_mean_s = args.get_double("crash-mean-s");
-  if (args.was_set("net-partition")) {
-    // Reuse the scenario-file grammar: each ';'-separated chunk is one
-    // "net_partition = cells @ start_s..end_s" line.
-    std::string rest = args.get_string("net-partition");
-    while (!rest.empty()) {
-      const auto semi = rest.find(';');
-      const std::string chunk = rest.substr(0, semi);
-      rest = semi == std::string::npos ? "" : rest.substr(semi + 1);
-      if (chunk.empty()) continue;
-      std::string err;
-      if (!runner::apply_scenario_text("net_partition = " + chunk + "\n", cfg,
-                                       err)) {
-        std::fprintf(stderr, "dcasim: bad --net-partition chunk '%s': %s\n",
-                     chunk.c_str(), err.c_str());
-        return 2;
-      }
-    }
-  }
-  if (use("timeout-ms"))
-    cfg.request_timeout = sim::from_seconds(args.get_double("timeout-ms") / 1000.0);
-  if (use("shards")) cfg.shards = static_cast<int>(args.get_int("shards"));
-  if (use("threads")) cfg.threads = static_cast<int>(args.get_int("threads"));
-  if (use("partition")) {
-    const std::string p = args.get_string("partition");
-    if (p == "striped") {
-      cfg.partition = cell::Partition::kStriped;
-    } else if (p == "blocks") {
-      cfg.partition = cell::Partition::kBlocks;
-    } else {
-      std::fprintf(stderr, "dcasim: bad --partition '%s' (striped|blocks)\n",
-                   p.c_str());
-      return 2;
-    }
-  }
-  if (no_file || args.was_set("pin")) cfg.pin = args.get_flag("pin");
-  if (no_file || args.was_set("stream-metrics"))
-    cfg.stream_metrics = args.get_flag("stream-metrics");
-  if (use("fade-prob")) cfg.radio_fade_prob = args.get_double("fade-prob");
-  if (use("fade-bucket-ms"))
-    cfg.radio_fade_bucket =
-        sim::from_seconds(args.get_double("fade-bucket-ms") / 1000.0);
 
   if (const std::string problem = runner::validate_scenario(cfg); !problem.empty()) {
     std::fprintf(stderr, "dcasim: invalid scenario: %s\n", problem.c_str());
