@@ -40,6 +40,38 @@ void BM_ShardQueueScheduleAndPop(benchmark::State& state) {
 }
 BENCHMARK(BM_ShardQueueScheduleAndPop)->Arg(1024)->Arg(16384);
 
+void BM_ShardQueueFanOut(benchmark::State& state) {
+  // The protocol's shape: a backlog of ~2,300 far-off events (call ends,
+  // seconds away), each of which, when it fires, is replaced by another
+  // and broadcasts to an 18-cell interference region one 5 ms latency
+  // ahead, all 18 deliveries at the same instant. One item is one pop.
+  constexpr std::size_t kBacklog = 2300;
+  constexpr std::int32_t kFanOut = 18;
+  sim::RngStream rng(1);
+  sim::ShardQueue q;
+  std::uint64_t seq = 0;
+  const auto schedule_far = [&](sim::SimTime now, std::int32_t owner) {
+    (void)q.schedule(sim::EventKey{now + rng.uniform_int(1'000'000, 10'000'000),
+                                   owner, sim::kClassTimer, 0, ++seq},
+                     [] {});
+  };
+  for (std::size_t i = 0; i < kBacklog; ++i) {
+    schedule_far(0, static_cast<std::int32_t>(i % 256));
+  }
+  for (auto _ : state) {
+    const sim::EventKey key = q.pop().key;
+    if (key.klass != sim::kClassTimer) continue;
+    schedule_far(key.when, key.owner);
+    for (std::int32_t d = 0; d < kFanOut; ++d) {
+      (void)q.schedule(sim::EventKey{key.when + sim::milliseconds(5), d,
+                                     sim::kClassDelivery, key.owner, ++seq},
+                       [] {});
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ShardQueueFanOut);
+
 void BM_KernelSelfSchedulingChain(benchmark::State& state) {
   // One cell on one shard: schedule_local, window barrier and dispatch per
   // event, with nothing else in the queue.

@@ -28,7 +28,8 @@ int regular_color(Axial a, int cluster) {
 }
 
 // Hop distance between nearest co-channel cells of the regular pattern.
-int regular_reuse_hop_distance(int cluster) { return cluster == 3 ? 2 : 3; }
+// Only an assert reads it, so it is unused when NDEBUG is set.
+[[maybe_unused]] int regular_reuse_hop_distance(int cluster) { return cluster == 3 ? 2 : 3; }
 
 }  // namespace
 

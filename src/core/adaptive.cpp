@@ -864,6 +864,13 @@ void AdaptiveNode::on_message(const net::Message& msg) {
     case net::MsgKind::kRelease:
       handle_release(msg);
       break;
+    // Allocated-set transfers belong to the advanced schemes, handoffs to
+    // the runner, and RESYNC rounds were consumed by handle_resync above.
+    case net::MsgKind::kTransfer:
+    case net::MsgKind::kHandoff:
+    case net::MsgKind::kResyncReq:
+    case net::MsgKind::kResyncReply:
+      break;
   }
 }
 

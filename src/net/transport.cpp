@@ -228,14 +228,19 @@ void Transport::on_data_frame(LinkId lid, std::uint64_t seq,
   // Runs on the receiver's shard. The rx vector is sized once at
   // construction, so this reference stays valid across node deliveries.
   LinkRx& rx = shard_links(msg.to).rx[rx_rank_[static_cast<std::size_t>(lid)]];
-  if (seq >= rx.next_expected) {
-    if (!rx.reorder.contains(seq)) rx.reorder.insert(seq) = msg;
+  if (seq == rx.next_expected) {
+    // In order: deliver straight away, then release any successors that
+    // arrived ahead of this frame. Only frames past a gap are buffered.
+    ++rx.next_expected;
+    deliver(msg);
     while (Message* next = rx.reorder.find(rx.next_expected)) {
       const Message m = std::move(*next);
       rx.reorder.erase(rx.next_expected);
       ++rx.next_expected;
       deliver(m);
     }
+  } else if (seq > rx.next_expected && !rx.reorder.contains(seq)) {
+    rx.reorder.insert(seq) = msg;
   }
   send_ack(lid, rx.next_expected - 1);
 }

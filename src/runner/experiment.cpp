@@ -65,7 +65,7 @@ Replicated run_replicated(const ScenarioConfig& config, Scheme scheme, double rh
   out.seeds = n_seeds;
   for (int i = 0; i < n_seeds; ++i) {
     ScenarioConfig cfg = config;
-    cfg.seed = sim::mix64(config.seed + static_cast<std::uint64_t>(i) * 0x9E37ull);
+    cfg.seed = sim::mix64(config.seed + static_cast<std::uint64_t>(i) * 0x9E37u);
     const RunResult r = run_uniform(cfg, scheme, rho);
     out.drop_rate.add(r.agg.drop_rate());
     out.mean_delay_in_T.add(r.agg.delay_in_T.mean());

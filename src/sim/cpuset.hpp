@@ -13,6 +13,7 @@
 // the caller (--pin) treats that as "pinning unavailable", not an error.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #ifdef __linux__
@@ -30,8 +31,8 @@ inline std::vector<int> allowed_cpus() {
   cpu_set_t mask;
   CPU_ZERO(&mask);
   if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
-    for (int c = 0; c < CPU_SETSIZE; ++c) {
-      if (CPU_ISSET(c, &mask)) cpus.push_back(c);
+    for (std::size_t c = 0; c < CPU_SETSIZE; ++c) {
+      if (CPU_ISSET(c, &mask)) cpus.push_back(static_cast<int>(c));
     }
   }
 #endif
@@ -44,7 +45,7 @@ inline bool pin_current_thread(int cpu) {
 #ifdef __linux__
   cpu_set_t mask;
   CPU_ZERO(&mask);
-  CPU_SET(cpu, &mask);
+  CPU_SET(static_cast<std::size_t>(cpu), &mask);
   return pthread_setaffinity_np(pthread_self(), sizeof(mask), &mask) == 0;
 #else
   (void)cpu;

@@ -1,11 +1,8 @@
 // Pooled storage for pending simulation events.
 //
 // Every shard queue of the kernel keeps the same per-event state: a
-// callback and a cancellation handle. The old queues
-// stored the callback inside the heap node (forcing whole-std::function
-// moves on every sift) and tracked cancellation with two unordered_sets
-// (one hash insert on schedule, up to two hash ops on cancel/pop). This
-// header replaces both with:
+// callback, a cancellation handle and an ordering entry. This header
+// holds the building blocks ShardQueue (sim/shard.hpp) is made of:
 //
 //   * EventSlab — a chunked slab of event nodes. Chunks are allocated in
 //     blocks of 256 and never move or shrink, so node addresses are stable
@@ -16,17 +13,27 @@
 //     when the slot is freed. An EventId encodes (slot, generation), so
 //     cancel() is an O(1) probe: a stale handle (already fired, already
 //     cancelled, or slot since reused) simply fails the generation match
-//     and is a no-op — the exact semantics the old live/cancelled sets
-//     provided, without the hash churn or unbounded tombstone growth.
+//     and is a no-op, with no lookup table and no tombstone growth.
+//
+//   * BucketRing — a calendar ring of fixed-width time buckets covering
+//     the near future. Entries of all buckets share one pooled node array
+//     threaded by an intrusive `next` index, and a bitmap marks the
+//     occupied buckets, so the next non-empty bucket is a few word scans
+//     away. A bucket is unordered until the queue takes it out whole.
 //
 //   * QuadHeap — a flat 4-ary min-heap of small POD entries (the callback
-//     stays in the slab; the heap moves ~24-40 byte keys). 4-ary halves
-//     tree depth vs binary and keeps the working set dense. Cancelled
-//     events are removed lazily: entries whose generation no longer
-//     matches the slab are skipped at the top, and remove_if() lets the
-//     owner compact in O(n) when stale entries pile up.
+//     stays in the slab; the heap moves ~40 byte keys). 4-ary halves
+//     tree depth vs binary and keeps the working set dense. The shard
+//     queue keeps only far-off events here.
+//
+// Cancelled events are removed lazily everywhere: entries whose generation
+// no longer matches the slab are skipped when they reach the front, and
+// the remove_if() passes let the owner compact in O(n) when stale entries
+// pile up.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -169,7 +176,6 @@ class QuadHeap {
   [[nodiscard]] const Entry& top() const noexcept { return v_.front(); }
   [[nodiscard]] bool empty() const noexcept { return v_.empty(); }
   [[nodiscard]] std::size_t size() const noexcept { return v_.size(); }
-  [[nodiscard]] const std::vector<Entry>& entries() const noexcept { return v_; }
 
   void pop_top() {
     if (v_.size() > 1) {
@@ -233,11 +239,124 @@ class QuadHeap {
   std::vector<Entry> v_;
 };
 
-/// Compaction slack shared by both queues: a compaction pass runs when the
-/// number of stale (cancelled-but-still-heaped) entries exceeds the live
-/// count plus this constant, bounding heap memory at O(live) under any
+/// Ring of kBuckets time buckets, each 2^kShift µs wide. The owner keeps
+/// an origin bucket and pushes only entries whose bucket lies strictly
+/// inside (origin, origin + kBuckets), so every occupied ring slot names
+/// exactly one absolute bucket and the origin's own slot stays empty.
+template <typename Entry>
+class BucketRing {
+ public:
+  static constexpr int kShift = 6;              // 64 µs buckets
+  static constexpr std::int64_t kBuckets = 256;  // a 16.384 ms span
+
+  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+
+  void push(std::int64_t bucket, const Entry& e) {
+    const std::size_t i = slot_of(bucket);
+    std::uint64_t& word = occupied_[i >> 6];
+    const std::uint64_t bit = std::uint64_t{1} << (i & 63);
+    // An unoccupied slot's head is garbage; the bitmap is what says so.
+    const std::uint32_t next = (word & bit) != 0 ? head_[i] : kNil;
+    word |= bit;
+    std::uint32_t n = free_;
+    if (n != kNil) {
+      free_ = pool_[n].next;
+    } else {
+      n = static_cast<std::uint32_t>(pool_.size());
+      pool_.emplace_back();
+    }
+    // Field by field: a Node temporary costs a store-forwarding stall.
+    Node& node = pool_[n];
+    node.e = e;
+    node.next = next;
+    head_[i] = n;
+    ++size_;
+  }
+
+  /// The first occupied bucket after `origin`. Precondition: !empty().
+  [[nodiscard]] std::int64_t first_after(std::int64_t origin) const noexcept {
+    const std::size_t o = slot_of(origin);
+    const std::size_t start = (o + 1) & kMask;
+    std::size_t w = start >> 6;
+    std::uint64_t bits = occupied_[w] & (~std::uint64_t{0} << (start & 63));
+    // kWords + 1 looks: the start word's low bits come round last.
+    for (std::size_t n = 0; bits == 0 && n < kWords; ++n) {
+      w = (w + 1) % kWords;
+      bits = occupied_[w];
+    }
+    const std::size_t slot =
+        (w << 6) | static_cast<std::size_t>(std::countr_zero(bits));
+    return origin + static_cast<std::int64_t>((slot - o) & kMask);
+  }
+
+  /// Empties `bucket`, appending its entries to `out` in no particular
+  /// order.
+  void take(std::int64_t bucket, std::vector<Entry>& out) {
+    const std::size_t i = slot_of(bucket);
+    occupied_[i >> 6] &= ~(std::uint64_t{1} << (i & 63));
+    for (std::uint32_t n = head_[i]; n != kNil;) {
+      Node& node = pool_[n];
+      out.push_back(node.e);
+      const std::uint32_t next = node.next;
+      node.next = free_;
+      free_ = n;
+      n = next;
+      --size_;
+    }
+  }
+
+  /// Unlinks every entry for which `dead` returns true.
+  template <typename Pred>
+  void remove_if(Pred dead) {
+    for (std::size_t i = 0; i < static_cast<std::size_t>(kBuckets); ++i) {
+      std::uint64_t& word = occupied_[i >> 6];
+      const std::uint64_t bit = std::uint64_t{1} << (i & 63);
+      if ((word & bit) == 0) continue;
+      std::uint32_t* link = &head_[i];
+      while (*link != kNil) {
+        const std::uint32_t n = *link;
+        Node& node = pool_[n];
+        if (!dead(node.e)) {
+          link = &node.next;
+          continue;
+        }
+        *link = node.next;
+        node.next = free_;
+        free_ = n;
+        --size_;
+      }
+      if (head_[i] == kNil) word &= ~bit;
+    }
+  }
+
+ private:
+  static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
+  static constexpr std::size_t kMask = static_cast<std::size_t>(kBuckets) - 1;
+  static constexpr std::size_t kWords = static_cast<std::size_t>(kBuckets) / 64;
+  static_assert((kBuckets & (kBuckets - 1)) == 0 && kBuckets % 64 == 0);
+
+  struct Node {
+    Entry e{};
+    std::uint32_t next = kNil;
+  };
+
+  [[nodiscard]] static std::size_t slot_of(std::int64_t bucket) noexcept {
+    return static_cast<std::size_t>(bucket) & kMask;
+  }
+
+  std::vector<Node> pool_;  // every bucket's entries; grows to the peak
+  std::uint32_t free_ = kNil;
+  std::size_t size_ = 0;
+  std::array<std::uint32_t, kBuckets> head_{};  // valid only where occupied
+  std::array<std::uint64_t, kWords> occupied_{};
+};
+
+/// Compaction slack of the shard queue: a compaction pass runs when the
+/// number of stale (cancelled-but-still-queued) entries exceeds the live
+/// count plus this constant, bounding queue memory at O(live) under any
 /// cancel pattern while keeping compaction cost amortized O(1) per cancel.
-inline constexpr std::size_t kHeapCompactSlack = 64;
+inline constexpr std::size_t kCompactSlack = 64;
 
 }  // namespace detail
 

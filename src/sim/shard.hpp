@@ -31,6 +31,7 @@
 // k+1's). The thread count affects wall-clock only, never results.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <barrier>
 #include <cassert>
@@ -76,9 +77,25 @@ struct EventKey {
   friend constexpr auto operator<=>(const EventKey&, const EventKey&) = default;
 };
 
-/// One shard's pending-event set, ordered by canonical key, on the
-/// slab/generation storage of event_store.hpp: POD heap entries, pooled
-/// callbacks, O(1) generation-bump cancellation.
+/// One shard's pending-event set, ordered by canonical key: a calendar
+/// queue on the slab/generation storage of event_store.hpp. Every entry
+/// lives in exactly one of three regions, by the 64 µs time bucket of its
+/// `when` relative to the queue's origin bucket:
+///
+///   * run  — the origin bucket itself, sorted by key once when the ring
+///     hands it over and drained from the back; an event scheduled into
+///     it while it drains is inserted at its sorted position;
+///   * ring — buckets strictly inside (origin, origin + 256), unsorted;
+///   * far heap — everything else: beyond the ring's span, behind the
+///     origin, or beyond the span when it was scheduled.
+///
+/// Every ring entry is in a later bucket than every run entry, so the
+/// earliest event is the smaller of the run's back and the heap's top.
+/// The ring is opened (origin moved to its first occupied bucket) only
+/// when the run is empty and the heap's top is not in an earlier bucket;
+/// when the heap's top is earlier, the origin moves up to its bucket, so
+/// what that event schedules a latency ahead lands in the ring again.
+/// Storage never influences order: pops follow the canonical key exactly.
 class ShardQueue {
  public:
   using Action = EventFn;
@@ -89,7 +106,16 @@ class ShardQueue {
   EventId schedule(const EventKey& key, F&& action) {
     const std::uint32_t slot = slab_.acquire(std::forward<F>(action));
     const std::uint32_t gen = slab_.gen(slot);
-    heap_.push(Entry{key, slot, gen});
+    const Entry e{key, slot, gen};
+    const std::int64_t bucket = bucket_of(key.when);
+    const std::int64_t ahead = bucket - origin_;
+    if (ahead == 0) {
+      insert_run(e);
+    } else if (ahead > 0 && ahead < Ring::kBuckets) {
+      ring_.push(bucket, e);
+    } else {
+      far_.push(e);
+    }
     ++live_;
     return detail::make_event_id(slot, gen);
   }
@@ -101,7 +127,7 @@ class ShardQueue {
     slab_.discard(slot);
     --live_;
     ++stale_;
-    if (stale_ > live_ + detail::kHeapCompactSlack) compact();
+    if (stale_ > live_ + detail::kCompactSlack) compact();
   }
 
   [[nodiscard]] bool empty() const noexcept { return live_ == 0; }
@@ -109,8 +135,7 @@ class ShardQueue {
 
   /// Key of the earliest live event. Precondition: !empty().
   [[nodiscard]] const EventKey& next_key() {
-    purge();
-    return heap_.top().key;
+    return settle() ? run_.back().key : far_.top().key;
   }
 
   struct Fired {
@@ -118,19 +143,24 @@ class ShardQueue {
     Action action;
   };
   Fired pop() {
-    purge();
-    const Entry top = heap_.top();
-    heap_.pop_top();
+    const bool from_run = settle();
+    const Entry e = from_run ? run_.back() : far_.top();
+    if (from_run) {
+      run_.pop_back();
+    } else {
+      far_.pop_top();
+    }
     --live_;
-    return Fired{top.key, slab_.release(top.slot)};
+    return Fired{e.key, slab_.release(e.slot)};
   }
 
-  // Introspection for tests: pooled slots and heap entries (live + stale).
+  // Introspection for tests: pooled callback slots, and entries (live +
+  // stale) held by the run, the ring and the far heap together.
   [[nodiscard]] std::size_t pool_capacity() const noexcept {
     return slab_.capacity();
   }
-  [[nodiscard]] std::size_t heap_entries() const noexcept {
-    return heap_.size();
+  [[nodiscard]] std::size_t queued_entries() const noexcept {
+    return run_.size() + ring_.size() + far_.size();
   }
 
  private:
@@ -144,23 +174,72 @@ class ShardQueue {
       return a.key < b.key;
     }
   };
+  using Ring = detail::BucketRing<Entry>;
 
-  void purge() {
-    while (!heap_.empty() &&
-           !slab_.live(heap_.top().slot, heap_.top().gen)) {
-      heap_.pop_top();
+  [[nodiscard]] static std::int64_t bucket_of(SimTime when) noexcept {
+    return when >> Ring::kShift;
+  }
+  [[nodiscard]] bool live(const Entry& e) const noexcept {
+    return slab_.live(e.slot, e.gen);
+  }
+
+  // run_ is sorted latest-first; keys are unique.
+  void insert_run(const Entry& e) {
+    const auto at = std::partition_point(
+        run_.begin(), run_.end(),
+        [&e](const Entry& x) { return e.key < x.key; });
+    run_.insert(at, e);
+  }
+
+  // Brings the earliest live event to the run's back (returns true) or
+  // the far heap's top (false), dropping stale entries that surface
+  // first. Precondition: !empty().
+  bool settle() {
+    for (;;) {
+      if (run_.empty()) open_next();
+      const bool from_run =
+          !run_.empty() && (far_.empty() || run_.back().key < far_.top().key);
+      if (live(from_run ? run_.back() : far_.top())) return from_run;
+      if (from_run) {
+        run_.pop_back();
+      } else {
+        far_.pop_top();
+      }
       --stale_;
     }
   }
 
+  // With the run empty: opens the ring's first occupied bucket as the new
+  // run, unless the far heap's top lies in an earlier bucket; then the
+  // origin moves up to that bucket instead (never back: the ring's span
+  // hangs off it).
+  void open_next() {
+    if (!ring_.empty()) {
+      const std::int64_t next = ring_.first_after(origin_);
+      if (far_.empty() || bucket_of(far_.top().key.when) >= next) {
+        origin_ = next;
+        ring_.take(next, run_);
+        std::sort(run_.begin(), run_.end(),
+                  [](const Entry& a, const Entry& b) { return b.key < a.key; });
+        return;
+      }
+    }
+    origin_ = std::max(origin_, bucket_of(far_.top().key.when));
+  }
+
   void compact() {
-    heap_.remove_if(
-        [this](const Entry& e) { return !slab_.live(e.slot, e.gen); });
+    const auto dead = [this](const Entry& e) { return !live(e); };
+    std::erase_if(run_, dead);
+    ring_.remove_if(dead);
+    far_.remove_if(dead);
     stale_ = 0;
   }
 
   detail::EventSlab slab_;
-  detail::QuadHeap<Entry, EarlierEntry> heap_;
+  std::vector<Entry> run_;
+  Ring ring_;
+  detail::QuadHeap<Entry, EarlierEntry> far_;
+  std::int64_t origin_ = 0;  // bucket of the run
   std::size_t live_ = 0;
   std::size_t stale_ = 0;
 };

@@ -56,7 +56,9 @@ TEST(AdvancedSearch, ChannelStaysAllocatedAfterCallEnds) {
   EXPECT_EQ(w.total_sent(), msgs_before)
       << "hot spot re-served from the allocated set at zero cost";
   for (const auto& r : w.collector().records()) {
-    if (r.call >= 10) EXPECT_EQ(r.outcome, proto::Outcome::kAcquiredLocal);
+    if (r.call >= 10) {
+      EXPECT_EQ(r.outcome, proto::Outcome::kAcquiredLocal);
+    }
   }
 }
 

@@ -26,7 +26,8 @@ class BaselineUnit : public ::testing::Test {
   BaselineUnit() : grid_(8, 8, 2), plan_(cell::ReusePlan::cluster(grid_, 21, 7)) {}
 
   [[nodiscard]] proto::NodeContext ctx() {
-    return proto::NodeContext{kSelf, &grid_, &plan_, &env_};
+    return proto::NodeContext{kSelf, &grid_, &plan_, &env_, proto::Resilience{},
+                              nullptr};
   }
   [[nodiscard]] std::span<const cell::CellId> in() const {
     return grid_.interference(kSelf);

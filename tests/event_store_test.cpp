@@ -1,12 +1,16 @@
 // Property tests for the slab/generation event store behind ShardQueue:
-// a randomized interleaving of schedule/cancel/pop is checked against a
-// naive reference model (a vector ordered by stable (when, seq) sort),
-// and a cancellation-stress run asserts the pool and heap stay O(live)
-// under sustained cancel traffic (the lazy-deletion compaction bound).
+// a randomized interleaving of schedule/cancel/pop, with keys aimed at
+// every region of the calendar queue (the draining bucket, behind it, the
+// ring, its last bucket and one past it, the far future), is checked
+// against a naive reference model (a vector ordered by stable (when, seq)
+// sort), and a cancellation-stress run asserts the pool and the queued
+// entries stay O(live) under sustained cancel traffic (the lazy-deletion
+// compaction bound).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <random>
 #include <utility>
 #include <vector>
@@ -34,7 +38,9 @@ class TimedQueue {
   }
   ShardQueue::Fired pop() { return q_.pop(); }
   [[nodiscard]] std::size_t pool_capacity() const { return q_.pool_capacity(); }
-  [[nodiscard]] std::size_t heap_entries() const { return q_.heap_entries(); }
+  [[nodiscard]] std::size_t queued_entries() const {
+    return q_.queued_entries();
+  }
 
  private:
   ShardQueue q_;
@@ -104,10 +110,15 @@ class Model {
   std::uint64_t next_seq_ = 0;
 };
 
+// Bucket width and ring span of the calendar queue, in µs.
+constexpr SimTime kBucket = SimTime{1} << detail::BucketRing<int>::kShift;
+constexpr SimTime kSpan = kBucket * detail::BucketRing<int>::kBuckets;
+
 TEST(EventStoreProperty, RandomInterleavingMatchesReferenceModel) {
   std::mt19937_64 rng(0xDCA5EEDull);
-  std::uniform_int_distribution<SimTime> when_dist(0, 500);
-  std::uniform_int_distribution<int> op_dist(0, 9);
+  std::uniform_int_distribution<int> op_dist(0, 19);
+  std::uniform_int_distribution<int> region_dist(0, 6);
+  std::uniform_int_distribution<SimTime> in_bucket(0, kBucket - 1);
 
   TimedQueue q;
   Model model;
@@ -115,17 +126,52 @@ TEST(EventStoreProperty, RandomInterleavingMatchesReferenceModel) {
   std::vector<int> fired_model;
   // Live handles, paired with the model index they correspond to.
   std::vector<std::pair<EventId, std::size_t>> handles;
+  std::vector<SimTime> used_times{0};
   int next_token = 0;
+  // Latest `when` popped so far. Events behind it fire next and leave it
+  // (and the queue's origin, which follows it) where it is.
+  SimTime now = 0;
+
+  // A time in one of the queue's regions, relative to the bucket of `now`.
+  const auto draw_when = [&]() -> SimTime {
+    const SimTime base = now - (now & (kBucket - 1));
+    switch (region_dist(rng)) {
+      case 0:  // the draining bucket, at or after now
+        return now + in_bucket(rng) % (base + kBucket - now);
+      case 1:  // behind the current bucket
+        return base - 1 - in_bucket(rng) * 20;
+      case 2:  // inside the ring
+        return base + std::uniform_int_distribution<SimTime>(kBucket, kSpan - 1)(rng);
+      case 3:  // the ring's last bucket
+        return base + kSpan - kBucket + in_bucket(rng);
+      case 4:  // one bucket past the ring
+        return base + kSpan + in_bucket(rng);
+      case 5:  // the far future
+        return base + std::uniform_int_distribution<SimTime>(kSpan, 50 * kSpan)(rng);
+      default:  // an exact tie with an earlier schedule
+        return used_times[std::uniform_int_distribution<std::size_t>(
+            0, used_times.size() - 1)(rng)];
+    }
+  };
+
+  // Schedules `when` on both sides. A third of the events schedule a
+  // zero-delay child from inside their own callback when they fire.
+  std::function<void(SimTime)> add = [&](SimTime when) {
+    const int token = next_token++;
+    const bool spawns = token % 3 == 0;
+    used_times.push_back(when);
+    const EventId id = q.schedule(when, [token, when, spawns, &fired_q, &add] {
+      fired_q.push_back(token);
+      if (spawns) add(when);
+    });
+    handles.emplace_back(id, model.schedule(when, token));
+  };
 
   for (int step = 0; step < 20000; ++step) {
     const int op = op_dist(rng);
-    if (op < 5) {  // schedule
-      const SimTime when = when_dist(rng);
-      const int token = next_token++;
-      const EventId id =
-          q.schedule(when, [token, &fired_q] { fired_q.push_back(token); });
-      handles.emplace_back(id, model.schedule(when, token));
-    } else if (op < 7 && !handles.empty()) {  // cancel a random live event
+    if (op < 8) {  // schedule
+      add(draw_when());
+    } else if (op < 11 && !handles.empty()) {  // cancel a random event
       std::uniform_int_distribution<std::size_t> pick(0, handles.size() - 1);
       const std::size_t i = pick(rng);
       const EventId cancelled = handles[i].first;
@@ -137,8 +183,9 @@ TEST(EventStoreProperty, RandomInterleavingMatchesReferenceModel) {
     } else if (!q.empty()) {  // pop
       ASSERT_EQ(q.next_time(), model.next_time());
       auto fired = q.pop();
-      fired.action();
+      now = std::max(now, fired.key.when);
       fired_model.push_back(model.pop());
+      fired.action();
     }
     ASSERT_EQ(q.size(), model.live_count());
     ASSERT_EQ(q.empty(), model.empty());
@@ -147,11 +194,28 @@ TEST(EventStoreProperty, RandomInterleavingMatchesReferenceModel) {
   // Drain: every remaining live event fires in model order.
   while (!q.empty()) {
     ASSERT_EQ(q.next_time(), model.next_time());
-    q.pop().action();
+    auto fired = q.pop();
     fired_model.push_back(model.pop());
+    fired.action();
   }
   EXPECT_TRUE(model.empty());
   EXPECT_EQ(fired_q, fired_model);
+}
+
+TEST(EventStoreProperty, OnePastTheRingWaitsBehindNearerEvents) {
+  // The bucket one span past the current one shares its ring slot; it
+  // must wait in the far heap, not be taken for the current bucket.
+  TimedQueue q;
+  std::vector<SimTime> fired;
+  const auto note = [&](SimTime t) { return [t, &fired] { fired.push_back(t); }; };
+  q.schedule(0, note(0));
+  q.pop().action();
+  q.schedule(kSpan + 10, note(kSpan + 10));
+  EXPECT_EQ(q.next_time(), kSpan + 10);
+  q.schedule(100, note(100));
+  q.schedule(kSpan - 1, note(kSpan - 1));
+  while (!q.empty()) q.pop().action();
+  EXPECT_EQ(fired, (std::vector<SimTime>{0, 100, kSpan - 1, kSpan + 10}));
 }
 
 TEST(EventStoreProperty, HandlesFromFiredEventsAreInert) {
@@ -172,23 +236,37 @@ TEST(EventStoreProperty, HandlesFromFiredEventsAreInert) {
 TEST(EventStoreStress, PoolAndHeapStayBoundedUnderCancelChurn) {
   TimedQueue q;
   std::mt19937_64 rng(99);
-  std::uniform_int_distribution<SimTime> when_dist(0, 1'000'000);
+  // Waves land in the draining bucket, the ring and the far heap alike.
+  std::uniform_int_distribution<int> region_dist(0, 2);
+  std::uniform_int_distribution<SimTime> run_dist(0, kBucket - 1);
+  std::uniform_int_distribution<SimTime> ring_dist(kBucket, kSpan - 1);
+  std::uniform_int_distribution<SimTime> far_dist(kSpan, 1'000'000);
+  const auto draw_when = [&]() -> SimTime {
+    switch (region_dist(rng)) {
+      case 0:
+        return run_dist(rng);
+      case 1:
+        return ring_dist(rng);
+      default:
+        return far_dist(rng);
+    }
+  };
 
   constexpr std::size_t kWaves = 2000;
   constexpr std::size_t kPerWave = 64;
   std::size_t max_pool = 0;
-  std::size_t max_heap = 0;
+  std::size_t max_queued = 0;
 
   std::vector<EventId> ids;
   for (std::size_t wave = 0; wave < kWaves; ++wave) {
     ids.clear();
     for (std::size_t i = 0; i < kPerWave; ++i) {
-      ids.push_back(q.schedule(when_dist(rng), [] {}));
+      ids.push_back(q.schedule(draw_when(), [] {}));
     }
     // Cancel every event of the wave: 128k schedules, 128k cancels total.
     for (const EventId id : ids) q.cancel(id);
     max_pool = std::max(max_pool, q.pool_capacity());
-    max_heap = std::max(max_heap, q.heap_entries());
+    max_queued = std::max(max_queued, q.queued_entries());
   }
   EXPECT_TRUE(q.empty());
 
@@ -196,9 +274,10 @@ TEST(EventStoreStress, PoolAndHeapStayBoundedUnderCancelChurn) {
   // the peak live count rounded up to a slab chunk, not by the 128k events
   // that ever existed.
   EXPECT_LE(max_pool, 512u);
-  // Lazy deletion keeps stale heap entries bounded by live + slack, so the
-  // heap never accumulates the full cancel history either.
-  EXPECT_LE(max_heap, 2 * kPerWave + detail::kHeapCompactSlack + 1);
+  // Lazy deletion keeps stale entries in the run, the ring and the far
+  // heap together bounded by live + slack, so the queue never accumulates
+  // the full cancel history either.
+  EXPECT_LE(max_queued, 2 * kPerWave + detail::kCompactSlack + 1);
 
   // After churn the queue still works: order and callbacks intact.
   std::vector<int> order;

@@ -30,7 +30,7 @@ TEST(Fca, ServesExactlyPrimarySetSize) {
   const auto cfg = small_config();  // 21 channels / 7 colours = 3 primaries
   World w(cfg, Scheme::kFca);
   const cell::CellId c = testutil::center_cell(cfg);
-  for (int i = 0; i < 5; ++i) offer_call(w, c, 100 + i, sim::minutes(5));
+  for (traffic::CallId i = 0; i < 5; ++i) offer_call(w, c, 100 + i, sim::minutes(5));
   int ok = 0, blocked = 0;
   for (const auto& r : w.collector().records()) {
     (proto::is_acquired(r.outcome) ? ok : blocked)++;
@@ -45,7 +45,7 @@ TEST(Fca, BlockedEvenWhenNeighborhoodIdle) {
   const auto cfg = small_config();
   World w(cfg, Scheme::kFca);
   const cell::CellId c = testutil::center_cell(cfg);
-  for (int i = 0; i < 4; ++i) offer_call(w, c, i + 1, sim::minutes(5));
+  for (traffic::CallId i = 0; i < 4; ++i) offer_call(w, c, i + 1, sim::minutes(5));
   const auto& recs = w.collector().records();
   ASSERT_EQ(recs.size(), 4u);
   EXPECT_EQ(recs[3].outcome, proto::Outcome::kBlockedNoChannel);
@@ -90,7 +90,7 @@ TEST(Fca, UsesOnlyOwnPrimaries) {
   const auto cfg = small_config();
   World w(cfg, Scheme::kFca);
   const cell::CellId c = 7;
-  for (int i = 0; i < 3; ++i) offer_call(w, c, i + 1, sim::minutes(1));
+  for (traffic::CallId i = 0; i < 3; ++i) offer_call(w, c, i + 1, sim::minutes(1));
   const auto used = w.node(c).in_use();
   EXPECT_TRUE((used - w.plan().primary(c)).empty());
 }

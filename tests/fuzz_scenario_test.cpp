@@ -62,7 +62,7 @@ RandomScenario draw(sim::RngStream& rng) {
   if (rng.bernoulli(0.3)) s.cfg.mean_dwell_s = rng.uniform(20.0, 120.0);
   s.cfg.duration = sim::minutes(3);
   s.cfg.warmup = 0;
-  s.cfg.seed = rng.uniform_int(1, 1 << 30);
+  s.cfg.seed = static_cast<std::uint64_t>(rng.uniform_int(1, 1 << 30));
   // Engine: mostly one shard, but a healthy share of sharded runs — legal
   // in combination with jitter and mobility drawn above.
   if (rng.bernoulli(0.4)) {

@@ -131,7 +131,6 @@ TEST(Integration, StarvationOnlyInUpdateFamily) {
 
 TEST(Integration, MessageTotalsConsistentWithAttribution) {
   const auto cfg = quick_config();
-  const RunResult r = runner::run_uniform(cfg, Scheme::kAdaptive, 0.7);
   // Every sent message is either billed to a call or explicitly
   // unattributed — nothing vanishes.
   // (Aggregate only covers post-warmup records, so compare with the sum

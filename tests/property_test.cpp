@@ -146,8 +146,8 @@ INSTANTIATE_TEST_SUITE_P(AllSchemes, DeterminismProperty,
                          ::testing::ValuesIn(std::vector<Scheme>(
                              std::begin(runner::kAllSchemes),
                              std::end(runner::kAllSchemes))),
-                         [](const ::testing::TestParamInfo<Scheme>& info) {
-                           return std::to_string(static_cast<int>(info.param));
+                         [](const ::testing::TestParamInfo<Scheme>& p) {
+                           return std::to_string(static_cast<int>(p.param));
                          });
 
 }  // namespace

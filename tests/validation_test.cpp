@@ -87,9 +87,9 @@ TEST_P(FcaErlangValidation, FcaBlockingMatchesErlangB) {
 
 INSTANTIATE_TEST_SUITE_P(Loads, FcaErlangValidation,
                          ::testing::Values(0.4, 0.7, 1.0),
-                         [](const ::testing::TestParamInfo<double>& info) {
+                         [](const ::testing::TestParamInfo<double>& p) {
                            return "rho" +
-                                  std::to_string(static_cast<int>(info.param * 100));
+                                  std::to_string(static_cast<int>(p.param * 100));
                          });
 
 // Statistical oracle with nothing in common with the engine: over 20
