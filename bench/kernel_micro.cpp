@@ -1,7 +1,7 @@
 // E-K1 — google-benchmark microbenchmarks of the simulation substrate:
-// event-queue and kernel throughput, the transport's send paths, ChannelSet
-// algebra, interference lookups, and end-to-end simulated-call throughput
-// of the full world.
+// event-queue and kernel throughput, the transport's send paths, random
+// streams, ChannelSet algebra, interference lookups, and end-to-end
+// simulated-call throughput of the full world.
 #include <benchmark/benchmark.h>
 
 #include <functional>
@@ -170,6 +170,33 @@ void BM_TransportDupReorderCocktail(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kBurst);
 }
 BENCHMARK(BM_TransportDupReorderCocktail);
+
+void BM_RngDeriveOneDraw(benchmark::State& state) {
+  // The one-shot stream: derive, one exponential, drop (a call leg's dwell
+  // time in traffic::mobility).
+  std::uint64_t label = 0;
+  for (auto _ : state) {
+    sim::RngStream rng = sim::RngStream::derive(7, ++label);
+    benchmark::DoNotOptimize(rng.exponential_mean(1.0));
+  }
+}
+BENCHMARK(BM_RngDeriveOneDraw);
+
+void BM_RngDeriveThousandDraws(benchmark::State& state) {
+  // A long-lived stream: derive, then 1000 exponentials. One item is one
+  // draw, so the per-item time is the steady draw cost plus a thousandth
+  // of the set-up.
+  constexpr std::int64_t kDraws = 1000;
+  std::uint64_t label = 0;
+  for (auto _ : state) {
+    sim::RngStream rng = sim::RngStream::derive(7, ++label);
+    double sum = 0.0;
+    for (std::int64_t i = 0; i < kDraws; ++i) sum += rng.exponential_mean(1.0);
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kDraws);
+}
+BENCHMARK(BM_RngDeriveThousandDraws);
 
 void BM_ChannelSetAlgebra(benchmark::State& state) {
   cell::ChannelSet a(512), b(512);

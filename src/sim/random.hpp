@@ -6,11 +6,20 @@
 // statistically independent *and* the trajectory of one component does not
 // shift when another component draws more or fewer variates — the property
 // that makes cross-scheme comparisons paired.
+//
+// A stream's outputs are those of std::mt19937_64(seed), but the 312-word
+// engine is built only when it is needed. Most streams (a call leg's dwell
+// time, a set-up probe's first arrival gap) draw a handful of words; those
+// come straight from the engine's seeding recurrence, which reaches output
+// k of the first twist after 156 + k steps. Only the draw past the first
+// kFirstWords builds the engine, in place, and skips what was handed out.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <random>
 #include <span>
+#include <variant>
 #include <vector>
 
 #include "sim/types.hpp"
@@ -25,10 +34,11 @@ namespace dca::sim {
   return x ^ (x >> 31);
 }
 
-/// An independent random stream (mt19937_64 behind a convenience API).
+/// An independent random stream: std::mt19937_64's output sequence behind
+/// a convenience API, with the libstdc++ distributions on top.
 class RngStream {
  public:
-  explicit RngStream(std::uint64_t seed) : engine_(seed) {}
+  explicit RngStream(std::uint64_t seed) : state_(FirstWords{seed}) {}
 
   /// Derives the substream identified by (seed, label).
   static RngStream derive(std::uint64_t seed, std::uint64_t label) {
@@ -36,39 +46,39 @@ class RngStream {
   }
 
   /// Uniform double in [0, 1).
-  double uniform() { return std::uniform_real_distribution<double>(0.0, 1.0)(engine_); }
+  double uniform() { return draw(std::uniform_real_distribution<double>(0.0, 1.0)); }
 
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi) {
-    return std::uniform_real_distribution<double>(lo, hi)(engine_);
+    return draw(std::uniform_real_distribution<double>(lo, hi));
   }
 
   /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) {
-    return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine_);
+    return draw(std::uniform_int_distribution<std::int64_t>(lo, hi));
   }
 
   /// Bernoulli trial with success probability p.
-  bool bernoulli(double p) { return std::bernoulli_distribution(p)(engine_); }
+  bool bernoulli(double p) { return draw(std::bernoulli_distribution(p)); }
 
   /// Exponential variate with the given mean (NOT rate). Requires mean > 0.
   double exponential_mean(double mean) {
-    return std::exponential_distribution<double>(1.0 / mean)(engine_);
+    return draw(std::exponential_distribution<double>(1.0 / mean));
   }
 
   /// Exponential inter-arrival duration for a Poisson process of `rate`
   /// events per simulated second, as an integral Duration (>= 1 us so that
-  /// time always advances).
+  /// time always advances). Parameterised by the rate, not the mean:
+  /// 1 / (1 / rate) is not always `rate`.
   Duration exponential_gap(double rate_per_second) {
-    const double secs = exponential_distribution_draw(rate_per_second);
-    Duration d = from_seconds(secs);
+    const Duration d =
+        from_seconds(draw(std::exponential_distribution<double>(rate_per_second)));
     return d > 0 ? d : 1;
   }
 
   /// Picks an index in [0, n) uniformly. Requires n > 0.
   std::size_t pick_index(std::size_t n) {
-    return static_cast<std::size_t>(
-        std::uniform_int_distribution<std::size_t>(0, n - 1)(engine_));
+    return draw(std::uniform_int_distribution<std::size_t>(0, n - 1));
   }
 
   /// Picks a uniformly random element of a non-empty span.
@@ -85,14 +95,90 @@ class RngStream {
     }
   }
 
-  std::mt19937_64& engine() noexcept { return engine_; }
-
  private:
-  double exponential_distribution_draw(double rate) {
-    return std::exponential_distribution<double>(rate)(engine_);
+  using Engine = std::mt19937_64;
+  using Word = Engine::result_type;
+
+  /// Outputs served before the engine is built. Output k < n - m of the
+  /// first twist depends only on seeded words k, k + 1 and k + m.
+  static constexpr std::size_t kFirstWords = 4;
+  static_assert(kFirstWords < Engine::state_size - Engine::shift_size);
+
+  struct FirstWords {
+    Word seed;
+    std::array<Word, kFirstWords> out{};  // filled at the first draw
+    std::size_t taken = 0;
+  };
+
+  /// The stream's output sequence as a uniform random bit generator, so
+  /// the std distributions run over it unchanged, however many words they
+  /// consume.
+  class Words {
+   public:
+    using result_type = Word;
+    static constexpr Word min() { return Engine::min(); }
+    static constexpr Word max() { return Engine::max(); }
+    explicit Words(RngStream& s) : s_(s) {}
+    Word operator()() { return s_.next_word(); }
+
+   private:
+    RngStream& s_;
+  };
+
+  template <typename Dist>
+  typename Dist::result_type draw(Dist dist) {
+    if (Engine* e = std::get_if<Engine>(&state_)) return dist(*e);
+    Words words(*this);
+    return dist(words);
   }
 
-  std::mt19937_64 engine_;
+  Word next_word() {
+    if (Engine* e = std::get_if<Engine>(&state_)) return (*e)();
+    FirstWords& head = *std::get_if<FirstWords>(&state_);
+    if (head.taken == 0) head.out = first_outputs(head.seed);
+    if (head.taken < kFirstWords) return head.out[head.taken++];
+    const Word seed = head.seed;
+    Engine& e = state_.emplace<Engine>(seed);
+    e.discard(kFirstWords);
+    return e();
+  }
+
+  /// Engine(seed)'s first kFirstWords outputs: the seeding recurrence run
+  /// to word m + kFirstWords - 1, one twist step per output, tempering.
+  static std::array<Word, kFirstWords> first_outputs(Word seed) {
+    constexpr std::size_t w = Engine::word_size;
+    constexpr std::size_t m = Engine::shift_size;
+    constexpr Word upper = ~Word{0} << Engine::mask_bits;
+    std::array<Word, kFirstWords + 1> low{};  // seeded words 0..kFirstWords
+    std::array<Word, kFirstWords> out{};      // seeded words m.., then outputs
+    Word x = seed;
+    low[0] = x;
+    const auto step = [&x](std::size_t i) {
+      x = Engine::initialization_multiplier * (x ^ (x >> (w - 2))) + i;
+    };
+    std::size_t i = 1;
+    for (; i <= kFirstWords; ++i) {
+      step(i);
+      low[i] = x;
+    }
+    for (; i < m; ++i) step(i);
+    for (std::size_t k = 0; k < kFirstWords; ++k, ++i) {
+      step(i);
+      out[k] = x;
+    }
+    for (std::size_t k = 0; k < kFirstWords; ++k) {
+      const Word y = (low[k] & upper) | (low[k + 1] & ~upper);
+      Word z = out[k] ^ (y >> 1) ^ ((y & 1) ? Engine::xor_mask : 0);
+      z ^= (z >> Engine::tempering_u) & Engine::tempering_d;
+      z ^= (z << Engine::tempering_s) & Engine::tempering_b;
+      z ^= (z << Engine::tempering_t) & Engine::tempering_c;
+      z ^= z >> Engine::tempering_l;
+      out[k] = z;
+    }
+    return out;
+  }
+
+  std::variant<FirstWords, Engine> state_;
 };
 
 }  // namespace dca::sim

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <functional>
-#include <optional>
 #include <queue>
 #include <utility>
 
@@ -23,9 +22,8 @@ ArrivalPlan plan_arrivals(int n_cells, const LoadProfile& profile,
     if (ceiling <= 0.0) continue;  // silent cell
     sim::RngStream arrivals =
         sim::RngStream::derive(seed, static_cast<std::uint64_t>(c));
-    // Derived at the first accepted candidate: seeding an mt19937_64 costs
-    // as much as a few hundred draws, and a short horizon accepts none.
-    std::optional<sim::RngStream> holding;
+    sim::RngStream holding =
+        sim::RngStream::derive(seed, static_cast<std::uint64_t>(c + n_cells));
     std::deque<Candidate>& chain = plan.by_cell[static_cast<std::size_t>(c)];
     for (sim::SimTime t = arrivals.exponential_gap(ceiling); t < horizon;
          t += arrivals.exponential_gap(ceiling)) {
@@ -33,10 +31,8 @@ ArrivalPlan plan_arrivals(int n_cells, const LoadProfile& profile,
       cand.t = t;
       if (arrivals.uniform() < profile.rate(c, t) / ceiling) {
         // Accepted candidates (and only they) hold for at least 1 us.
-        if (!holding)
-          holding = sim::RngStream::derive(seed, static_cast<std::uint64_t>(c + n_cells));
         cand.holding = std::max<sim::Duration>(
-            sim::from_seconds(holding->exponential_mean(mean_holding_s)), 1);
+            sim::from_seconds(holding.exponential_mean(mean_holding_s)), 1);
       }
       chain.push_back(cand);
     }

@@ -3,8 +3,7 @@
 // One independent arrival process per cell, each on its own RNG substream
 // (so adding a cell or changing one cell's profile never perturbs another
 // cell's arrival trajectory): cell c draws candidate instants from
-// substream (seed, c) and holding times from (seed, c + n_cells), the
-// latter derived at the cell's first accepted candidate.
+// substream (seed, c) and holding times from (seed, c + n_cells).
 // Time-varying profiles are sampled exactly via Lewis–Shedler thinning
 // against the profile's per-cell rate ceiling. Holding times are
 // exponential with the configured mean, at least 1 us.

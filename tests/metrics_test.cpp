@@ -1,9 +1,8 @@
-// Unit tests for the metrics layer: summaries, histograms, the per-call
+// Unit tests for the metrics layer: summaries, tables, the per-call
 // collector with message attribution, and the aggregate ξ/m statistics.
 #include <gtest/gtest.h>
 
 #include "metrics/collector.hpp"
-#include "metrics/histogram.hpp"
 #include "metrics/summary.hpp"
 #include "metrics/table.hpp"
 #include "metrics/timeseries.hpp"
@@ -38,23 +37,6 @@ TEST(SampledSummary, PercentilesAreExact) {
   EXPECT_DOUBLE_EQ(s.percentile(100), 100.0);
   EXPECT_NEAR(s.percentile(50), 50.5, 1e-9);
   EXPECT_NEAR(s.percentile(95), 95.05, 1e-9);
-}
-
-TEST(Histogram, BinningAndOverflow) {
-  Histogram h(10.0, 3);  // bins [0,10) [10,20) [20,30) + overflow
-  h.add(0.0);
-  h.add(9.99);
-  h.add(10.0);
-  h.add(25.0);
-  h.add(31.0);
-  h.add(-5.0);  // clamps to first bin
-  EXPECT_EQ(h.total(), 6u);
-  EXPECT_EQ(h.bin_count(0), 3u);
-  EXPECT_EQ(h.bin_count(1), 1u);
-  EXPECT_EQ(h.bin_count(2), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_DOUBLE_EQ(h.bin_low(2), 20.0);
-  EXPECT_FALSE(h.render().empty());
 }
 
 TEST(Table, RenderAndCsv) {

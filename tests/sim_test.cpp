@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <limits>
+#include <numeric>
+#include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/log.hpp"
@@ -172,6 +176,122 @@ TEST(Rng, BernoulliExtremes) {
   for (int i = 0; i < 100; ++i) {
     EXPECT_FALSE(r.bernoulli(0.0));
     EXPECT_TRUE(r.bernoulli(1.0));
+  }
+}
+
+// -- RngStream against a plain std::mt19937_64 --------------------------------
+
+enum class Method {
+  kUniform,
+  kUniformRange,
+  kUniformInt,
+  kUniformIntRejecting,
+  kBernoulli,
+  kExponentialMean,
+  kExponentialGap,
+  kPickIndex,
+  kShuffle,
+  kCount
+};
+
+/// Makes `n` draws with `method` from `s`, and from `ref` through the std
+/// distribution the method names; true when every pair is identical.
+bool same_draws(Method method, RngStream& s, std::mt19937_64& ref, std::size_t n) {
+  // hi - lo = 2^63: Lemire's method rejects about every other word.
+  constexpr std::int64_t kHalf = std::int64_t{1} << 62;
+  bool same = true;
+  if (method == Method::kShuffle) {  // n + 1 elements: n draws
+    std::vector<std::size_t> got(n + 1), want(n + 1);
+    std::iota(got.begin(), got.end(), std::size_t{0});
+    std::iota(want.begin(), want.end(), std::size_t{0});
+    s.shuffle(got);
+    for (std::size_t i = want.size(); i > 1; --i) {
+      std::swap(want[i - 1], want[std::uniform_int_distribution<std::size_t>(0, i - 1)(ref)]);
+    }
+    return got == want;
+  }
+  for (std::size_t j = 0; j < n; ++j) {
+    switch (method) {
+      case Method::kUniform:
+        same &= s.uniform() == std::uniform_real_distribution<double>(0.0, 1.0)(ref);
+        break;
+      case Method::kUniformRange:
+        same &= s.uniform(-3.5, 7.25) ==
+                std::uniform_real_distribution<double>(-3.5, 7.25)(ref);
+        break;
+      case Method::kUniformInt:
+        same &= s.uniform_int(-5, 1000) ==
+                std::uniform_int_distribution<std::int64_t>(-5, 1000)(ref);
+        break;
+      case Method::kUniformIntRejecting:
+        same &= s.uniform_int(-kHalf, kHalf) ==
+                std::uniform_int_distribution<std::int64_t>(-kHalf, kHalf)(ref);
+        break;
+      case Method::kBernoulli:
+        same &= s.bernoulli(0.3) == std::bernoulli_distribution(0.3)(ref);
+        break;
+      case Method::kExponentialMean:
+        same &= s.exponential_mean(2.5) ==
+                std::exponential_distribution<double>(1.0 / 2.5)(ref);
+        break;
+      case Method::kExponentialGap: {
+        const Duration d =
+            from_seconds(std::exponential_distribution<double>(40.0)(ref));
+        same &= s.exponential_gap(40.0) == (d > 0 ? d : 1);
+        break;
+      }
+      case Method::kPickIndex:
+        same &= s.pick_index(7) == std::uniform_int_distribution<std::size_t>(0, 6)(ref);
+        break;
+      case Method::kShuffle:
+      case Method::kCount:
+        break;
+    }
+  }
+  return same;
+}
+
+/// The next `n` raw 64-bit words of `s` match those of `ref`.
+bool same_words(RngStream s, std::mt19937_64 ref, std::size_t n) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  bool same = true;
+  for (std::size_t j = 0; j < n; ++j) {
+    same &= s.uniform_int(kMin, kMax) ==
+            std::uniform_int_distribution<std::int64_t>(kMin, kMax)(ref);
+  }
+  return same;
+}
+
+TEST(Rng, MatchesStdMt19937_64) {
+  // Streams serve their first four words before building the engine; draw
+  // counts 0..7 land on both sides of that boundary, and the tail after
+  // each copy crosses it from wherever the copy was taken.
+  constexpr std::size_t kStreams = 100'000;
+  constexpr std::size_t kDrawCounts = 8;
+  constexpr auto kMethods = static_cast<std::size_t>(Method::kCount);
+  for (std::size_t i = 0; i < kStreams; ++i) {
+    const std::uint64_t seed = mix64(i / 64);
+    const std::uint64_t label = i % 64;
+    const auto method = static_cast<Method>(i % kMethods);
+    const std::size_t n = i / kMethods % kDrawCounts;
+    RngStream s = RngStream::derive(seed, label);
+    std::mt19937_64 ref(mix64(mix64(seed) ^ mix64(label + 0x5851F42D4C957F2Dull)));
+    ASSERT_TRUE(same_draws(method, s, ref, n))
+        << "stream " << i << ", method " << static_cast<int>(method) << ", "
+        << n << " draws";
+
+    RngStream copied = s;
+    RngStream moved = RngStream(s);
+    RngStream assigned = RngStream::derive(seed, label + 1);
+    (void)assigned.uniform_int(0, 1);
+    assigned = s;
+    RngStream move_assigned(0);
+    move_assigned = std::move(copied);
+    ASSERT_TRUE(same_words(s, ref, kDrawCounts)) << "stream " << i;
+    ASSERT_TRUE(same_words(std::move(moved), ref, kDrawCounts)) << "stream " << i;
+    ASSERT_TRUE(same_words(assigned, ref, kDrawCounts)) << "stream " << i;
+    ASSERT_TRUE(same_words(move_assigned, ref, kDrawCounts)) << "stream " << i;
   }
 }
 
