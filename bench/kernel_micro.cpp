@@ -7,6 +7,7 @@
 #include <functional>
 #include <span>
 #include <utility>
+#include <vector>
 
 #include "cell/grid.hpp"
 #include "cell/reuse.hpp"
@@ -76,7 +77,7 @@ void BM_KernelSelfSchedulingChain(benchmark::State& state) {
   // One cell on one shard: schedule_local, window barrier and dispatch per
   // event, with nothing else in the queue.
   for (auto _ : state) {
-    sim::ShardedKernel k(1, 1, sim::milliseconds(1), 1);
+    sim::ShardedKernel k({0}, 1, sim::milliseconds(1), 1);
     int remaining = 10000;
     std::function<void()> tick = [&] {
       if (--remaining > 0) {
@@ -109,7 +110,9 @@ struct TransportRig {
   net::LinkTable links{grid};
   net::FixedLatency latency{sim::milliseconds(5)};
   net::FaultConfig faults;
-  sim::ShardedKernel kernel{grid.n_cells(), 1, sim::milliseconds(5), 1};
+  sim::ShardedKernel kernel{
+      std::vector<int>(static_cast<std::size_t>(grid.n_cells())), 1,
+      sim::milliseconds(5), 1};
   net::Transport transport{kernel, links, latency, faults, 42};
   std::uint64_t delivered = 0;
   const cell::CellId center = grid.n_cells() / 2 + 8;

@@ -11,25 +11,6 @@ namespace dca::sim {
 
 thread_local int ShardedKernel::tls_current_shard_ = -1;
 
-namespace {
-
-// The legacy striped map, kept as the default for callers that do not
-// supply a geometry-aware partition (see cell/partition.hpp).
-std::vector<int> striped_map(int n_cells, int n_shards) {
-  std::vector<int> map(static_cast<std::size_t>(n_cells > 0 ? n_cells : 0));
-  for (int c = 0; c < n_cells; ++c) {
-    map[static_cast<std::size_t>(c)] = n_shards > 0 ? c % n_shards : 0;
-  }
-  return map;
-}
-
-}  // namespace
-
-ShardedKernel::ShardedKernel(int n_cells, int n_shards, Duration lookahead,
-                             int n_threads)
-    : ShardedKernel(striped_map(n_cells, n_shards), n_shards, lookahead,
-                    n_threads) {}
-
 ShardedKernel::ShardedKernel(std::vector<int> partition, int n_shards,
                              Duration lookahead, int n_threads)
     : n_shards_(n_shards),

@@ -248,17 +248,13 @@ class ShardedKernel {
  public:
   using Action = EventFn;
 
-  /// `lookahead` must be a lower bound on the delay of every cross-shard
-  /// event (the network's minimum one-way latency); it must be positive.
-  /// `n_threads` <= 0 selects one thread per shard.
-  /// This constructor uses the striped `cell % n_shards` partition.
-  ShardedKernel(int n_cells, int n_shards, Duration lookahead, int n_threads);
-
-  /// Same, with an explicit cell -> shard map. `partition` must have one
-  /// entry per cell, every value in [0, n_shards). Determinism does not
-  /// depend on the partition (the canonical EventKey order does not mention
-  /// shards), so any map yields bit-identical results; the map only
-  /// changes which events cross shard boundaries.
+  /// `partition` is the cell -> shard map: one entry per cell, every value
+  /// in [0, n_shards). Determinism does not depend on the partition (the
+  /// canonical EventKey order does not mention shards), so any map yields
+  /// bit-identical results; the map only changes which events cross shard
+  /// boundaries. `lookahead` must be a lower bound on the delay of every
+  /// cross-shard event (the network's minimum one-way latency); it must be
+  /// positive. `n_threads` <= 0 selects one thread per shard.
   ShardedKernel(std::vector<int> partition, int n_shards, Duration lookahead,
                 int n_threads);
 

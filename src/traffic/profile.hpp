@@ -10,24 +10,15 @@
 //  * HotspotProfile  — a base rate plus a multiplicative factor on a set of
 //    hot cells inside a time window (the paper's "temporary hot spots"
 //    motivation, Section 1).
-//  * RampProfile     — rate ramps linearly between two values over a time
-//    window (gradual load growth).
-//  * PerCellProfile  — arbitrary constant per-cell rates.
-//  * BlobProfile     — spatially correlated load: a Gaussian bump of
-//    traffic centred on one cell (city centre over suburbs).
-//  * DiurnalProfile  — sinusoidal time-of-day modulation of a base rate.
-//  * MovingHotspotProfile — a hot cell that steps through a route at a
-//    fixed period (a crowd moving through the network).
+//
+// Other shapes implement LoadProfile where they are needed.
 #pragma once
 
-#include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <unordered_set>
 #include <vector>
 
 #include "cell/grid.hpp"
-#include "cell/hex.hpp"
 #include "sim/types.hpp"
 
 namespace dca::traffic {
@@ -53,20 +44,6 @@ class UniformProfile final : public LoadProfile {
 
  private:
   double rate_;
-};
-
-class PerCellProfile final : public LoadProfile {
- public:
-  explicit PerCellProfile(std::vector<double> rates) : rates_(std::move(rates)) {}
-  [[nodiscard]] double rate(cell::CellId c, sim::SimTime) const override {
-    return rates_.at(static_cast<std::size_t>(c));
-  }
-  [[nodiscard]] double max_rate(cell::CellId c) const override {
-    return rates_.at(static_cast<std::size_t>(c));
-  }
-
- private:
-  std::vector<double> rates_;
 };
 
 class HotspotProfile final : public LoadProfile {
@@ -95,113 +72,6 @@ class HotspotProfile final : public LoadProfile {
   sim::SimTime start_;
   sim::SimTime end_;
   std::unordered_set<cell::CellId> hot_;
-};
-
-class BlobProfile final : public LoadProfile {
- public:
-  /// rate(c) = base + peak * exp(-d(c, center)^2 / (2 sigma^2)), constant
-  /// in time; d is the hex hop distance. sigma in cells (> 0).
-  BlobProfile(const cell::HexGrid& grid, double base_rate, double peak_rate,
-              cell::CellId center, double sigma_cells)
-      : base_(base_rate), peak_(peak_rate) {
-    assert(base_rate >= 0.0 && peak_rate >= 0.0 && sigma_cells > 0.0);
-    rates_.reserve(static_cast<std::size_t>(grid.n_cells()));
-    for (cell::CellId c = 0; c < grid.n_cells(); ++c) {
-      const double d = grid.distance(c, center);
-      rates_.push_back(base_ + peak_ * std::exp(-d * d / (2.0 * sigma_cells *
-                                                          sigma_cells)));
-    }
-  }
-
-  [[nodiscard]] double rate(cell::CellId c, sim::SimTime) const override {
-    return rates_.at(static_cast<std::size_t>(c));
-  }
-  [[nodiscard]] double max_rate(cell::CellId c) const override {
-    return rates_.at(static_cast<std::size_t>(c));
-  }
-
- private:
-  double base_;
-  double peak_;
-  std::vector<double> rates_;
-};
-
-class DiurnalProfile final : public LoadProfile {
- public:
-  /// rate(t) = base * (1 + depth * sin(2 pi t / period)), clamped at 0.
-  /// depth in [0, 1]; period > 0.
-  DiurnalProfile(double base_rate, double depth, sim::Duration period)
-      : base_(base_rate), depth_(depth), period_(period) {
-    assert(base_rate >= 0.0 && depth >= 0.0 && depth <= 1.0 && period > 0);
-  }
-
-  [[nodiscard]] double rate(cell::CellId, sim::SimTime t) const override {
-    constexpr double kTwoPi = 6.283185307179586;
-    const double phase = kTwoPi * static_cast<double>(t % period_) /
-                         static_cast<double>(period_);
-    return std::max(0.0, base_ * (1.0 + depth_ * std::sin(phase)));
-  }
-  [[nodiscard]] double max_rate(cell::CellId) const override {
-    return base_ * (1.0 + depth_);
-  }
-
- private:
-  double base_;
-  double depth_;
-  sim::Duration period_;
-};
-
-class MovingHotspotProfile final : public LoadProfile {
- public:
-  /// The cell at route[floor(t / step) % route.size()] runs at
-  /// base * factor; everyone else at base. Route must be non-empty.
-  MovingHotspotProfile(double base_rate, double factor,
-                       std::vector<cell::CellId> route, sim::Duration step)
-      : base_(base_rate), factor_(factor), route_(std::move(route)), step_(step) {
-    assert(base_rate >= 0.0 && factor >= 1.0 && !route_.empty() && step > 0);
-  }
-
-  [[nodiscard]] double rate(cell::CellId c, sim::SimTime t) const override {
-    const auto idx =
-        static_cast<std::size_t>(t / step_) % route_.size();
-    return route_[idx] == c ? base_ * factor_ : base_;
-  }
-  [[nodiscard]] double max_rate(cell::CellId c) const override {
-    for (const cell::CellId h : route_)
-      if (h == c) return base_ * factor_;
-    return base_;
-  }
-
- private:
-  double base_;
-  double factor_;
-  std::vector<cell::CellId> route_;
-  sim::Duration step_;
-};
-
-class RampProfile final : public LoadProfile {
- public:
-  RampProfile(double rate_before, double rate_after, sim::SimTime ramp_start,
-              sim::SimTime ramp_end)
-      : before_(rate_before), after_(rate_after), start_(ramp_start), end_(ramp_end) {
-    assert(start_ < end_);
-  }
-
-  [[nodiscard]] double rate(cell::CellId, sim::SimTime t) const override {
-    if (t <= start_) return before_;
-    if (t >= end_) return after_;
-    const double f = static_cast<double>(t - start_) / static_cast<double>(end_ - start_);
-    return before_ + f * (after_ - before_);
-  }
-  [[nodiscard]] double max_rate(cell::CellId) const override {
-    return std::max(before_, after_);
-  }
-
- private:
-  double before_;
-  double after_;
-  sim::SimTime start_;
-  sim::SimTime end_;
 };
 
 }  // namespace dca::traffic

@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "cell/grid.hpp"
 #include "net/fault.hpp"
@@ -30,8 +31,8 @@ struct Harness {
   net::LinkTable links{grid};
   std::unique_ptr<net::LatencyModel> latency;
   net::FaultConfig faults;
-  sim::ShardedKernel kernel{/*n_cells=*/4, /*n_shards=*/1,
-                            /*lookahead=*/1, /*n_threads=*/1};
+  sim::ShardedKernel kernel{/*partition=*/std::vector<int>(4, 0),
+                            /*n_shards=*/1, /*lookahead=*/1, /*n_threads=*/1};
   net::Transport transport;
 };
 

@@ -115,8 +115,8 @@ TEST(ShardQueue, CancelTwiceAndCancelInvalidAreNoops) {
 }
 
 TEST(ShardedKernel, SingleShardRunsInKeyOrderAndAdvancesToDeadline) {
-  ShardedKernel k(/*n_cells=*/4, /*n_shards=*/1, /*lookahead=*/milliseconds(1),
-                  /*n_threads=*/1);
+  ShardedKernel k(/*partition=*/std::vector<int>(4, 0), /*n_shards=*/1,
+                  /*lookahead=*/milliseconds(1), /*n_threads=*/1);
   std::vector<std::pair<SimTime, int>> fired;
   for (int c = 3; c >= 0; --c) {
     (void)k.schedule(EventKey{seconds(1), c, kClassTimer, 0, 1},
@@ -134,7 +134,7 @@ TEST(ShardedKernel, SingleShardRunsInKeyOrderAndAdvancesToDeadline) {
 }
 
 TEST(ShardedKernel, EventsExactlyAtDeadlineFire) {
-  ShardedKernel k(1, 1, milliseconds(1), 1);
+  ShardedKernel k({0}, 1, milliseconds(1), 1);
   bool at = false, past = false;
   (void)k.schedule(EventKey{seconds(5), 0, kClassTimer, 0, 1}, [&] { at = true; });
   (void)k.schedule(EventKey{seconds(5) + 1, 0, kClassTimer, 0, 2},
@@ -147,7 +147,7 @@ TEST(ShardedKernel, EventsExactlyAtDeadlineFire) {
 }
 
 TEST(ShardedKernel, SameShardCancelWorks) {
-  ShardedKernel k(2, 2, milliseconds(1), 1);
+  ShardedKernel k({0, 1}, 2, milliseconds(1), 1);
   bool fired = false;
   const EventId id = k.schedule(EventKey{seconds(1), 0, kClassTimer, 0, 1},
                                 [&] { fired = true; });
@@ -163,7 +163,7 @@ TEST(ShardedKernel, SameShardCancelWorks) {
 // logs must not depend on the worker thread count.
 std::vector<std::vector<SimTime>> ping_pong(int n_threads) {
   const Duration L = milliseconds(2);
-  ShardedKernel k(/*n_cells=*/2, /*n_shards=*/2, L, n_threads);
+  ShardedKernel k(/*partition=*/{0, 1}, /*n_shards=*/2, L, n_threads);
   std::vector<std::vector<SimTime>> log(2);
 
   // hops bounce 0 -> 1 -> 0 -> ... until the horizon.
@@ -200,7 +200,7 @@ TEST(ShardedKernel, RepeatedRunUntilDrainsLeftoverCrossShardMail) {
   // Mail scheduled near the end of one run_until must survive into the
   // next call (it sits in the double-buffered outbox between runs).
   const Duration L = milliseconds(1);
-  ShardedKernel k(2, 2, L, 1);
+  ShardedKernel k({0, 1}, 2, L, 1);
   int delivered = 0;
   (void)k.schedule(EventKey{seconds(1), 0, kClassTimer, 0, 1}, [&] {
     k.schedule(EventKey{seconds(1) + L, 1, kClassDelivery, 0, 1},

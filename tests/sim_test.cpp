@@ -36,7 +36,7 @@ TEST(Types, FromSecondsTruncatesAndClamps) {
 // -- the event kernel's clock semantics, on one shard -----------------------
 
 /// One cell on one shard: the kernel as a plain sequential simulator.
-ShardedKernel one_cell() { return ShardedKernel(1, 1, milliseconds(1), 1); }
+ShardedKernel one_cell() { return ShardedKernel({0}, 1, milliseconds(1), 1); }
 
 EventId at(ShardedKernel& k, SimTime when, EventFn fn) {
   return k.schedule_local(0, kClassTimer, when, std::move(fn));
@@ -93,7 +93,7 @@ TEST(Simulator, SameInstantEventsFireInSchedulingOrder) {
   // schedule_local keys same-(when, owner, class) events by the owner's
   // own counter, whoever schedules them — including an event scheduled
   // mid-instant for the same instant, which runs after those queued.
-  ShardedKernel k(2, 1, milliseconds(1), 1);
+  ShardedKernel k({0, 0}, 1, milliseconds(1), 1);
   std::vector<int> fired;
   (void)k.schedule_local(1, kClassTimer, 100, [&] { fired.push_back(1); });
   (void)k.schedule_local(1, kClassTimer, 100, [&] {

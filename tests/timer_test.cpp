@@ -56,7 +56,7 @@ class TimerEnv final : public proto::NodeEnv {
     if (can_cancel_) sim.cancel(0, id);
   }
 
-  sim::ShardedKernel sim{/*n_cells=*/1, /*n_shards=*/1, sim::milliseconds(1),
+  sim::ShardedKernel sim{/*partition=*/{0}, /*n_shards=*/1, sim::milliseconds(1),
                          /*n_threads=*/1};
   int timers_scheduled = 0;
   int cancels_requested = 0;

@@ -22,12 +22,6 @@ TEST(Profiles, UniformIsFlat) {
   EXPECT_DOUBLE_EQ(p.max_rate(3), 0.25);
 }
 
-TEST(Profiles, PerCellRates) {
-  const PerCellProfile p({0.1, 0.2, 0.3});
-  EXPECT_DOUBLE_EQ(p.rate(1, 0), 0.2);
-  EXPECT_DOUBLE_EQ(p.max_rate(2), 0.3);
-}
-
 TEST(Profiles, HotspotOnlyInsideWindowAndSet) {
   const HotspotProfile p(0.1, {4}, 5.0, sim::seconds(10), sim::seconds(20));
   EXPECT_DOUBLE_EQ(p.rate(4, sim::seconds(15)), 0.5);
@@ -36,56 +30,6 @@ TEST(Profiles, HotspotOnlyInsideWindowAndSet) {
   EXPECT_DOUBLE_EQ(p.rate(3, sim::seconds(15)), 0.1);  // not a hot cell
   EXPECT_DOUBLE_EQ(p.max_rate(4), 0.5);
   EXPECT_DOUBLE_EQ(p.max_rate(3), 0.1);
-}
-
-TEST(Profiles, RampInterpolatesLinearly) {
-  const RampProfile p(0.0, 1.0, sim::seconds(0), sim::seconds(10));
-  EXPECT_DOUBLE_EQ(p.rate(0, sim::seconds(0)), 0.0);
-  EXPECT_DOUBLE_EQ(p.rate(0, sim::seconds(5)), 0.5);
-  EXPECT_DOUBLE_EQ(p.rate(0, sim::seconds(10)), 1.0);
-  EXPECT_DOUBLE_EQ(p.rate(0, sim::seconds(99)), 1.0);
-  EXPECT_DOUBLE_EQ(p.max_rate(0), 1.0);
-}
-
-TEST(Profiles, BlobPeaksAtCenterAndDecays) {
-  const cell::HexGrid grid(7, 7, 2);
-  const cell::CellId center = 3 * 7 + 3;
-  const BlobProfile p(grid, 0.1, 1.0, center, 1.5);
-  EXPECT_NEAR(p.rate(center, 0), 1.1, 1e-12);
-  // Monotone decay with distance from the blob center.
-  double prev = p.rate(center, 0);
-  for (int d = 1; d <= 3; ++d) {
-    // Find a cell at exactly distance d.
-    for (cell::CellId c = 0; c < grid.n_cells(); ++c) {
-      if (grid.distance(c, center) == d) {
-        EXPECT_LT(p.rate(c, 0), prev);
-        prev = p.rate(c, 0);
-        break;
-      }
-    }
-  }
-  // Far cells approach the base rate.
-  EXPECT_NEAR(p.rate(0, 0), 0.1, 0.01);
-}
-
-TEST(Profiles, DiurnalOscillatesAroundBase) {
-  const DiurnalProfile p(1.0, 0.5, sim::minutes(24));
-  EXPECT_NEAR(p.rate(0, 0), 1.0, 1e-9);                    // phase 0
-  EXPECT_NEAR(p.rate(0, sim::minutes(6)), 1.5, 1e-9);      // peak
-  EXPECT_NEAR(p.rate(0, sim::minutes(18)), 0.5, 1e-9);     // trough
-  EXPECT_NEAR(p.rate(0, sim::minutes(24)), 1.0, 1e-9);     // periodic
-  EXPECT_DOUBLE_EQ(p.max_rate(0), 1.5);
-}
-
-TEST(Profiles, MovingHotspotStepsThroughRoute) {
-  const MovingHotspotProfile p(0.1, 10.0, {4, 7, 9}, sim::minutes(2));
-  EXPECT_DOUBLE_EQ(p.rate(4, sim::minutes(1)), 1.0);
-  EXPECT_DOUBLE_EQ(p.rate(7, sim::minutes(1)), 0.1);
-  EXPECT_DOUBLE_EQ(p.rate(7, sim::minutes(3)), 1.0);
-  EXPECT_DOUBLE_EQ(p.rate(9, sim::minutes(5)), 1.0);
-  EXPECT_DOUBLE_EQ(p.rate(4, sim::minutes(6)), 1.0) << "route wraps";
-  EXPECT_DOUBLE_EQ(p.max_rate(9), 1.0);
-  EXPECT_DOUBLE_EQ(p.max_rate(5), 0.1);
 }
 
 /// The plan's accepted calls in id order — the order the engine offers
@@ -177,8 +121,15 @@ TEST(Generator, ThinningMatchesHotspotRates) {
   EXPECT_NEAR(static_cast<double>(outside), 720.0, 150.0);
 }
 
+/// Cell 1 offers one call per second; every other cell is silent.
+class OneActiveCellProfile final : public LoadProfile {
+ public:
+  [[nodiscard]] double rate(cell::CellId c, sim::SimTime) const override { return max_rate(c); }
+  [[nodiscard]] double max_rate(cell::CellId c) const override { return c == 1 ? 1.0 : 0.0; }
+};
+
 TEST(Generator, ZeroRateCellProducesNothing) {
-  const PerCellProfile profile({0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0});
+  const OneActiveCellProfile profile;
   std::uint64_t from_silent = 0, from_active = 0;
   for (const CallSpec& c : offered(profile, 10.0, 2, sim::minutes(10))) {
     (c.cell == 1 ? from_active : from_silent)++;
