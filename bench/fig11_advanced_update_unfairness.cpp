@@ -9,8 +9,8 @@
 //  * every other channel colour in their common neighbourhood is occupied
 //    by a filler cell visible to both, leaving exactly ONE borrowable
 //    channel r*;
-//  * an asymmetric latency matrix makes c2's messages overtake c1's
-//    (c1 sends at 6 ms, c2 at 1 ms; replies at the default 5 ms).
+//  * per-link latency pins make c2's messages overtake c1's (c1 sends
+//    at 6 ms, c2 at 1 ms; replies at the default 5 ms).
 //
 // Under ADVANCED UPDATE: the primaries promise r* to the younger c2 and
 // answer the older c1 with a conditional grant -> c1 fails and, with no
@@ -18,7 +18,8 @@
 // goes to ALL neighbours including c2 itself, so the same-channel conflict
 // is resolved by timestamp and the older request c1 wins.
 #include <cstdio>
-#include <memory>
+#include <cstdlib>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "core/adaptive.hpp"
@@ -96,13 +97,17 @@ Scenario plan_scenario(const World& probe) {
   return s;
 }
 
-std::unique_ptr<net::MatrixLatency> make_latency(const Scenario& s, int n_cells) {
-  auto m = std::make_unique<net::MatrixLatency>(sim::milliseconds(5));
-  for (cell::CellId j = 0; j < n_cells; ++j) {
-    if (j != s.c1) m->set(s.c1, j, sim::milliseconds(6));
-    if (j != s.c2) m->set(s.c2, j, sim::milliseconds(1));
+// c1's links to its interference neighbours take 6 ms, c2's 1 ms; every
+// other link keeps the configured 5 ms.
+std::vector<net::LinkDelay> latency_pins(const Scenario& s, const cell::HexGrid& grid) {
+  std::vector<net::LinkDelay> pins;
+  for (const cell::CellId j : grid.interference(s.c1)) {
+    pins.push_back({s.c1, j, sim::milliseconds(6)});
   }
-  return m;
+  for (const cell::CellId j : grid.interference(s.c2)) {
+    pins.push_back({s.c2, j, sim::milliseconds(1)});
+  }
+  return pins;
 }
 
 struct Outcome {
@@ -124,7 +129,12 @@ void testutil_offer(World& w, cell::CellId c, traffic::CallId call,
 Outcome run_scheme(Scheme scheme, const Scenario& s) {
   const auto cfg = fig11_config();
   World probe(cfg, scheme);  // cheap: topology identical
-  World w(cfg, scheme, nullptr, make_latency(s, probe.grid().n_cells()));
+  World w(cfg, scheme, nullptr, latency_pins(s, probe.grid()));
+  // T is c1's 6 ms: it sets the adaptive scheme's 2T round trip.
+  if (w.latency_bound() != sim::milliseconds(6)) {
+    std::fprintf(stderr, "T is not 6 ms\n");
+    std::exit(1);
+  }
 
   traffic::CallId id = 1;
   const auto hold = sim::minutes(60);

@@ -108,7 +108,7 @@ struct TransportRig {
 
   cell::HexGrid grid{16, 16, 2};
   net::LinkTable links{grid};
-  net::FixedLatency latency{sim::milliseconds(5)};
+  net::Latency latency{links, sim::milliseconds(5), 0, 42};
   net::FaultConfig faults;
   sim::ShardedKernel kernel{
       std::vector<int>(static_cast<std::size_t>(grid.n_cells())), 1,

@@ -7,6 +7,7 @@
 //
 // Output: three series tables (rows = load points, columns = schemes) in
 // both aligned-console and CSV form, ready for plotting.
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
@@ -33,22 +34,18 @@ int main() {
               sim::to_milliseconds(cfg.latency),
               static_cast<int>(cfg.duration / sim::minutes(1)));
 
-  const auto points = runner::sweep_uniform(cfg, schemes, rhos, /*threads=*/1);
-
-  const auto cell_of = [&](Scheme s, double rho) -> const runner::RunResult& {
-    for (const auto& p : points) {
-      if (p.scheme == s && p.rho == rho) return p.result;
-    }
-    std::fprintf(stderr, "missing sweep point\n");
-    std::exit(1);
-  };
-
-  // Safety first: every point must be clean.
-  for (const auto& p : points) {
-    if (p.result.violations != 0 || !p.result.quiescent) {
-      std::fprintf(stderr, "INVARIANT FAILURE at %s rho=%.2f\n",
-                   runner::scheme_name(p.scheme).c_str(), p.rho);
-      return 1;
+  // results[s][r]: scheme s at load rhos[r].
+  std::vector<std::vector<runner::RunResult>> results;
+  for (const Scheme s : schemes) {
+    auto& row = results.emplace_back();
+    for (const double rho : rhos) {
+      row.push_back(runner::run_uniform(cfg, s, rho));
+      // Safety first: every point must be clean.
+      if (row.back().violations != 0 || !row.back().quiescent) {
+        std::fprintf(stderr, "INVARIANT FAILURE at %s rho=%.2f\n",
+                     runner::scheme_name(s).c_str(), rho);
+        return 1;
+      }
     }
   }
 
@@ -76,10 +73,10 @@ int main() {
   for (const Series& sr : series) {
     benchutil::heading(sr.title);
     Table t(header);
-    for (const double rho : rhos) {
-      std::vector<std::string> row{Table::num(rho, 2)};
-      for (const Scheme s : schemes) {
-        row.push_back(Table::num(sr.value(cell_of(s, rho)), sr.precision));
+    for (std::size_t r = 0; r < rhos.size(); ++r) {
+      std::vector<std::string> row{Table::num(rhos[r], 2)};
+      for (std::size_t s = 0; s < schemes.size(); ++s) {
+        row.push_back(Table::num(sr.value(results[s][r]), sr.precision));
       }
       t.add_row(row);
     }
@@ -97,9 +94,11 @@ int main() {
       h.emplace_back(m.kind_name());
     }
     Table t(h);
-    for (const Scheme s : schemes) {
-      const auto& r = cell_of(s, 0.7);
-      std::vector<std::string> row{runner::scheme_name(s),
+    const auto rho70 = static_cast<std::size_t>(
+        std::find(rhos.begin(), rhos.end(), 0.7) - rhos.begin());
+    for (std::size_t s = 0; s < schemes.size(); ++s) {
+      const auto& r = results[s][rho70];
+      std::vector<std::string> row{runner::scheme_name(schemes[s]),
                                    std::to_string(r.total_messages)};
       for (int k = 0; k < net::kNumMsgKinds; ++k) {
         const double share =

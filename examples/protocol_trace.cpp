@@ -28,7 +28,6 @@ int main() {
   runner::World world(cfg, runner::Scheme::kAdaptive);
 
   sim::TraceLog trace;
-  trace.set_level(sim::LogLevel::kTrace);
   trace.set_sink([](std::string_view line) { std::printf("%.*s\n",
                                                          static_cast<int>(line.size()),
                                                          line.data()); });

@@ -11,7 +11,6 @@
 #include <array>
 #include <cstdint>
 #include <cstdlib>
-#include <functional>
 
 namespace dca::cell {
 
@@ -65,17 +64,5 @@ inline Point2D hex_center(Axial a) noexcept {
   return Point2D{kSqrt3 * (static_cast<double>(a.q) + static_cast<double>(a.r) / 2.0),
                  1.5 * static_cast<double>(a.r)};
 }
-
-struct AxialHash {
-  std::size_t operator()(const Axial& a) const noexcept {
-    const auto uq = static_cast<std::uint64_t>(static_cast<std::uint32_t>(a.q));
-    const auto ur = static_cast<std::uint64_t>(static_cast<std::uint32_t>(a.r));
-    std::uint64_t x = (uq << 32) | ur;
-    x ^= x >> 33;
-    x *= 0xFF51AFD7ED558CCDull;
-    x ^= x >> 33;
-    return static_cast<std::size_t>(x);
-  }
-};
 
 }  // namespace dca::cell

@@ -77,26 +77,6 @@ class AdaptiveNode final : public proto::AllocatorNode {
   [[nodiscard]] const std::multiset<cell::CellId>& awaiting() const noexcept {
     return awaiting_;
   }
-  /// In-flight request state (debugging): (valid, ts, phase as int,
-  /// responses so far).
-  struct RequestDebug {
-    bool active = false;
-    net::Timestamp ts;
-    int phase = -1;
-    int responses = 0;
-    int rounds = 0;
-  };
-  [[nodiscard]] RequestDebug request_debug() const {
-    RequestDebug d;
-    if (req_.has_value()) {
-      d.active = true;
-      d.ts = req_->ts;
-      d.phase = static_cast<int>(req_->phase);
-      d.responses = req_->responses;
-      d.rounds = req_->rounds;
-    }
-    return d;
-  }
   [[nodiscard]] const std::unordered_set<cell::CellId>& update_subscribers() const {
     return update_set_;
   }

@@ -30,7 +30,6 @@ class TimeSeries {
   }
 
   [[nodiscard]] std::size_t n_buckets() const noexcept { return sums_.size(); }
-  [[nodiscard]] sim::Duration bucket_width() const noexcept { return width_; }
   [[nodiscard]] sim::SimTime bucket_start(std::size_t i) const {
     return static_cast<sim::SimTime>(i) * width_;
   }

@@ -7,7 +7,7 @@
 //   * drop_prob   — each frame is lost with this probability
 //   * dup_prob    — each delivered frame is delivered twice
 //   * jitter      — extra uniform [0, jitter] delay per frame, widening
-//                   the physical reorder window beyond the latency model
+//                   the physical reorder window beyond the latency table
 //   * pauses      — whole-MSS stalls (Poisson arrivals, exponential
 //                   lengths) during which the allocator process sees no
 //                   messages; the NIC stays alive, so transport ACKs

@@ -7,7 +7,7 @@
 namespace dca::net {
 
 Transport::Transport(sim::ShardedKernel& kernel, const LinkTable& links,
-                     LatencyModel& latency, const FaultConfig& faults,
+                     Latency& latency, const FaultConfig& faults,
                      std::uint64_t seed)
     : kernel_(kernel),
       links_(links),
@@ -22,7 +22,6 @@ Transport::Transport(sim::ShardedKernel& kernel, const LinkTable& links,
       rto_base_(2 * (latency.max_one_way() + faults.jitter) +
                 sim::milliseconds(1)),
       shards_(static_cast<std::size_t>(kernel.n_shards())) {
-  latency_.bind_links(links_);
   const auto n_links = static_cast<std::size_t>(links_.n_links());
   tx_rank_.resize(n_links);
   rx_rank_.resize(n_links);
@@ -88,10 +87,9 @@ void Transport::send(Message msg) {
     ++sl.cross_shard_sent;
   }
   ++sl.by_kind[static_cast<std::size_t>(msg.kind)];
-  if (log_ != nullptr && log_->enabled(sim::LogLevel::kTrace)) {
-    log_->emit(sim::LogLevel::kTrace, now,
-               sim::format_line("net: ", msg.from, " -> ", msg.to, " ",
-                                msg.kind_name(), " ch=", msg.channel));
+  if (log_ != nullptr) {
+    log_->emit(now, sim::format_line("net: ", msg.from, " -> ", msg.to, " ",
+                                     msg.kind_name(), " ch=", msg.channel));
   }
   const LinkId lid = links_.require(msg.from, msg.to);
   if (reliable_) {
@@ -102,7 +100,7 @@ void Transport::send(Message msg) {
     arm_rto(lid, seq);
     return;
   }
-  const sim::Duration d = latency_.link_delay(lid, msg.from, msg.to);
+  const sim::Duration d = latency_.delay(lid);
   sim::SimTime when = now + (d > 0 ? d : 0);
   sim::SimTime& floor_time = sl.link_clock[tx_rank(lid)];
   if (when < floor_time) when = floor_time;
@@ -164,8 +162,7 @@ bool Transport::survives(ShardLinks& sl, LinkId lid, std::uint64_t seq,
 }
 
 sim::Duration Transport::frame_delay(LinkId lid, sim::RngStream& rng) {
-  const auto [from, to] = links_.endpoints(lid);
-  sim::Duration d = latency_.link_delay(lid, from, to);
+  sim::Duration d = latency_.delay(lid);
   if (d < 0) d = 0;
   // The fault jitter only ever adds delay, so d stays >= the latency floor
   // and the kernel's lookahead contract holds.

@@ -1,13 +1,13 @@
 // The control-message transport between mobile service stations.
 //
-// send() stamps a message with a delivery delay from the latency model and
+// send() stamps a message with a delivery delay from the latency table and
 // schedules its arrival on the sharded kernel; the registered receiver (the
 // World in src/runner) dispatches it to the destination node. The transport
 // also keeps per-type message counters — the paper's "control message
 // complexity" metric.
 //
 // Links are FIFO: a message never overtakes an earlier message on the same
-// directed (from, to) link, whatever the latency model draws (the delivery
+// directed (from, to) link, whatever the latency table draws (the delivery
 // time is floored at the link's previous delivery). The paper's protocols
 // implicitly assume ordered channels: with reordering, a stale Use-set
 // snapshot can arrive after a later ACQUISITION and erase knowledge of a
@@ -66,11 +66,11 @@ class Transport {
   using RecordFn =
       sim::SmallFn<void(const sim::TraceEvent&), sim::kNetHandlerCapacity>;
 
-  /// `links`, `latency` and `faults` must outlive the transport. The fault
-  /// streams derive from `seed`, so the whole fault schedule is a function
-  /// of (faults, seed) alone. The latency model is bound to `links` here.
+  /// `links`, `latency` (a table over `links`) and `faults` must outlive
+  /// the transport. The fault streams derive from `seed`, so the whole
+  /// fault schedule is a function of (faults, seed) alone.
   Transport(sim::ShardedKernel& kernel, const LinkTable& links,
-            LatencyModel& latency, const FaultConfig& faults,
+            Latency& latency, const FaultConfig& faults,
             std::uint64_t seed);
 
   Transport(const Transport&) = delete;
@@ -88,7 +88,7 @@ class Transport {
   void set_log(sim::TraceLog* log) { log_ = log; }
 
   /// Sends one control message from msg.from, on msg.from's shard (or
-  /// before the run). Counted immediately, delivered after the model's
+  /// before the run). Counted immediately, delivered after the link's
   /// one-way delay plus whatever the fault layer inflicts.
   void send(Message msg);
 
@@ -166,7 +166,7 @@ class Transport {
   /// false when the frame is lost.
   bool survives(ShardLinks& sl, LinkId lid, std::uint64_t seq,
                 sim::SimTime now);
-  /// Delay of one frame copy: the latency model plus the fault jitter.
+  /// Delay of one frame copy: the link's latency plus the fault jitter.
   sim::Duration frame_delay(LinkId lid, sim::RngStream& rng);
   void deliver(const Message& msg);
   sim::RngStream& link_rng(ShardLinks& sl, LinkId lid);
@@ -176,7 +176,7 @@ class Transport {
 
   sim::ShardedKernel& kernel_;
   const LinkTable& links_;
-  LatencyModel& latency_;
+  Latency& latency_;
   const FaultConfig& faults_;
   std::uint64_t fault_seed_;
   bool reliable_;  // any link fault configured

@@ -307,9 +307,6 @@ class AllocatorNode {
   [[nodiscard]] const Resilience& resilience() const noexcept {
     return resilience_;
   }
-  [[nodiscard]] bool timeouts_enabled() const noexcept {
-    return resilience_.enabled();
-  }
 
   /// Arms the node's single protocol timer, replacing any armed one. The
   /// callback runs only if this arming is still the latest when it fires

@@ -1,9 +1,5 @@
 #include "runner/experiment.hpp"
 
-#include <algorithm>
-#include <mutex>
-#include <thread>
-
 #ifdef __linux__
 #include <sys/resource.h>
 #endif
@@ -74,45 +70,6 @@ Replicated run_replicated(const ScenarioConfig& config, Scheme scheme, double rh
     out.violations += r.violations;
   }
   return out;
-}
-
-std::vector<SweepPoint> sweep_uniform(const ScenarioConfig& config,
-                                      const std::vector<Scheme>& schemes,
-                                      const std::vector<double>& rhos, int threads) {
-  std::vector<SweepPoint> points;
-  for (const Scheme s : schemes)
-    for (const double rho : rhos) points.push_back(SweepPoint{s, rho, {}});
-
-  if (threads < 1) threads = 1;
-  threads = std::min<int>(threads, static_cast<int>(points.size()));
-
-  if (threads == 1) {
-    for (auto& p : points) p.result = run_uniform(config, p.scheme, p.rho);
-    return points;
-  }
-
-  // Each point is an isolated World with seed-derived substreams, so the
-  // partition across workers cannot change any result.
-  std::mutex mu;
-  std::size_t next = 0;
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(threads));
-  for (int t = 0; t < threads; ++t) {
-    pool.emplace_back([&]() {
-      while (true) {
-        std::size_t mine;
-        {
-          const std::lock_guard<std::mutex> lock(mu);
-          if (next >= points.size()) return;
-          mine = next++;
-        }
-        points[mine].result = run_uniform(config, points[mine].scheme,
-                                          points[mine].rho);
-      }
-    });
-  }
-  for (auto& th : pool) th.join();
-  return points;
 }
 
 }  // namespace dca::runner

@@ -99,17 +99,4 @@ struct Replicated {
 [[nodiscard]] Replicated run_replicated(const ScenarioConfig& config, Scheme scheme,
                                         double rho, int n_seeds);
 
-/// A load sweep point set, possibly executed on several worker threads
-/// (each point is an independent World with its own seed-derived streams,
-/// so the results are identical whatever the thread count).
-struct SweepPoint {
-  Scheme scheme;
-  double rho;
-  RunResult result;
-};
-[[nodiscard]] std::vector<SweepPoint> sweep_uniform(const ScenarioConfig& config,
-                                                    const std::vector<Scheme>& schemes,
-                                                    const std::vector<double>& rhos,
-                                                    int threads = 1);
-
 }  // namespace dca::runner

@@ -107,13 +107,6 @@ class FlagTimelines {
     }
   }
 
-  /// Total retained entries across all cells (memory introspection).
-  [[nodiscard]] std::size_t total_entries() const noexcept {
-    std::size_t n = 0;
-    for (const auto& tl : timelines_) n += tl.size();
-    return n;
-  }
-
  private:
   std::vector<PackedFlagChange> cur_;  // latest flags per cell
   std::vector<std::vector<PackedFlagChange>> timelines_;

@@ -1,14 +1,19 @@
 #include "runner/scenario.hpp"
 
-#include <algorithm>
-
-#include "cell/reuse.hpp"
 #include "cell/spectrum.hpp"
-#include "net/latency.hpp"
 
 namespace dca::runner {
 
 std::string validate_scenario(const ScenarioConfig& c) {
+  if (std::string problem = validate_options(c); !problem.empty()) return problem;
+  const cell::HexGrid grid(c.rows, c.cols, c.interference_radius, c.wrap);
+  const cell::ReusePlan plan =
+      c.greedy_plan ? cell::ReusePlan::greedy(grid, c.n_channels)
+                    : cell::ReusePlan::cluster(grid, c.n_channels, c.cluster);
+  return validate_plan(grid, plan);
+}
+
+std::string validate_options(const ScenarioConfig& c) {
   if (c.rows < 1 || c.cols < 1) return "grid dimensions must be positive";
   if (c.interference_radius < 1) return "interference radius must be >= 1";
   if (c.n_channels < 1) return "need at least one channel";
@@ -86,30 +91,15 @@ std::string validate_scenario(const ScenarioConfig& c) {
     if (policy == nullptr) return policyError;
   }
 
-  // Final authority: build the actual geometry and validate the colouring
-  // (catches e.g. torus dimensions incompatible with the cluster pattern).
-  const cell::HexGrid grid(c.rows, c.cols, c.interference_radius, c.wrap);
-  const cell::ReusePlan plan =
-      c.greedy_plan ? cell::ReusePlan::greedy(grid, c.n_channels)
-                    : cell::ReusePlan::cluster(grid, c.n_channels, c.cluster);
+  return "";
+}
+
+std::string validate_plan(const cell::HexGrid& grid, const cell::ReusePlan& plan) {
   if (!plan.validate(grid)) {
     return "reuse plan invalid for this grid (for a cluster-7 torus use "
            "rows % 14 == 0 and cols % 7 == 0, e.g. 14x14; or greedy_plan)";
   }
   return "";
-}
-
-std::unique_ptr<net::LatencyModel> make_scenario_latency(
-    const ScenarioConfig& c) {
-  if (c.latency_jitter > 0) {
-    // Uniform in [latency - jitter, latency], floored at 1 us so time
-    // always advances. Per-link streams keep the draw sequence identical
-    // at any shard count (see LinkJitterLatency).
-    const sim::Duration lo =
-        std::max<sim::Duration>(c.latency - c.latency_jitter, 1);
-    return std::make_unique<net::LinkJitterLatency>(lo, c.latency, c.seed);
-  }
-  return std::make_unique<net::FixedLatency>(c.latency);
 }
 
 }  // namespace dca::runner

@@ -3,19 +3,15 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "cell/grid.hpp"
 #include "cell/partition.hpp"
+#include "cell/reuse.hpp"
 #include "core/params.hpp"
 #include "net/fault.hpp"
 #include "proto/policy.hpp"
 #include "sim/types.hpp"
-
-namespace dca::net {
-class LatencyModel;
-}
 
 namespace dca::runner {
 
@@ -139,13 +135,18 @@ struct ScenarioConfig {
 /// otherwise fail deep inside construction (invalid torus dimensions for
 /// the cluster pattern, unsupported cluster size, spectrum overflow,
 /// inverted hysteresis, ...). Returns an empty string when valid, else a
-/// human-readable description of the first problem.
+/// human-readable description of the first problem. It is
+/// validate_options, then validate_plan on the grid and plan the scenario
+/// builds.
 [[nodiscard]] std::string validate_scenario(const ScenarioConfig& config);
 
-/// Builds the latency model a scenario prescribes: LinkJitterLatency when
-/// latency_jitter > 0 (uniform in [latency - jitter, latency] from
-/// per-link streams), else FixedLatency.
-[[nodiscard]] std::unique_ptr<net::LatencyModel> make_scenario_latency(
-    const ScenarioConfig& config);
+/// Every check of validate_scenario that needs no grid.
+[[nodiscard]] std::string validate_options(const ScenarioConfig& config);
+
+/// The final geometry check: the reuse plan must give no two interfering
+/// cells the same primary channels (catches e.g. torus dimensions that do
+/// not fit the cluster pattern).
+[[nodiscard]] std::string validate_plan(const cell::HexGrid& grid,
+                                        const cell::ReusePlan& plan);
 
 }  // namespace dca::runner

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,40 +24,50 @@ using cell::CellId;
 /// pay the O(shards + grid) sweep ~10^5 times per run.
 constexpr sim::Duration kFoldStride = sim::seconds(1);
 
-/// Conservative lookahead for the kernel: the minimum latency floor over
-/// the links that actually cross shards. Shard-internal links don't
-/// constrain the window (their deliveries never enter an outbox), so a
-/// partition that keeps the slow links internal earns a wider window than
-/// the global min_one_way(). Fault jitter only ever *adds* delay on top
-/// of the model's floor, so it never weakens the bound.
-sim::Duration cross_shard_lookahead(const net::LinkTable& links,
-                                    const net::LatencyModel& latency,
-                                    const std::vector<int>& partition) {
-  sim::Duration floor_min = 0;
-  bool any = false;
-  for (net::LinkId lid = 0; lid < links.n_links(); ++lid) {
-    const auto [from, to] = links.endpoints(lid);
-    if (partition[static_cast<std::size_t>(from)] ==
-        partition[static_cast<std::size_t>(to)]) {
-      continue;
-    }
-    const sim::Duration f = latency.link_floor(lid, from, to);
-    if (!any || f < floor_min) floor_min = f;
-    any = true;
-  }
-  // No cross-shard link at all (one shard): any positive lookahead is
-  // safe; use the global floor.
-  return any ? floor_min : latency.min_one_way();
+[[noreturn]] void reject(const std::string& problem) {
+  std::fprintf(stderr, "World: invalid scenario: %s\n", problem.c_str());
+  std::abort();
 }
 
+/// validate_options runs before any member is built from the config.
+const ScenarioConfig& checked(const ScenarioConfig& c) {
+  if (const std::string problem = validate_options(c); !problem.empty()) {
+    reject(problem);
+  }
+  return c;
+}
+
+net::Latency make_latency(const net::LinkTable& links, const ScenarioConfig& c,
+                          const std::vector<net::LinkDelay>& pins) {
+  net::Latency latency(links, c.latency, c.latency_jitter, c.seed);
+  for (const net::LinkDelay& p : pins) latency.set(p.from, p.to, p.delay);
+  return latency;
+}
+
+/// Conservative lookahead for the kernel: the least latency floor over the
+/// links that actually cross shards. Shard-internal links don't constrain
+/// the window (their deliveries never enter an outbox), so a partition
+/// that keeps the fast links internal earns a wider window than the global
+/// floor. Fault jitter only ever *adds* delay on top of the floor, so it
+/// never weakens the bound.
 sim::ShardedKernel make_kernel(const ScenarioConfig& c,
                                const cell::HexGrid& grid,
                                const net::LinkTable& links,
-                               const net::LatencyModel& latency) {
+                               const net::Latency& latency) {
   std::vector<int> partition =
       cell::make_partition(grid, c.shards, c.partition);
-  const sim::Duration lookahead =
-      cross_shard_lookahead(links, latency, partition);
+  constexpr sim::Duration kNone = std::numeric_limits<sim::Duration>::max();
+  sim::Duration lookahead = kNone;
+  for (net::LinkId lid = 0; lid < links.n_links(); ++lid) {
+    const auto [from, to] = links.endpoints(lid);
+    if (partition[static_cast<std::size_t>(from)] !=
+        partition[static_cast<std::size_t>(to)]) {
+      lookahead = std::min(lookahead, latency.floor(lid));
+    }
+  }
+  // No cross-shard link at all (one shard): any positive lookahead is
+  // safe; use the global floor.
+  if (lookahead == kNone) lookahead = latency.min_one_way();
   return sim::ShardedKernel(std::move(partition), c.shards, lookahead,
                             c.threads);
 }
@@ -137,8 +148,8 @@ void World::ShardEnv::record(const sim::TraceEvent& ev) { world->emit(ev); }
 
 World::World(const ScenarioConfig& config, Scheme scheme,
              const traffic::LoadProfile* load,
-             std::unique_ptr<net::LatencyModel> latency_override)
-    : config_(config),
+             const std::vector<net::LinkDelay>& latency_pins)
+    : config_(checked(config)),
       scheme_(scheme),
       grid_(config.rows, config.cols, config.interference_radius, config.wrap),
       plan_(config.greedy_plan
@@ -146,29 +157,19 @@ World::World(const ScenarioConfig& config, Scheme scheme,
                 : cell::ReusePlan::cluster(grid_, config.n_channels,
                                            config.cluster)),
       links_(grid_),
-      latency_(latency_override ? std::move(latency_override)
-                                : make_scenario_latency(config)),
-      kernel_(make_kernel(config, grid_, links_, *latency_)),
+      latency_(make_latency(links_, config, latency_pins)),
+      kernel_(make_kernel(config, grid_, links_, latency_)),
       states_(static_cast<std::size_t>(config.shards)) {
   // A broken reuse plan voids every guarantee downstream; fail fast even
-  // in release builds (e.g. a torus whose dimensions don't fit the
-  // cluster pattern: cluster 7 needs rows % 14 == 0 and cols % 7 == 0).
-  if (!plan_.validate(grid_)) {
-    const std::string plan_name =
-        config_.greedy_plan ? "greedy" : "cluster " + std::to_string(config_.cluster);
-    std::fprintf(stderr,
-                 "World: reuse plan invalid for %dx%d grid (radius %d, %s%s)"
-                 " — interfering cells would share primary channels\n",
-                 config_.rows, config_.cols, config_.interference_radius,
-                 plan_name.c_str(),
-                 config_.wrap == cell::Wrap::kToroidal ? ", toroidal" : "");
-    std::abort();
+  // in release builds.
+  if (const std::string problem = validate_plan(grid_, plan_); !problem.empty()) {
+    reject(problem);
   }
   for (int s = 0; s < config_.shards; ++s) {
     states_[static_cast<std::size_t>(s)].env.world = this;
     states_[static_cast<std::size_t>(s)].env.shard = s;
   }
-  transport_ = std::make_unique<net::Transport>(kernel_, links_, *latency_,
+  transport_ = std::make_unique<net::Transport>(kernel_, links_, latency_,
                                                 config_.fault, config_.seed);
   transport_->set_receiver(
       [this](const net::Message& msg) { dispatch_to_node(msg); });
@@ -219,7 +220,7 @@ World::World(const ScenarioConfig& config, Scheme scheme,
 
   kernel_.set_pin_threads(config_.pin);
   if (config_.stream_metrics) {
-    builder_.emplace(latency_->max_one_way(), config_.warmup);
+    builder_.emplace(latency_.max_one_way(), config_.warmup);
     for (ShardState& st : states_) {
       st.collector.set_streaming(true);
       st.msg_tally_base.assign(arrivals_.calls, 0);
@@ -763,7 +764,7 @@ metrics::Aggregate World::aggregate_buffered() {
   // K-way merge in canonical (t_decision, cell) order: each shard closes
   // its records in execution order, which is that order, so no record is
   // copied or sorted.
-  metrics::AggregateBuilder builder(latency_->max_one_way(), config_.warmup);
+  metrics::AggregateBuilder builder(latency_.max_one_way(), config_.warmup);
   std::vector<std::size_t> pos(states_.size(), 0);
   for (;;) {
     const metrics::CallRecord* next = nullptr;

@@ -67,12 +67,12 @@ class World {
  public:
   /// Builds the world. `load` (optional, must outlive the world) offers
   /// Poisson arrivals until config.duration; without it calls come only
-  /// from submit_call. `latency_override` (optional) replaces the scenario
-  /// latency model (the Fig. 11 scripted scenario uses one). The config
-  /// must pass validate_scenario.
+  /// from submit_call. `latency_pins` fix single interference links'
+  /// delays on top of the scenario's (the Fig. 11 scripted scenario uses
+  /// them). Aborts with validate_scenario's message on an invalid config.
   World(const ScenarioConfig& config, Scheme scheme,
         const traffic::LoadProfile* load = nullptr,
-        std::unique_ptr<net::LatencyModel> latency_override = nullptr);
+        const std::vector<net::LinkDelay>& latency_pins = {});
   ~World();
 
   World(const World&) = delete;
@@ -132,7 +132,7 @@ class World {
     return states_.front().collector;
   }
   [[nodiscard]] sim::Duration latency_bound() const {
-    return latency_->max_one_way();
+    return latency_.max_one_way();
   }
 
   /// Protocol messages sent so far, in total and by kind.
@@ -298,9 +298,9 @@ class World {
   cell::HexGrid grid_;
   cell::ReusePlan plan_;
   // Shared dense link index, read-only during the run. Declared before the
-  // latency model, which may keep a pointer to it after bind_links.
+  // latency table, which keeps a reference to it.
   net::LinkTable links_;
-  std::unique_ptr<net::LatencyModel> latency_;
+  net::Latency latency_;
   sim::ShardedKernel kernel_;
   std::unique_ptr<net::Transport> transport_;
   std::vector<ShardState> states_;

@@ -5,8 +5,7 @@
 
 namespace dca::sim {
 
-void TraceLog::emit(LogLevel at, SimTime now, std::string_view what) {
-  if (!enabled(at)) return;
+void TraceLog::emit(SimTime now, std::string_view what) {
   std::ostringstream os;
   os << '[' << std::fixed << std::setprecision(6) << to_seconds(now) << "] "
      << what;

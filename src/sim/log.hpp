@@ -1,8 +1,8 @@
-// Minimal structured trace log for simulation debugging.
+// Minimal trace log for simulation debugging.
 //
-// Tracing is off by default and costs a single branch per call site when
-// disabled. When enabled, lines carry the simulated timestamp so protocol
-// interleavings can be read directly off the trace.
+// Nothing logs unless a TraceLog is attached (the transport's per-message
+// log costs one null check per send otherwise). Lines carry the simulated
+// timestamp so protocol interleavings can be read directly off the trace.
 #pragma once
 
 #include <functional>
@@ -14,28 +14,19 @@
 
 namespace dca::sim {
 
-enum class LogLevel : int { kOff = 0, kInfo = 1, kDebug = 2, kTrace = 3 };
-
 class TraceLog {
  public:
   using Sink = std::function<void(std::string_view line)>;
 
   TraceLog() = default;
 
-  void set_level(LogLevel level) noexcept { level_ = level; }
-  [[nodiscard]] LogLevel level() const noexcept { return level_; }
-  [[nodiscard]] bool enabled(LogLevel at) const noexcept {
-    return static_cast<int>(at) <= static_cast<int>(level_);
-  }
-
   /// Replaces the output sink (default: stderr).
   void set_sink(Sink sink) { sink_ = std::move(sink); }
 
-  /// Emits one line: "[<t in s>] <what>". No-op below the current level.
-  void emit(LogLevel at, SimTime now, std::string_view what);
+  /// Emits one line: "[<t in s>] <what>".
+  void emit(SimTime now, std::string_view what);
 
  private:
-  LogLevel level_ = LogLevel::kOff;
   Sink sink_;
 };
 

@@ -332,7 +332,6 @@ class ShardedKernel {
   /// Results are identical either way; this only stabilizes wall-clock.
   /// No-op on platforms without affinity syscalls.
   void set_pin_threads(bool pin) noexcept { pin_threads_ = pin; }
-  [[nodiscard]] bool pin_threads() const noexcept { return pin_threads_; }
 
   /// Executes every event with when <= deadline (windowed, in parallel),
   /// then advances all shard clocks to the deadline.

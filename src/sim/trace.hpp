@@ -105,7 +105,6 @@ class TraceRecorder {
   using Sink = std::function<void(const TraceEvent&)>;
 
   void set_sink(Sink sink) { sink_ = std::move(sink); }
-  [[nodiscard]] bool has_sink() const { return static_cast<bool>(sink_); }
 
   void emit(const TraceEvent& e) {
     if (sink_) {

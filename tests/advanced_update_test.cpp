@@ -4,7 +4,7 @@
 // unfairness the paper's Fig. 11 criticizes.
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <vector>
 
 #include "net/latency.hpp"
 #include "proto/advanced_update.hpp"
@@ -127,13 +127,17 @@ TEST(AdvancedUpdate, Fig11TimestampInversionUnfairness) {
   }
   ASSERT_NE(c2, cell::kNoCell);
 
-  auto latency = std::make_unique<net::MatrixLatency>(sim::milliseconds(5));
-  // Everything c1 sends crawls; everything c2 sends sprints.
-  for (cell::CellId j = 0; j < probe.grid().n_cells(); ++j) {
-    if (j != c1) latency->set(c1, j, sim::milliseconds(40));
-    if (j != c2) latency->set(c2, j, sim::milliseconds(1));
+  // Everything c1 sends crawls; everything c2 sends sprints; every other
+  // link keeps the scenario's 5 ms.
+  std::vector<net::LinkDelay> pins;
+  for (const cell::CellId j : probe.grid().interference(c1)) {
+    pins.push_back({c1, j, sim::milliseconds(40)});
   }
-  World w(cfg, Scheme::kAdvancedUpdate, nullptr, std::move(latency));
+  for (const cell::CellId j : probe.grid().interference(c2)) {
+    pins.push_back({c2, j, sim::milliseconds(1)});
+  }
+  World w(cfg, Scheme::kAdvancedUpdate, nullptr, pins);
+  ASSERT_EQ(w.latency_bound(), sim::milliseconds(40));
 
   // Exhaust both requesters' primaries so their next request borrows.
   traffic::CallId id = 1;

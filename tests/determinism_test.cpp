@@ -56,22 +56,6 @@ void expect_same_result(const RunResult& a, const RunResult& b,
   EXPECT_EQ(a.transport, b.transport);
 }
 
-TEST(Determinism, SweepIsThreadCountInvariant) {
-  const runner::ScenarioConfig cfg = small_config();
-  const std::vector<Scheme> schemes{Scheme::kBasicSearch, Scheme::kBasicUpdate,
-                                    Scheme::kAdaptive};
-  const std::vector<double> rhos{0.5, 1.0};
-  const auto serial = runner::sweep_uniform(cfg, schemes, rhos, /*threads=*/1);
-  const auto parallel = runner::sweep_uniform(cfg, schemes, rhos, /*threads=*/8);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    ASSERT_EQ(serial[i].scheme, parallel[i].scheme);
-    ASSERT_EQ(serial[i].rho, parallel[i].rho);
-    expect_same_result(serial[i].result, parallel[i].result,
-                       runner::scheme_name(serial[i].scheme).c_str());
-  }
-}
-
 TEST(Determinism, FaultInjectedRunReplaysBitIdentically) {
   runner::ScenarioConfig cfg = small_config();
   cfg.fault.drop_prob = 0.08;

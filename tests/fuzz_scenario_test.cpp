@@ -1,5 +1,5 @@
 // Randomized-scenario stress: generate many short random configurations
-// (grid shape, topology, radius/plan, spectrum, load, latency model,
+// (grid shape, topology, radius/plan, spectrum, load, latency jitter,
 // mobility, scheme) from a seeded stream and require the universal
 // invariants on every one. This catches interactions the hand-written
 // scenarios never construct.

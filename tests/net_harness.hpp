@@ -2,7 +2,6 @@
 // (interference radius 2), on a one-shard kernel the test drives by hand.
 #pragma once
 
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -16,12 +15,13 @@
 namespace dca::testnet {
 
 struct Harness {
+  /// Every link takes `t`, or a draw from [max(t - jitter, 1), t]; pin
+  /// single links through `latency.set` before sending.
   explicit Harness(net::FaultConfig f = {}, std::uint64_t seed = 7,
-                   std::unique_ptr<net::LatencyModel> model =
-                       std::make_unique<net::FixedLatency>(100))
-      : latency(std::move(model)),
+                   sim::Duration t = 100, sim::Duration jitter = 0)
+      : latency(links, t, jitter, seed),
         faults(std::move(f)),
-        transport(kernel, links, *latency, faults, seed) {}
+        transport(kernel, links, latency, faults, seed) {}
 
   /// Runs every pending delivery, ack and retransmission.
   void run() { kernel.run_to_quiescence(); }
@@ -29,7 +29,7 @@ struct Harness {
 
   cell::HexGrid grid{2, 2, 2};
   net::LinkTable links{grid};
-  std::unique_ptr<net::LatencyModel> latency;
+  net::Latency latency;
   net::FaultConfig faults;
   sim::ShardedKernel kernel{/*partition=*/std::vector<int>(4, 0),
                             /*n_shards=*/1, /*lookahead=*/1, /*n_threads=*/1};

@@ -1,9 +1,9 @@
-// Unit tests for the network substrate: timestamps, latency models, the
+// Unit tests for the network substrate: timestamps, the latency table, the
 // link enumeration, and the transport's plain path — delivery, per-link FIFO, canonical
 // same-instant order and counters.
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <algorithm>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -57,31 +57,94 @@ TEST(LamportClock, WitnessOlderTimestampIsNoop) {
   EXPECT_EQ(a.peek().count, 2u);
 }
 
+// The four mutually-interfering cells of a 2x2 grid: 12 directed links.
+const LinkTable& four_cell_links() {
+  static const cell::HexGrid grid{2, 2, 2};
+  static const LinkTable links{grid};
+  return links;
+}
+
 TEST(Latency, FixedIsConstant) {
-  FixedLatency l(5000);
-  EXPECT_EQ(l.delay(0, 1), 5000);
-  EXPECT_EQ(l.delay(7, 3), 5000);
+  const LinkTable& links = four_cell_links();
+  Latency l(links, 5000, 0, 1);
+  for (LinkId lid = 0; lid < links.n_links(); ++lid) {
+    EXPECT_EQ(l.delay(lid), 5000);
+    EXPECT_EQ(l.floor(lid), 5000);
+  }
   EXPECT_EQ(l.max_one_way(), 5000);
+  EXPECT_EQ(l.min_one_way(), 5000);
 }
 
 TEST(Latency, JitterStaysInRange) {
-  JitterLatency l(100, 200, sim::RngStream(1));
+  const LinkTable& links = four_cell_links();
+  Latency l(links, 200, 100, 1);
+  const LinkId lid = links.require(0, 1);
+  sim::Duration lo = 200, hi = 100;
   for (int i = 0; i < 1000; ++i) {
-    const auto d = l.delay(0, 1);
+    const auto d = l.delay(lid);
     EXPECT_GE(d, 100);
     EXPECT_LE(d, 200);
+    lo = std::min(lo, d);
+    hi = std::max(hi, d);
   }
+  EXPECT_LT(lo, hi) << "draws must actually vary";
+  EXPECT_EQ(l.floor(lid), 100);
   EXPECT_EQ(l.max_one_way(), 200);
+  EXPECT_EQ(l.min_one_way(), 100);
+  // The floor never drops below 1 us, however wide the jitter.
+  const Latency wide(links, 5, 10, 1);
+  EXPECT_EQ(wide.min_one_way(), 1);
+  EXPECT_EQ(wide.max_one_way(), 5);
+}
+
+TEST(Latency, JitterRepeatsDrawForDrawUnderOneSeed) {
+  const LinkTable& links = four_cell_links();
+  // Each link draws from its own stream, so the delays a link sees depend
+  // on the seed and the link alone, not on what other links drew between.
+  Latency a(links, 5000, 4000, 42);
+  Latency b(links, 5000, 4000, 42);
+  const auto n = static_cast<std::size_t>(links.n_links());
+  std::vector<std::vector<sim::Duration>> seq_a(n), seq_b(n);
+  for (int round = 0; round < 20; ++round) {
+    for (LinkId lid = 0; lid < links.n_links(); ++lid) {
+      seq_a[static_cast<std::size_t>(lid)].push_back(a.delay(lid));
+    }
+  }
+  for (LinkId lid = links.n_links() - 1; lid >= 0; --lid) {
+    for (int round = 0; round < 20; ++round) {
+      seq_b[static_cast<std::size_t>(lid)].push_back(b.delay(lid));
+    }
+  }
+  EXPECT_EQ(seq_a, seq_b);
+  EXPECT_NE(seq_a[0], seq_a[1]) << "links draw from distinct streams";
+  Latency c(links, 5000, 4000, 43);
+  std::vector<sim::Duration> other;
+  for (int round = 0; round < 20; ++round) other.push_back(c.delay(0));
+  EXPECT_NE(other, seq_a[0]) << "another seed, another schedule";
 }
 
 TEST(Latency, MatrixOverridesPerLink) {
-  MatrixLatency l(1000);
+  const LinkTable& links = four_cell_links();
+  Latency l(links, 1000, 0, 1);
   l.set(2, 3, 50);
   l.set(3, 2, 9000);
-  EXPECT_EQ(l.delay(2, 3), 50);
-  EXPECT_EQ(l.delay(3, 2), 9000);
-  EXPECT_EQ(l.delay(0, 1), 1000);
+  EXPECT_EQ(l.delay(links.require(2, 3)), 50);
+  EXPECT_EQ(l.delay(links.require(3, 2)), 9000);
+  EXPECT_EQ(l.delay(links.require(0, 1)), 1000);
+  EXPECT_EQ(l.floor(links.require(2, 3)), 50);
+  EXPECT_EQ(l.floor(links.require(0, 1)), 1000);
   EXPECT_EQ(l.max_one_way(), 9000);
+  EXPECT_EQ(l.min_one_way(), 50);
+  // Re-pinning a link moves the bounds with it.
+  l.set(3, 2, 1000);
+  EXPECT_EQ(l.max_one_way(), 1000);
+  EXPECT_EQ(l.min_one_way(), 50);
+}
+
+TEST(LatencyDeathTest, SetOnANonLinkAborts) {
+  const LinkTable& links = four_cell_links();
+  Latency l(links, 1000, 0, 1);
+  EXPECT_DEATH(l.set(1, 1, 10), "no interference link 1 -> 1");
 }
 
 class NetworkFixture : public ::testing::Test {
@@ -125,25 +188,18 @@ TEST_F(NetworkFixture, PerLinkFifoWithFixedLatency) {
 }
 
 TEST(NetworkFifo, JitteredLinkNeverReorders) {
-  // A latency model that draws wildly different delays must not let a
-  // later send overtake an earlier one on the SAME directed link (the
-  // paper's protocols assume ordered channels; see transport.hpp).
-  class SawtoothLatency final : public LatencyModel {
-   public:
-    sim::Duration delay(cell::CellId, cell::CellId) override {
-      // 1000, 10, 1000, 10, ... — every even message would be overtaken
-      // by the next odd one without the FIFO floor.
-      return (++n_ % 2) ? 1000 : 10;
-    }
-    [[nodiscard]] sim::Duration max_one_way() const override { return 1000; }
-
-   private:
-    int n_ = 0;
-  };
-  testnet::Harness h({}, 7, std::make_unique<SawtoothLatency>());
+  // Delays drawn from [10, 1000] must not let a later send overtake an
+  // earlier one on the SAME directed link (the paper's protocols assume
+  // ordered channels; see transport.hpp).
+  testnet::Harness h({}, 7, /*t=*/1000, /*jitter=*/990);
   std::vector<int> order;
-  h.transport.set_receiver([&](const Message& m) { order.push_back(m.channel); });
-  for (int i = 0; i < 10; ++i) {
+  std::vector<sim::SimTime> at;
+  h.transport.set_receiver([&](const Message& m) {
+    order.push_back(m.channel);
+    at.push_back(h.now());
+  });
+  constexpr int kSends = 200;
+  for (int i = 0; i < kSends; ++i) {
     Message m;
     m.kind = MsgKind::kRelease;
     m.from = 0;
@@ -152,21 +208,23 @@ TEST(NetworkFifo, JitteredLinkNeverReorders) {
     h.transport.send(m);
   }
   h.run();
-  ASSERT_EQ(order.size(), 10u);
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(kSends));
+  bool floored = false;
+  for (int i = 0; i < kSends; ++i) {
+    EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+    if (i > 0 && at[static_cast<std::size_t>(i)] == at[static_cast<std::size_t>(i - 1)]) {
+      floored = true;
+    }
+  }
+  EXPECT_TRUE(floored) << "a short draw after a long one must wait for it";
 }
 
 TEST(NetworkFifo, DifferentLinksStillRace) {
   // The FIFO floor is per directed link: a fast message on another link
   // may still arrive first.
-  class PerDestLatency final : public LatencyModel {
-   public:
-    sim::Duration delay(cell::CellId, cell::CellId to) override {
-      return to == 1 ? 1000 : 10;
-    }
-    [[nodiscard]] sim::Duration max_one_way() const override { return 1000; }
-  };
-  testnet::Harness h({}, 7, std::make_unique<PerDestLatency>());
+  testnet::Harness h;
+  h.latency.set(0, 1, 1000);
+  h.latency.set(0, 2, 10);
   std::vector<cell::CellId> order;
   h.transport.set_receiver([&](const Message& m) { order.push_back(m.to); });
   Message slow;
@@ -217,7 +275,6 @@ TEST_F(NetworkFixture, ObserverSeesEveryMessageAtSendTime) {
   // The per-message log observes each send when it happens, not when it
   // is delivered.
   sim::TraceLog log;
-  log.set_level(sim::LogLevel::kTrace);
   std::vector<std::string> lines;
   log.set_sink([&](std::string_view line) { lines.emplace_back(line); });
   net.set_log(&log);

@@ -1,5 +1,5 @@
 // Property-based tests: the paper's two theorems plus conservation
-// invariants, swept over (scheme × load × seed × latency model) with
+// invariants, swept over (scheme × load × seed × latency jitter) with
 // parameterized gtest. Every run must satisfy:
 //
 //   P1 (Theorem 1)  no co-channel interference ever (checked continuously

@@ -8,7 +8,9 @@
 #include <sstream>
 #include <string>
 
+#include "runner/experiment.hpp"
 #include "runner/scenario.hpp"
+#include "runner/world.hpp"
 #include "test_util.hpp"
 
 namespace dca::runner {
@@ -119,6 +121,27 @@ TEST(ValidateScenario, CrashKnobChecks) {
             "MSS crashes orphan in-flight handshakes; set request_timeout");
   c.request_timeout = sim::milliseconds(400);
   EXPECT_EQ(validate_scenario(c), "");
+}
+
+// The engine checks every scenario, not only dcasim: a config built in
+// code that dcasim would refuse with exit 2 aborts at set-up with
+// validate_scenario's message instead of running.
+TEST(ValidateScenarioDeathTest, RunUniformRejectsCrashesWithoutTimeout) {
+  ScenarioConfig c = testutil::small_config();
+  c.fault.crash_rate_per_min = 1.0;
+  c.fault.crash_mean_s = 2.0;
+  c.request_timeout = 0;
+  EXPECT_DEATH((void)run_uniform(c, Scheme::kAdaptive, 0.5),
+               "World: invalid scenario: MSS crashes orphan in-flight "
+               "handshakes; set request_timeout");
+}
+
+TEST(ValidateScenarioDeathTest, WorldRejectsAnInvalidReusePlan) {
+  ScenarioConfig c;
+  c.rows = 8;
+  c.cols = 8;
+  c.wrap = cell::Wrap::kToroidal;
+  EXPECT_DEATH(World(c, Scheme::kFca), "World: invalid scenario: reuse plan invalid");
 }
 
 TEST(ValidateScenario, PartitionSpecChecks) {

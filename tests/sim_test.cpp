@@ -295,25 +295,15 @@ TEST(Rng, MatchesStdMt19937_64) {
   }
 }
 
-TEST(TraceLog, DisabledByDefault) {
-  TraceLog log;
-  int lines = 0;
-  log.set_sink([&](std::string_view) { ++lines; });
-  log.emit(LogLevel::kInfo, 0, "hello");
-  EXPECT_EQ(lines, 0);
-}
-
-TEST(TraceLog, EmitsAtOrBelowLevelWithTimestamp) {
+TEST(TraceLog, EmitsLinesWithTimestampPrefix) {
   TraceLog log;
   std::vector<std::string> lines;
   log.set_sink([&](std::string_view l) { lines.emplace_back(l); });
-  log.set_level(LogLevel::kDebug);
-  log.emit(LogLevel::kInfo, 2'500'000, "a");
-  log.emit(LogLevel::kDebug, 0, "b");
-  log.emit(LogLevel::kTrace, 0, "c");  // above level: dropped
+  log.emit(2'500'000, "a");
+  log.emit(0, "b");
   ASSERT_EQ(lines.size(), 2u);
-  EXPECT_NE(lines[0].find("2.500000"), std::string::npos);
-  EXPECT_NE(lines[0].find("a"), std::string::npos);
+  EXPECT_EQ(lines[0], "[2.500000] a");
+  EXPECT_EQ(lines[1], "[0.000000] b");
 }
 
 TEST(TraceLog, FormatLineConcatenates) {

@@ -123,24 +123,6 @@ TEST(Experiment, SeedChangesTrajectory) {
   EXPECT_NE(a.executed_events, b.executed_events);
 }
 
-TEST(Experiment, SweepCoversAllPointsAndMatchesSequential) {
-  auto cfg = small_config();
-  cfg.duration = sim::minutes(2);
-  const std::vector<Scheme> schemes{Scheme::kFca, Scheme::kAdaptive};
-  const std::vector<double> rhos{0.3, 0.9};
-  const auto seq = runner::sweep_uniform(cfg, schemes, rhos, 1);
-  const auto par = runner::sweep_uniform(cfg, schemes, rhos, 4);
-  ASSERT_EQ(seq.size(), 4u);
-  ASSERT_EQ(par.size(), 4u);
-  for (std::size_t i = 0; i < seq.size(); ++i) {
-    EXPECT_EQ(seq[i].scheme, par[i].scheme);
-    EXPECT_DOUBLE_EQ(seq[i].rho, par[i].rho);
-    EXPECT_EQ(seq[i].result.total_messages, par[i].result.total_messages)
-        << "thread partition must not change results";
-    EXPECT_EQ(seq[i].result.executed_events, par[i].result.executed_events);
-  }
-}
-
 TEST(Experiment, HotspotRunsAndStaysSafe) {
   auto cfg = small_config();
   cfg.duration = sim::minutes(6);
