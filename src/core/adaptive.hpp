@@ -45,7 +45,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <set>
 #include <unordered_set>
@@ -54,6 +53,7 @@
 #include "core/nfc.hpp"
 #include "core/params.hpp"
 #include "proto/allocator.hpp"
+#include "sim/fifo.hpp"
 
 namespace dca::core {
 
@@ -201,7 +201,7 @@ class AdaptiveNode final : public proto::AllocatorNode {
   NfcTracker nfc_;
   std::optional<Request> req_;
   std::unordered_set<cell::CellId> update_set_;            // UpdateS_i
-  std::deque<DeferredReq> defer_;                          // DeferQ_i
+  sim::Fifo<DeferredReq> defer_;                           // DeferQ_i
   // waiting_i, kept as the multiset of searchers we answered whose
   // decision announcements are outstanding (one entry per outstanding
   // reply; a searcher can appear at most once in practice).

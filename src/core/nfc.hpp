@@ -10,12 +10,17 @@
 //
 // The prediction drives the local/borrowing mode switch with hysteresis
 // thresholds θ_l < θ_h.
+//
+// The history keeps change points only. A node records on every neighbour
+// acquisition and release, yet the predictor reads just two values: the
+// one in force now and the one in force at t - W. A sample equal to the
+// one before it changes neither, so it is not stored.
 #pragma once
 
 #include <cassert>
-#include <deque>
 #include <utility>
 
+#include "sim/fifo.hpp"
 #include "sim/types.hpp"
 
 namespace dca::core {
@@ -27,12 +32,14 @@ class NfcTracker {
     assert(window_ > 0);
   }
 
-  /// add_nfc(t, s): records the sample and prunes history older than t - W
-  /// (always keeping the newest sample at or before the cutoff so that
-  /// at(t - W) stays answerable).
+  /// add_nfc(t, s): records the sample when s differs from the value in
+  /// force, and prunes history older than t - W (always keeping the newest
+  /// sample at or before the cutoff so that at(t - W) stays answerable).
   void record(sim::SimTime t, int s) {
     assert(entries_.empty() || t >= entries_.back().first);
-    entries_.emplace_back(t, s);
+    if (entries_.empty() || entries_.back().second != s) {
+      entries_.push_back({t, s});
+    }
     const sim::SimTime cutoff = t - window_;
     while (entries_.size() >= 2 && entries_[1].first <= cutoff) {
       entries_.pop_front();
@@ -73,7 +80,7 @@ class NfcTracker {
 
  private:
   sim::Duration window_;
-  std::deque<std::pair<sim::SimTime, int>> entries_;
+  sim::Fifo<std::pair<sim::SimTime, int>> entries_;  // change points
 };
 
 }  // namespace dca::core

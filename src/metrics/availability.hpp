@@ -5,7 +5,8 @@
 // plus the resynchronization window (restart -> kResyncDone), during which
 // the node answers peers but admits no new traffic. The engine fills one
 // Availability per shard and sums them (every field is a plain sum, the
-// max a plain max, so the merge is associative).
+// max a plain max, so the merge is associative). An outage or resync still
+// open when the run stops is charged up to that instant.
 #pragma once
 
 #include <cstdint>

@@ -20,7 +20,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "cell/grid.hpp"
@@ -43,14 +42,20 @@ class Latency {
   /// [max(T - jitter, 1 us), T] when jitter > 0.
   Latency(const LinkTable& links, sim::Duration t, sim::Duration jitter,
           std::uint64_t seed)
-      : links_(links), seed_(seed) {
+      : links_(links) {
     const sim::Duration lo = jitter > 0 ? std::max<sim::Duration>(t - jitter, 1) : t;
     default_ = Range{lo, std::max(lo, t)};
     bounds_ = default_;
-    // Streams only where a draw can happen; each is derived on first use
-    // (a stream is ~2.5 KB and most links of a large grid may never carry
-    // a message).
-    if (default_.lo < default_.hi) streams_.resize(n_links());
+    // Streams only where a draw can happen. The tag differs from the
+    // per-link fault streams' (0xFA017) so jitter and fault draws never
+    // correlate.
+    if (default_.lo < default_.hi) {
+      streams_.reserve(n_links());
+      for (LinkId lid = 0; lid < links_.n_links(); ++lid) {
+        streams_.push_back(
+            sim::RngStream::derive(seed ^ 0x9177e5ull, links_.stream_label(lid)));
+      }
+    }
   }
 
   /// Pins the interference link from -> to to [d, d]; aborts on a pair
@@ -71,7 +76,7 @@ class Latency {
   sim::Duration delay(LinkId lid) {
     const Range r = range(lid);
     if (r.lo == r.hi) return r.lo;
-    return stream(lid).uniform_int(r.lo, r.hi);
+    return streams_[static_cast<std::size_t>(lid)].uniform_int(r.lo, r.hi);
   }
 
   /// The least delay a message on `lid` can take.
@@ -95,27 +100,11 @@ class Latency {
     return pinned_.empty() ? default_ : pinned_[static_cast<std::size_t>(lid)];
   }
 
-  sim::RngStream& stream(LinkId lid) {
-    auto& slot = streams_[static_cast<std::size_t>(lid)];
-    if (!slot) {
-      // Distinct tag from the per-link fault streams (0xFA017) so jitter
-      // and fault draws never correlate.
-      const auto [from, to] = links_.endpoints(lid);
-      const std::uint64_t label =
-          (static_cast<std::uint64_t>(static_cast<std::uint32_t>(from)) << 32) |
-          static_cast<std::uint32_t>(to);
-      slot = std::make_unique<sim::RngStream>(
-          sim::RngStream::derive(seed_ ^ 0x9177e5ull, label));
-    }
-    return *slot;
-  }
-
   const LinkTable& links_;
-  std::uint64_t seed_;
   Range default_;
   Range bounds_;               // least lo and greatest hi over all links
   std::vector<Range> pinned_;  // by LinkId, after the first set()
-  std::vector<std::unique_ptr<sim::RngStream>> streams_;  // by LinkId, with jitter
+  std::vector<sim::RngStream> streams_;  // by LinkId, with jitter only
 };
 
 }  // namespace dca::net

@@ -121,6 +121,14 @@ class LinkTable {
     return ends_[static_cast<std::size_t>(lid)];
   }
 
+  /// (from << 32) | to: the label a link's random streams derive from, so
+  /// a link's draws depend on its endpoints alone.
+  [[nodiscard]] std::uint64_t stream_label(LinkId lid) const {
+    const auto [from, to] = endpoints(lid);
+    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(from)) << 32) |
+           static_cast<std::uint32_t>(to);
+  }
+
  private:
   static constexpr std::int32_t kNoRank = -1;
 

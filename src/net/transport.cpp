@@ -13,7 +13,6 @@ Transport::Transport(sim::ShardedKernel& kernel, const LinkTable& links,
       links_(links),
       latency_(latency),
       faults_(faults),
-      fault_seed_(seed ^ 0xFA017ull),
       reliable_(faults.link_faults()),
       // A frame plus its ack each take at most one latency bound plus the
       // injected jitter; the extra millisecond absorbs the FIFO floor.
@@ -41,7 +40,15 @@ Transport::Transport(sim::ShardedKernel& kernel, const LinkTable& links,
     if (reliable_) {
       sl.tx.resize(tx_count[s]);
       sl.rx.resize(rx_count[s]);
-      sl.fault_rng.resize(tx_count[s]);
+      sl.fault_rng.reserve(tx_count[s]);
+    }
+  }
+  if (reliable_) {
+    // Links come in id order, so each shard's streams land in tx-rank order.
+    for (LinkId lid = 0; lid < links_.n_links(); ++lid) {
+      shard_links(links_.endpoints(lid).first)
+          .fault_rng.push_back(
+              sim::RngStream::derive(seed ^ 0xFA017ull, links_.stream_label(lid)));
     }
   }
   const auto n_cells = static_cast<std::size_t>(kernel_.n_cells());
@@ -114,19 +121,6 @@ void Transport::send(Message msg) {
 sim::Duration Transport::rto(int attempts) const {
   const int shift = attempts < 6 ? attempts : 6;
   return rto_base_ << shift;
-}
-
-sim::RngStream& Transport::link_rng(ShardLinks& sl, LinkId lid) {
-  auto& slot = sl.fault_rng[tx_rank(lid)];
-  if (!slot) {
-    const auto [from, to] = links_.endpoints(lid);
-    const std::uint64_t label =
-        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(from)) << 32) |
-        static_cast<std::uint32_t>(to);
-    slot = std::make_unique<sim::RngStream>(
-        sim::RngStream::derive(fault_seed_, label));
-  }
-  return *slot;
 }
 
 void Transport::record(sim::TraceKind k, sim::SimTime t, cell::CellId cell,

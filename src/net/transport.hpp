@@ -42,7 +42,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "net/fault.hpp"
@@ -134,10 +133,7 @@ class Transport {
     std::vector<std::uint64_t> link_seq;   // delivery key seq, by tx rank
     std::vector<LinkTx> tx;                // send window, by tx rank
     std::vector<LinkRx> rx;                // reorder ring, by rx rank
-    // Lazily materialized (an engaged mt19937_64 is ~2.5 KB and most links
-    // of a large grid never fault); derivation is a pure function of
-    // (seed, link), so lazy == eager, draw for draw.
-    std::vector<std::unique_ptr<sim::RngStream>> fault_rng;  // by tx rank
+    std::vector<sim::RngStream> fault_rng;  // by tx rank, from (seed, link)
     TransportStats stats;
   };
 
@@ -169,7 +165,9 @@ class Transport {
   /// Delay of one frame copy: the link's latency plus the fault jitter.
   sim::Duration frame_delay(LinkId lid, sim::RngStream& rng);
   void deliver(const Message& msg);
-  sim::RngStream& link_rng(ShardLinks& sl, LinkId lid);
+  sim::RngStream& link_rng(ShardLinks& sl, LinkId lid) {
+    return sl.fault_rng[tx_rank(lid)];
+  }
   [[nodiscard]] sim::Duration rto(int attempts) const;
   void record(sim::TraceKind k, sim::SimTime t, cell::CellId cell,
               cell::CellId peer, std::uint64_t seq, std::int64_t b);
@@ -178,7 +176,6 @@ class Transport {
   const LinkTable& links_;
   Latency& latency_;
   const FaultConfig& faults_;
-  std::uint64_t fault_seed_;
   bool reliable_;  // any link fault configured
   sim::Duration rto_base_;
   PartitionTimeline partitions_;  // views faults_.partitions

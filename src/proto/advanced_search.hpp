@@ -37,13 +37,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "proto/allocator.hpp"
+#include "sim/fifo.hpp"
 
 namespace dca::proto {
 
@@ -132,7 +132,7 @@ class AdvancedSearchNode final : public AllocatorNode {
   std::vector<cell::ChannelSet> known_busy_;        // by nbr_rank
   std::optional<Search> search_;
   std::unordered_set<cell::CellId> await_decision_;
-  std::deque<Deferred> defer_;
+  sim::Fifo<Deferred> defer_;
   std::uint64_t transfers_in_ = 0;
   std::uint64_t transfers_out_ = 0;
   std::uint64_t transfer_denials_ = 0;

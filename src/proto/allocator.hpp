@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <span>
 #include <string>
 #include <utility>
@@ -33,6 +32,7 @@
 #include "net/timestamp.hpp"
 #include "proto/policy.hpp"
 #include "sim/event_store.hpp"
+#include "sim/fifo.hpp"
 #include "sim/random.hpp"
 #include "sim/trace.hpp"
 #include "sim/types.hpp"
@@ -365,7 +365,7 @@ class AllocatorNode {
   const AllocationPolicy* policy_;
   bool busy_ = false;
   std::uint64_t current_serial_ = 0;  // the serial begin_request is serving
-  std::deque<std::uint64_t> queue_;
+  sim::Fifo<std::uint64_t> queue_;
   sim::EventId timer_ = sim::kInvalidEventId;
   std::uint64_t timer_gen_ = 0;
 

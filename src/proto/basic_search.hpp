@@ -24,12 +24,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "proto/allocator.hpp"
+#include "sim/fifo.hpp"
 
 namespace dca::proto {
 
@@ -72,7 +72,7 @@ class BasicSearchNode final : public AllocatorNode {
   // Searchers we answered whose decision announcement is still pending
   // (the adaptive scheme's waiting_i, kept as a set for debuggability).
   std::unordered_set<cell::CellId> await_decision_;
-  std::deque<Deferred> defer_;
+  sim::Fifo<Deferred> defer_;
 };
 
 }  // namespace dca::proto

@@ -104,7 +104,8 @@ struct ChoiceCodec {
         out = value;
         return "";
       }
-      expected += (expected.empty() ? "" : "|") + std::string(name);
+      if (!expected.empty()) expected += '|';
+      expected += name;
     }
     return expected;
   }
@@ -171,7 +172,8 @@ bool parse_partition_spec(const std::string& v, net::PartitionSpec& out) {
 std::string print_partition_spec(const net::PartitionSpec& p) {
   std::string out;
   for (const cell::CellId c : p.cells) {
-    out += (out.empty() ? "" : ",") + std::to_string(c);
+    if (!out.empty()) out += ',';
+    out += std::to_string(c);
   }
   return out + " @ " + kSeconds.print(p.start) + ".." + kSeconds.print(p.end);
 }

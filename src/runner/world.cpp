@@ -125,13 +125,7 @@ void World::ShardEnv::notify_resynced(CellId cellId, int rounds) {
   world->notify_resynced(cellId, rounds);
 }
 sim::RngStream& World::ShardEnv::rng(CellId cellId) {
-  auto& slot = world->node_rng_[static_cast<std::size_t>(cellId)];
-  if (!slot) {
-    slot = std::make_unique<sim::RngStream>(sim::RngStream::derive(
-        world->config_.seed,
-        std::uint64_t{0x90de000} + static_cast<std::uint64_t>(cellId)));
-  }
-  return *slot;
+  return world->node_rng_[static_cast<std::size_t>(cellId)];
 }
 sim::EventId World::ShardEnv::schedule_in(sim::Duration delay,
                                           sim::TimerFn fn) {
@@ -178,7 +172,11 @@ World::World(const ScenarioConfig& config, Scheme scheme,
   const auto n = static_cast<std::size_t>(grid_.n_cells());
   truth_.assign(n, cell::ChannelSet(config_.n_channels));
   flags_.reset(n);
-  node_rng_.resize(n);
+  node_rng_.reserve(n);
+  for (CellId c = 0; c < grid_.n_cells(); ++c) {
+    node_rng_.push_back(sim::RngStream::derive(
+        config_.seed, std::uint64_t{0x90de000} + static_cast<std::uint64_t>(c)));
+  }
 
   policy_ = make_policy(config_);
   nodes_.reserve(n);
@@ -829,6 +827,20 @@ RunResult World::result() {
         transport_->sent_of(static_cast<net::MsgKind>(k));
   }
   out.transport = transport_->stats();
+  if (crashes_on_) {
+    // Outages and resyncs still open when the run stopped count up to
+    // that instant. run() drains every restart and resync, so it has none.
+    for (CellId c = 0; c < grid_.n_cells(); ++c) {
+      const auto i = static_cast<std::size_t>(c);
+      if (crashed_[i] != 0) {
+        out.availability.down_us +=
+            static_cast<std::uint64_t>(now_of(c) - down_since_[i]);
+      } else if (nodes_[i]->resyncing()) {
+        out.availability.resync_us +=
+            static_cast<std::uint64_t>(now_of(c) - restart_at_[i]);
+      }
+    }
+  }
   std::int64_t usage = 0;
   for (const ShardState& st : states_) {
     out.violations += st.violations;

@@ -307,9 +307,8 @@ class World {
   // Shared by every node; must outlive nodes_ (declared before it).
   std::unique_ptr<const proto::AllocationPolicy> policy_;
   std::vector<std::unique_ptr<proto::AllocatorNode>> nodes_;
-  // Per-cell protocol streams, derived on first use: derivation is a pure
-  // function of (seed, cell), so lazy == eager, draw for draw.
-  std::vector<std::unique_ptr<sim::RngStream>> node_rng_;
+  // Per-cell protocol, pause and crash streams, each from (seed, cell).
+  std::vector<sim::RngStream> node_rng_;
   std::vector<sim::RngStream> pause_rng_;
   std::vector<sim::RngStream> crash_rng_;
   std::vector<cell::ChannelSet> truth_;

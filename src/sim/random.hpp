@@ -9,17 +9,20 @@
 //
 // A stream's outputs are those of std::mt19937_64(seed), but the 312-word
 // engine is built only when it is needed. Most streams (a call leg's dwell
-// time, a set-up probe's first arrival gap) draw a handful of words; those
-// come straight from the engine's seeding recurrence, which reaches output
-// k of the first twist after 156 + k steps. Only the draw past the first
-// kFirstWords builds the engine, in place, and skips what was handed out.
+// time, a set-up probe's first arrival gap, the protocol stream of a cell
+// whose policy never draws) use a handful of words or none; those come
+// straight from the engine's seeding recurrence, which reaches output k of
+// the first twist after 156 + k steps. Only the draw past the first
+// kFirstWords builds the engine, on the heap, and skips what was handed
+// out. A stream therefore costs 56 bytes until then, not the engine's
+// 2.5 KB, so a grid can hold one per cell or per link outright.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <random>
 #include <span>
-#include <variant>
 #include <vector>
 
 #include "sim/types.hpp"
@@ -38,7 +41,20 @@ namespace dca::sim {
 /// a convenience API, with the libstdc++ distributions on top.
 class RngStream {
  public:
-  explicit RngStream(std::uint64_t seed) : state_(FirstWords{seed}) {}
+  explicit RngStream(std::uint64_t seed) : seed_(seed) {}
+
+  RngStream(RngStream&&) noexcept = default;
+  RngStream& operator=(RngStream&&) noexcept = default;
+  /// A copy continues draw for draw like the original.
+  RngStream(const RngStream& o)
+      : seed_(o.seed_),
+        out_(o.out_),
+        taken_(o.taken_),
+        engine_(o.engine_ ? std::make_unique<Engine>(*o.engine_) : nullptr) {}
+  RngStream& operator=(const RngStream& o) {
+    if (this != &o) *this = RngStream(o);
+    return *this;
+  }
 
   /// Derives the substream identified by (seed, label).
   static RngStream derive(std::uint64_t seed, std::uint64_t label) {
@@ -104,12 +120,6 @@ class RngStream {
   static constexpr std::size_t kFirstWords = 4;
   static_assert(kFirstWords < Engine::state_size - Engine::shift_size);
 
-  struct FirstWords {
-    Word seed;
-    std::array<Word, kFirstWords> out{};  // filled at the first draw
-    std::size_t taken = 0;
-  };
-
   /// The stream's output sequence as a uniform random bit generator, so
   /// the std distributions run over it unchanged, however many words they
   /// consume.
@@ -127,20 +137,18 @@ class RngStream {
 
   template <typename Dist>
   typename Dist::result_type draw(Dist dist) {
-    if (Engine* e = std::get_if<Engine>(&state_)) return dist(*e);
+    if (engine_) return dist(*engine_);
     Words words(*this);
     return dist(words);
   }
 
   Word next_word() {
-    if (Engine* e = std::get_if<Engine>(&state_)) return (*e)();
-    FirstWords& head = *std::get_if<FirstWords>(&state_);
-    if (head.taken == 0) head.out = first_outputs(head.seed);
-    if (head.taken < kFirstWords) return head.out[head.taken++];
-    const Word seed = head.seed;
-    Engine& e = state_.emplace<Engine>(seed);
-    e.discard(kFirstWords);
-    return e();
+    if (engine_) return (*engine_)();
+    if (taken_ == 0) out_ = first_outputs(seed_);
+    if (taken_ < kFirstWords) return out_[taken_++];
+    engine_ = std::make_unique<Engine>(seed_);
+    engine_->discard(kFirstWords);
+    return (*engine_)();
   }
 
   /// Engine(seed)'s first kFirstWords outputs: the seeding recurrence run
@@ -178,7 +186,10 @@ class RngStream {
     return out;
   }
 
-  std::variant<FirstWords, Engine> state_;
+  Word seed_;
+  std::array<Word, kFirstWords> out_{};  // filled at the first draw
+  std::size_t taken_ = 0;
+  std::unique_ptr<Engine> engine_;       // built at draw kFirstWords + 1
 };
 
 }  // namespace dca::sim

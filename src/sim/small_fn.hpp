@@ -3,7 +3,7 @@
 //
 // std::function heap-allocates any capture larger than ~2 pointers, which
 // on the simulation hot path means one malloc/free per scheduled message
-// delivery (a delivery closure carries a ~200-byte net::Message by value).
+// delivery (a delivery closure carries a 136-byte net::Message by value).
 // SmallFn reserves enough inline storage for every closure the engine
 // schedules, so the schedule/fire path performs no heap allocation at all;
 // callables that genuinely exceed the buffer (none in-tree — the network
@@ -14,7 +14,7 @@
 // relocate / destroy), so an engaged SmallFn costs one indirect call to
 // fire — same as std::function — without the allocation.
 //
-// SmallFn is parameterized on the call signature: EventFn (void(), 256-byte
+// SmallFn is parameterized on the call signature: EventFn (void(), 160-byte
 // buffer) is what the event stores hold, TimerFn (void(), 64 bytes) is the
 // protocol-timer currency of proto::NodeEnv, and the network's delivery /
 // observer hooks use a void(const Message&) instantiation. A smaller
@@ -30,10 +30,12 @@
 
 namespace dca::sim {
 
-/// Inline capture capacity of the event callback. Sized so a message
-/// delivery closure (transport pointer + a full net::Message by value)
-/// stays inline; net/transport.cpp and runner/world.cpp static_assert this.
-inline constexpr std::size_t kEventFnCapacity = 256;
+/// Inline capture capacity of the event callback. Sized to the largest
+/// closure the engine schedules, the reliable transport's data frame (its
+/// transport pointer, link, sequence number and a full net::Message by
+/// value); net/transport.cpp and runner/world.cpp static_assert the hot
+/// closures fit. Every pending event pays for it in the slab.
+inline constexpr std::size_t kEventFnCapacity = 160;
 
 /// Inline capture capacity of a protocol timer callback (TimerFn): the
 /// AllocatorNode generation-check wrapper around a [this]-style capture.
@@ -99,7 +101,7 @@ class SmallFn<R(Args...), Capacity> {
 
   /// Replaces the held callable, constructing the new one directly in the
   /// inline buffer — no intermediate SmallFn temporary, no extra relocate.
-  /// This is the in-place path the event slab uses so a 200-byte delivery
+  /// This is the in-place path the event slab uses so a 144- or 160-byte delivery
   /// closure is memcpy'd exactly once (stack lambda -> slab slot). Passing
   /// a SmallFn rvalue of the same type degrades gracefully to move-assign.
   template <typename F>

@@ -14,7 +14,9 @@
 
 #include "runner/conformance.hpp"
 #include "runner/experiment.hpp"
+#include "runner/world.hpp"
 #include "sim/trace.hpp"
+#include "traffic/profile.hpp"
 
 namespace dca {
 namespace {
@@ -139,6 +141,74 @@ TEST(CrashRecovery, AvailabilityAccountingIsConsistent) {
   EXPECT_GT(r.agg.downed, 0u);
   EXPECT_EQ(r.violations, 0u);
   EXPECT_TRUE(r.quiescent);
+}
+
+// A run stopped mid-outage charges the open outage, and any open resync,
+// up to the stop instant: availability counts every cell-second, not only
+// the intervals that closed before the run ended.
+TEST(CrashRecovery, RunStoppedMidOutageChargesOpenIntervals) {
+  const runner::ScenarioConfig cfg = crashy_config();
+  const auto n_cells = static_cast<std::size_t>(cfg.rows * cfg.cols);
+  sim::TraceRecorder full;
+  (void)runner::run_uniform(cfg, Scheme::kAdaptive, 0.7, &full);
+  // Stop halfway through the first outage.
+  sim::SimTime crash_at = -1;
+  sim::SimTime stop = -1;
+  std::int32_t down_cell = -1;
+  for (const sim::TraceEvent& e : full.events()) {
+    if (down_cell < 0 && e.kind == sim::TraceKind::kCrash) {
+      down_cell = e.cell;
+      crash_at = e.t;
+    } else if (down_cell >= 0 && e.cell == down_cell &&
+               e.kind == sim::TraceKind::kRestart) {
+      stop = crash_at + (e.t - crash_at) / 2;
+      break;
+    }
+  }
+  ASSERT_GT(stop, crash_at) << "the scenario must crash and restart a cell";
+
+  const traffic::UniformProfile load(cfg.arrival_rate_for_load(0.7));
+  runner::World w(cfg, Scheme::kAdaptive, &load);
+  sim::TraceRecorder part;
+  w.set_recorder(&part);
+  w.run_until(stop);
+  const RunResult r = w.result();
+
+  // The same charges, replayed from the partial run's own trace.
+  std::vector<sim::SimTime> crashed(n_cells, -1);
+  std::vector<sim::SimTime> restarted(n_cells, -1);
+  std::uint64_t closed_us = 0;
+  std::uint64_t down_us = 0;
+  std::uint64_t resync_us = 0;
+  for (const sim::TraceEvent& e : part.events()) {
+    const auto c = static_cast<std::size_t>(e.cell);
+    if (e.kind == sim::TraceKind::kCrash) {
+      crashed[c] = e.t;
+      restarted[c] = -1;  // an interrupted resync is never charged
+    } else if (e.kind == sim::TraceKind::kRestart) {
+      down_us += static_cast<std::uint64_t>(e.t - crashed[c]);
+      crashed[c] = -1;
+      restarted[c] = e.t;
+    } else if (e.kind == sim::TraceKind::kResyncDone) {
+      resync_us += static_cast<std::uint64_t>(e.t - restarted[c]);
+      restarted[c] = -1;
+    }
+  }
+  closed_us = down_us + resync_us;
+  for (std::size_t c = 0; c < n_cells; ++c) {
+    if (crashed[c] >= 0) down_us += static_cast<std::uint64_t>(stop - crashed[c]);
+    if (restarted[c] >= 0) resync_us += static_cast<std::uint64_t>(stop - restarted[c]);
+  }
+  ASSERT_EQ(crashed[static_cast<std::size_t>(down_cell)], crash_at);
+  EXPECT_EQ(r.availability.down_us, down_us);
+  EXPECT_EQ(r.availability.resync_us, resync_us);
+  EXPECT_GE(r.availability.down_us + r.availability.resync_us,
+            closed_us + static_cast<std::uint64_t>(stop - crash_at));
+
+  const double total = static_cast<double>(stop) * static_cast<double>(n_cells);
+  const double uptime = r.availability.uptime_fraction(stop, cfg.rows * cfg.cols);
+  EXPECT_DOUBLE_EQ(uptime, 1.0 - static_cast<double>(down_us + resync_us) / total);
+  EXPECT_LT(uptime, 1.0 - static_cast<double>(closed_us) / total);
 }
 
 // Regression: with the crash knobs at zero the fault model must be

@@ -7,18 +7,19 @@
 //     through a sink (nothing is buffered);
 //   * a peak-RSS budget in bytes per cell — the regression tripwire for
 //     the compact per-cell state. The floor, measured as this scenario at
-//     zero load (no calls, so no random stream is ever derived), is
-//     ~6.2 KiB/cell: node, link, transport and truth state plus the fixed
-//     process overhead (binary, gtest, allocator), which amortizes to
-//     ~5.4 KiB/cell at 300x300. Each cell that draws adds its protocol stream
-//     (one mt19937_64, ~2.5 KiB, derived on first draw; the arrival and
-//     holding streams are dropped once the arrival plan is made). On top
-//     ride the ~9 Erlangs/cell of live-call state this load sustains and
+//     zero load (no calls), is ~4.4 KiB/cell: node, link, transport and
+//     truth state, one 56-byte protocol stream per cell, plus the fixed
+//     process overhead (binary, gtest, allocator). Idle queues hold no
+//     storage, and a stream builds its 2.5 KiB engine only at its fifth
+//     draw; the arrival and holding streams are dropped once the arrival
+//     plan is made. On top ride the ~9 Erlangs/cell of live-call state this
+//     load sustains, the pending events (a 192-byte slab slot each), the
+//     change points of each node's NFC history over its 30 s window, and
 //     ~64 B per offered call of deferred message-tally state. Measured:
-//     ~40 KiB/cell here (60x60, 30 s, ~194k calls). The 64 KiB ceiling
-//     leaves ~1.6x headroom so real leaks (per-cell vectors sized by
-//     n_cells again, un-pruned timelines, buffered records) trip it while
-//     allocator noise does not.
+//     16.4-17.3 KiB/cell here (60x60, 30 s, ~194k calls). The 28 KiB
+//     ceiling leaves ~1.6x headroom so real leaks (per-cell vectors sized
+//     by n_cells again, un-pruned timelines, buffered records, a sample
+//     per NFC record) trip it while allocator noise does not.
 //
 // Runs under the `metro` ctest label; CI's release lane includes it.
 #include <cstdint>
@@ -68,7 +69,7 @@ TEST(MetroSmoke, HighLoadStreamingRunStaysConformantWithinMemoryBudget) {
       static_cast<std::uint64_t>(cfg.rows) * static_cast<std::uint64_t>(cfg.cols);
   const double bytes_per_cell =
       static_cast<double>(r.peak_rss_bytes) / static_cast<double>(cells);
-  constexpr double kBytesPerCellBudget = 64.0 * 1024;
+  constexpr double kBytesPerCellBudget = 28.0 * 1024;
   EXPECT_LE(bytes_per_cell, kBytesPerCellBudget)
       << "peak RSS " << r.peak_rss_bytes << " bytes over " << cells
       << " cells = " << bytes_per_cell

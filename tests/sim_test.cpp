@@ -2,6 +2,8 @@
 // clock semantics, RNG stream independence, and the trace log.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <limits>
 #include <numeric>
@@ -10,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/fifo.hpp"
 #include "sim/log.hpp"
 #include "sim/random.hpp"
 #include "sim/shard.hpp"
@@ -293,6 +296,105 @@ TEST(Rng, MatchesStdMt19937_64) {
     ASSERT_TRUE(same_words(assigned, ref, kDrawCounts)) << "stream " << i;
     ASSERT_TRUE(same_words(move_assigned, ref, kDrawCounts)) << "stream " << i;
   }
+}
+
+TEST(Rng, StreamFitsOneCacheLine) {
+  // The engine lives off-object until a stream draws its fifth word, so a
+  // grid can hold one stream per cell or per link outright.
+  EXPECT_LE(sizeof(RngStream), 64u);
+}
+
+TEST(Rng, CopiesContinueLikeTheOriginal) {
+  // One copy taken while the stream still serves its first words, one
+  // after the fifth draw built the engine: each goes on draw for draw like
+  // the original, and drawing from a copy leaves the original alone.
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  for (std::uint64_t label = 0; label < 64; ++label) {
+    RngStream s = RngStream::derive(99, label);
+    std::mt19937_64 ref(mix64(mix64(99) ^ mix64(label + 0x5851F42D4C957F2Dull)));
+    const auto next_ref = [&ref] {
+      return std::uniform_int_distribution<std::int64_t>(0, kMax)(ref);
+    };
+    const std::size_t before = label % 4;
+    for (std::size_t i = 0; i < before; ++i) ASSERT_EQ(s.uniform_int(0, kMax), next_ref());
+    RngStream early = s;
+    for (std::size_t i = before; i < 6; ++i) ASSERT_EQ(s.uniform_int(0, kMax), next_ref());
+    RngStream late = s;
+    std::vector<std::int64_t> tail;
+    for (int i = 0; i < 20; ++i) tail.push_back(next_ref());
+
+    for (std::size_t i = 0; i < 20; ++i) ASSERT_EQ(late.uniform_int(0, kMax), tail[i]);
+    for (std::size_t i = 0; i < 20; ++i) ASSERT_EQ(s.uniform_int(0, kMax), tail[i]);
+    RngStream early_ref = RngStream::derive(99, label);
+    for (std::size_t i = 0; i < before; ++i) (void)early_ref.uniform_int(0, kMax);
+    for (int i = 0; i < 30; ++i) {
+      ASSERT_EQ(early.uniform_int(0, kMax), early_ref.uniform_int(0, kMax)) << i;
+    }
+  }
+}
+
+TEST(Fifo, KeepsFirstInFirstOutOrder) {
+  Fifo<int> q;
+  EXPECT_TRUE(q.empty());
+  for (int i = 0; i < 10; ++i) q.push_back(i);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(q.front(), i);
+    q.pop_front();
+  }
+  for (int i = 10; i < 13; ++i) q.push_back(i);
+  EXPECT_EQ(q.size(), 9u);
+  EXPECT_EQ(q.back(), 12);
+  std::vector<int> seen(q.begin(), q.end());
+  std::vector<int> want(9);
+  std::iota(want.begin(), want.end(), 4);
+  EXPECT_EQ(seen, want);
+  for (int i = 4; i < 13; ++i) {
+    EXPECT_EQ(q[0], i);
+    q.pop_front();
+  }
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(Fifo, EraseInMidQueueKeepsTheRestInOrder) {
+  Fifo<int> q;
+  for (int i = 0; i < 12; ++i) q.push_back(i);
+  q.pop_front();
+  q.pop_front();
+  for (auto it = q.begin(); it != q.end();) {
+    it = *it % 3 == 0 ? q.erase(it) : std::next(it);
+  }
+  EXPECT_EQ(std::vector<int>(q.begin(), q.end()),
+            (std::vector<int>{2, 4, 5, 7, 8, 10, 11}));
+  for (auto it = q.begin(); it != q.end();) it = q.erase(it);
+  EXPECT_TRUE(q.empty());
+  q.push_back(7);
+  EXPECT_EQ(q.front(), 7);
+}
+
+TEST(Fifo, DefaultHoldsNoStorage) {
+  const Fifo<std::uint64_t> q;
+  EXPECT_EQ(q.capacity(), 0u);
+  EXPECT_EQ(q.size(), 0u);
+}
+
+TEST(Fifo, InterleavedPushPopKeepsCapacityBounded) {
+  // A queue that holds 1 to 8 elements through 10^5 pushes and pops, and
+  // so never empties, must not grow its storage with the traffic.
+  Fifo<int> q;
+  RngStream rng(5);
+  int next_in = 0;
+  int next_out = 0;
+  std::size_t most = 0;
+  for (int op = 0; op < 100'000; ++op) {
+    if (q.size() < 8 && (q.size() < 2 || rng.bernoulli(0.5))) {
+      q.push_back(next_in++);
+    } else {
+      ASSERT_EQ(q.front(), next_out++);
+      q.pop_front();
+    }
+    most = std::max(most, q.capacity());
+  }
+  EXPECT_LE(most, 32u);
 }
 
 TEST(TraceLog, EmitsLinesWithTimestampPrefix) {
