@@ -56,7 +56,7 @@ int main() {
     metrics::SampledSummary delay;
     std::uint64_t starved = 0;
     const double T = static_cast<double>(w.latency_bound());
-    for (const auto& rec : w.collector().records()) {
+    for (const auto& rec : w.records()) {
       if (rec.t_request < cfg.warmup) continue;
       const auto c = static_cast<std::size_t>(rec.cellId);
       offered[c] += 1.0;

@@ -152,7 +152,7 @@ Outcome run_scheme(Scheme scheme, const Scenario& s) {
   w.run_until(w.now() + sim::minutes(1));
 
   Outcome out;
-  for (const auto& r : w.collector().records()) {
+  for (const auto& r : w.records()) {
     if (r.call == 100) out.c1_acquired = proto::is_acquired(r.outcome);
     if (r.call == 200) out.c2_acquired = proto::is_acquired(r.outcome);
   }

@@ -50,7 +50,7 @@ int main() {
     }
 
     std::uint64_t hot_off = 0, hot_drop = 0, oth_off = 0, oth_drop = 0;
-    for (const auto& rec : w.collector().records()) {
+    for (const auto& rec : w.records()) {
       if (rec.t_request < cfg.warmup) continue;
       const bool hot = (rec.cellId == hot_cell);
       (hot ? hot_off : oth_off)++;
@@ -84,7 +84,7 @@ int main() {
     w.run();
     metrics::TimeSeries dropped(sim::minutes(2));
     metrics::TimeSeries offered(sim::minutes(2));
-    for (const auto& rec : w.collector().records()) {
+    for (const auto& rec : w.records()) {
       if (rec.cellId != hot_cell) continue;
       offered.add(rec.t_request, 1.0);
       if (!proto::is_acquired(rec.outcome)) dropped.add(rec.t_request, 1.0);

@@ -229,6 +229,24 @@ class ChannelSet {
   friend ChannelSet operator&(ChannelSet a, const ChannelSet& b) { return a &= b; }
   friend ChannelSet operator-(ChannelSet a, const ChannelSet& b) { return a -= b; }
 
+  /// |*this - a - b| in one pass over the words, with no temporary set.
+  [[nodiscard]] int size_minus(const ChannelSet& a,
+                               const ChannelSet& b) const noexcept {
+    int n = 0;
+    for (int w = 0; w < words_; ++w) n += std::popcount(word_minus(w, a, b));
+    return n;
+  }
+
+  /// Smallest member of *this - a - b, or kNoChannel; no temporary set.
+  [[nodiscard]] ChannelId first_minus(const ChannelSet& a,
+                                      const ChannelSet& b) const noexcept {
+    for (int w = 0; w < words_; ++w) {
+      const std::uint64_t v = word_minus(w, a, b);
+      if (v != 0) return static_cast<ChannelId>(w * 64 + std::countr_zero(v));
+    }
+    return kNoChannel;
+  }
+
   /// Complement within the universe.
   [[nodiscard]] ChannelSet complement() const {
     ChannelSet out = all(universe_);
@@ -291,6 +309,18 @@ class ChannelSet {
   }
   static constexpr unsigned bit(ChannelId c) noexcept {
     return static_cast<unsigned>(c % 64);
+  }
+
+  // Word w of *this - a - b; words past a shorter operand subtract
+  // nothing, as in operator-=.
+  [[nodiscard]] std::uint64_t word_minus(int w, const ChannelSet& a,
+                                         const ChannelSet& b) const noexcept {
+    assert(universe_ == a.universe_ && universe_ == b.universe_);
+    const auto i = static_cast<std::size_t>(w);
+    std::uint64_t v = data()[i];
+    if (w < a.words_) v &= ~a.data()[i];
+    if (w < b.words_) v &= ~b.data()[i];
+    return v;
   }
 
   // Zeroes bits at or beyond universe_ in the top word.

@@ -91,11 +91,11 @@ void AdaptiveNode::assign_known_use(CellId j, const ChannelSet& nu) {
 }
 
 int AdaptiveNode::free_primary_count() const {
-  return (primary() - use_ - interfered()).size();
+  return primary().size_minus(use_, interfered());
 }
 
 ChannelId AdaptiveNode::free_primary() const {
-  return (primary() - use_ - interfered()).first();
+  return primary().first_minus(use_, interfered());
 }
 
 // ---------------------------------------------------------------------------

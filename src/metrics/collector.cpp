@@ -1,13 +1,15 @@
 #include "metrics/collector.hpp"
 
 #include <cassert>
+#include <cstdint>
+#include <numeric>
 
 namespace dca::metrics {
 
 void Collector::open(std::uint64_t serial, traffic::CallId call, cell::CellId cellId,
                      sim::SimTime now, bool is_handoff) {
   assert(serial != 0);
-  CallRecord rec;
+  CallDecision rec;
   rec.serial = serial;
   rec.call = call;
   rec.cellId = cellId;
@@ -18,55 +20,64 @@ void Collector::open(std::uint64_t serial, traffic::CallId call, cell::CellId ce
   assert(inserted && "serials are unique");
 }
 
-void Collector::on_message(const net::Message& msg) {
-  if (msg.serial == 0 || !bill(msg.serial, msg.kind)) ++unattributed_;
-}
-
-bool Collector::bill(std::uint64_t serial, net::MsgKind kind) {
-  const auto it = open_.find(serial);
-  if (it != open_.end()) {
-    ++it->second.messages[static_cast<std::size_t>(kind)];
-    return true;
-  }
-  // Billed to an already-closed acquisition (e.g. the end-of-call
-  // RELEASE): attribute it through the serial -> closed slot side index
-  // (a linear search of closed_ would be O(n)).
-  const auto ci = closed_index_.find(serial);
-  if (ci == closed_index_.end()) return false;
-  ++closed_[ci->second].messages[static_cast<std::size_t>(kind)];
-  return true;
-}
-
 void Collector::close(std::uint64_t serial, sim::SimTime now, proto::Outcome outcome,
                       int attempts, int borrowing_neighbors, int searching_neighbors) {
   const auto it = open_.find(serial);
   assert(it != open_.end());
-  CallRecord rec = it->second;
+  CallDecision rec = it->second;
   open_.erase(it);
   rec.t_decision = now;
   rec.outcome = outcome;
   rec.attempts = attempts;
   rec.borrowing_neighbors = borrowing_neighbors;
   rec.searching_neighbors = searching_neighbors;
-  if (!streaming_) closed_index_.emplace(serial, closed_.size());
   closed_.push_back(rec);
 }
 
-std::vector<CallRecord> Collector::drain_closed_before(sim::SimTime frontier) {
-  assert(streaming_ && "draining invalidates the closed index");
+std::vector<CallDecision> Collector::drain_closed_before(
+    sim::SimTime frontier) {
   auto split = closed_.begin();
   while (split != closed_.end() && split->t_decision < frontier) ++split;
-  std::vector<CallRecord> out(std::make_move_iterator(closed_.begin()),
-                              std::make_move_iterator(split));
+  std::vector<CallDecision> out(closed_.begin(), split);
   closed_.erase(closed_.begin(), split);
   return out;
 }
 
-Aggregate Collector::aggregate(sim::Duration T, sim::SimTime warmup) const {
-  return aggregate_records(closed_, T, warmup);
+MessageTally::MessageTally(std::uint64_t dense, bool per_kind)
+    : width_(per_kind ? static_cast<std::size_t>(net::kNumMsgKinds) : 1),
+      dense_(dense),
+      counts_(static_cast<std::size_t>(dense) * width_, 0) {}
+
+std::size_t MessageTally::other_row(std::uint64_t serial) {
+  const auto next = static_cast<std::uint32_t>(counts_.size() / width_);
+  const auto [it, fresh] = other_.try_emplace(serial, next);
+  if (fresh) counts_.resize(counts_.size() + width_, 0);
+  return it->second;
 }
 
-bool AggregateBuilder::add_core(const CallRecord& r) {
+const std::uint32_t* MessageTally::find(std::uint64_t serial) const {
+  std::size_t row = static_cast<std::size_t>(serial - 1);
+  if (serial - 1 >= dense_) {
+    const auto it = other_.find(serial);
+    if (it == other_.end()) return nullptr;
+    row = it->second;
+  }
+  return &counts_[row * width_];
+}
+
+void MessageTally::add_to(CallRecord& r) const {
+  assert(width_ == r.messages.size());
+  if (const std::uint32_t* row = find(r.serial)) {
+    for (std::size_t k = 0; k < width_; ++k) r.messages[k] += row[k];
+  }
+}
+
+std::uint32_t MessageTally::total(std::uint64_t serial) const {
+  const std::uint32_t* row = find(serial);
+  return row == nullptr ? 0 : std::accumulate(row, row + width_, 0u);
+}
+
+bool AggregateBuilder::add_core(const CallDecision& r) {
   if (r.t_request < warmup_) return false;
   ++a_.offered;
   if (r.is_handoff) ++a_.handoff_offered;

@@ -1,10 +1,12 @@
 // Per-call records and experiment-level aggregation.
 //
-// The collector opens a record when a call requests a channel, bills every
-// control message carrying that request's serial to it (via the network
-// observer hook), and closes the record at the accept/drop decision. The
-// aggregate view computes exactly the quantities the paper's Section 5
-// analysis is parameterized by:
+// The collector opens a record when a call requests a channel and closes
+// it at the accept/drop decision. Control messages carrying a request's
+// serial are billed to it in a MessageTally, whose counts the engine adds
+// into the record when it merges the run (a bill can land after the
+// decision, e.g. the end-of-call RELEASE). The aggregate view computes
+// exactly the quantities the paper's Section 5 analysis is parameterized
+// by:
 //
 //   ξ₁, ξ₂, ξ₃  — fractions of acquisitions that were local / borrowed via
 //                 update / obtained via search,
@@ -18,6 +20,7 @@
 #pragma once
 
 #include <array>
+#include <cassert>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -31,17 +34,27 @@
 
 namespace dca::metrics {
 
-struct CallRecord {
+/// A channel request's record up to its accept/drop decision — what the
+/// collector keeps per closed request. The messages billed to it live in
+/// the engine's MessageTally until the run merges.
+struct CallDecision {
   std::uint64_t serial = 0;
   traffic::CallId call = 0;
-  cell::CellId cellId = cell::kNoCell;
-  bool is_handoff = false;
   sim::SimTime t_request = 0;
   sim::SimTime t_decision = 0;
-  proto::Outcome outcome = proto::Outcome::kBlockedNoChannel;
+  cell::CellId cellId = cell::kNoCell;
   int attempts = 0;  // paper's m for this call (update rounds used)
   int borrowing_neighbors = 0;   // sampled at decision
   int searching_neighbors = 0;   // sampled at decision
+  proto::Outcome outcome = proto::Outcome::kBlockedNoChannel;
+  bool is_handoff = false;
+
+  [[nodiscard]] sim::Duration delay() const noexcept { return t_decision - t_request; }
+};
+
+/// A complete call record: the decision plus the control messages billed
+/// to its serial, by kind.
+struct CallRecord : CallDecision {
   std::array<std::uint32_t, net::kNumMsgKinds> messages{};
 
   [[nodiscard]] std::uint32_t total_messages() const noexcept {
@@ -49,7 +62,6 @@ struct CallRecord {
     for (const auto m : messages) s += m;
     return s;
   }
-  [[nodiscard]] sim::Duration delay() const noexcept { return t_decision - t_request; }
 };
 
 /// Aggregated results over one simulation run.
@@ -109,7 +121,7 @@ class AggregateBuilder {
   /// Folds every statistic except messages_per_call / messages_acquired.
   /// Returns false when the record fell inside warmup (discarded); the
   /// caller must mirror that admission decision for add_messages().
-  bool add_core(const CallRecord& r);
+  bool add_core(const CallDecision& r);
 
   /// Folds one admitted record's final message total. Must be called in
   /// the same record order as add_core(), acquired = whether the record's
@@ -135,9 +147,9 @@ class AggregateBuilder {
   std::uint64_t n_search_samples_ = 0;
 };
 
-/// Aggregates a sequence of closed call records. This is the single
-/// source of truth for Aggregate: Collector::aggregate delegates here, and
-/// the engine folds its merged shards through the same AggregateBuilder,
+/// Aggregates a sequence of closed call records. AggregateBuilder is the
+/// single source of truth for Aggregate: this and the engine's fold of its
+/// merged shards both go through it,
 /// so a multi-shard run reduces through the *same* code (and the same
 /// floating-point accumulation order) as a one-shard run.
 /// `T` is the latency bound for delay_in_T; records with t_request <
@@ -146,64 +158,75 @@ class AggregateBuilder {
                                           sim::Duration T,
                                           sim::SimTime warmup = 0);
 
+/// Control messages billed to call serials: a count per (serial, MsgKind),
+/// or with per_kind off a single total per serial, in one dense table.
+/// Generated first legs (serials 1..dense) own row serial - 1; every other
+/// serial (a scripted call, a later leg of a moving call) gets the next
+/// free row through one map on its first bill. The engine keeps one tally
+/// per shard, written only by that shard's events, and sums them when it
+/// merges the run.
+class MessageTally {
+ public:
+  MessageTally() = default;
+  MessageTally(std::uint64_t dense, bool per_kind);
+
+  /// Bills `n` messages of `kind` to `serial` (non-zero).
+  void add(std::uint64_t serial, net::MsgKind kind, std::uint32_t n) {
+    assert(serial != 0);
+    // A later leg's serial carries its hop in the high bits, so it is
+    // never in the dense range.
+    const std::size_t row = serial - 1 < dense_
+                                ? static_cast<std::size_t>(serial - 1)
+                                : other_row(serial);
+    const std::size_t col = width_ == 1 ? 0 : static_cast<std::size_t>(kind);
+    counts_[row * width_ + col] += n;
+  }
+
+  /// Adds the per-kind counts billed to r.serial into r.messages.
+  /// Precondition: per_kind.
+  void add_to(CallRecord& r) const;
+
+  /// Every message billed to `serial`.
+  [[nodiscard]] std::uint32_t total(std::uint64_t serial) const;
+
+ private:
+  /// Row of a serial outside the dense range, made on its first bill.
+  [[nodiscard]] std::size_t other_row(std::uint64_t serial);
+  /// The counts of a serial that was billed, or nullptr.
+  [[nodiscard]] const std::uint32_t* find(std::uint64_t serial) const;
+
+  std::size_t width_ = 1;  // kNumMsgKinds, or 1 for totals only
+  std::uint64_t dense_ = 0;
+  std::vector<std::uint32_t> counts_;  // row-major, width_ per row
+  std::unordered_map<std::uint64_t, std::uint32_t> other_;  // serial -> row
+};
+
 class Collector {
  public:
   /// Opens the record for an issued request.
   void open(std::uint64_t serial, traffic::CallId call, cell::CellId cellId,
             sim::SimTime now, bool is_handoff);
 
-  /// Network observer: bills the message to its serial (if open).
-  void on_message(const net::Message& msg);
-
-  /// Bills one message of `kind` to `serial` if this collector holds its
-  /// record (open, or closed while not streaming); returns false, billing
-  /// nothing, otherwise. Exactly one shard's collector opens a given
-  /// serial, so the engine routes a bill no local record takes to the
-  /// other shards at merge time.
-  bool bill(std::uint64_t serial, net::MsgKind kind);
-
   /// Closes the record at the decision instant. `borrowing_neighbors` /
   /// `searching_neighbors` are environment samples taken by the runner.
   void close(std::uint64_t serial, sim::SimTime now, proto::Outcome outcome,
              int attempts, int borrowing_neighbors, int searching_neighbors);
 
-  /// Messages whose serial was 0 or unknown (not billable to any call).
-  [[nodiscard]] std::uint64_t unattributed_messages() const noexcept {
-    return unattributed_;
-  }
-
-  [[nodiscard]] const std::vector<CallRecord>& records() const noexcept {
-    return closed_;
-  }
-  /// Mutable access for post-run enrichment (the engine fills the
-  /// deferred N_borrow / N_search neighbour samples in place).
-  [[nodiscard]] std::vector<CallRecord>& mutable_records() noexcept {
+  /// Closed records in close order.
+  [[nodiscard]] const std::vector<CallDecision>& records() const noexcept {
     return closed_;
   }
   [[nodiscard]] std::size_t open_count() const noexcept { return open_.size(); }
 
-  /// Streaming mode: the owner drains closed records periodically, so the
-  /// serial -> closed-slot index (useless once records leave the
-  /// collector, ~48 bytes/call) is not maintained. Late bills must then be
-  /// routed by the owner's own tallies, never through bill().
-  void set_streaming(bool on) noexcept { streaming_ = on; }
-  [[nodiscard]] bool streaming() const noexcept { return streaming_; }
-
   /// Removes and returns the prefix of closed records with t_decision <
   /// `frontier`. Records close in non-decreasing decision order per
-  /// collector, so this is a prefix splice. Streaming mode only.
-  [[nodiscard]] std::vector<CallRecord> drain_closed_before(sim::SimTime frontier);
-
-  /// Aggregates closed records; `T` is the latency bound for delay_in_T and
-  /// `warmup` discards records whose request instant precedes it.
-  [[nodiscard]] Aggregate aggregate(sim::Duration T, sim::SimTime warmup = 0) const;
+  /// collector, so this is a prefix splice (the streaming engine's drain).
+  [[nodiscard]] std::vector<CallDecision> drain_closed_before(
+      sim::SimTime frontier);
 
  private:
-  std::unordered_map<std::uint64_t, CallRecord> open_;
-  std::vector<CallRecord> closed_;
-  std::unordered_map<std::uint64_t, std::size_t> closed_index_;  // serial -> slot
-  std::uint64_t unattributed_ = 0;
-  bool streaming_ = false;
+  std::unordered_map<std::uint64_t, CallDecision> open_;
+  std::vector<CallDecision> closed_;
 };
 
 }  // namespace dca::metrics

@@ -3,11 +3,12 @@
 //
 // Every message the protocol layer sends travels a directed (from, to)
 // pair inside an interference neighbourhood: nodes talk only to IN(c)
-// (send_to_interference) or reply to a message's sender, and interference
+// (broadcast) or reply to a message's sender, and interference
 // is symmetric, so the full universe of grid links is known the moment the
 // grid is. LinkTable enumerates that universe once — LinkId L(c -> d) for
 // every d in IN(c), assigned in (from ascending, to ascending) order so
-// ids are a pure function of the grid — and answers id(from, to) with two
+// ids are a pure function of the grid and c's links form one contiguous
+// row (a broadcast walks it) — and answers id(from, to) with two
 // array loads: the source's row, then a lookup strip indexed by to - from
 // that holds the partner's rank in the row. A strip depends only on the
 // row's offsets {d - c}, which all cells away from the grid edges and
@@ -114,6 +115,14 @@ class LinkTable {
       std::abort();
     }
     return lid;
+  }
+
+  /// The links out of `from`, [first, last): LinkId first + k leads to
+  /// the k-th cell of grid.interference(from).
+  [[nodiscard]] std::pair<LinkId, LinkId> row(cell::CellId from) const {
+    const auto c = static_cast<std::size_t>(from);
+    return {rows_[c].base,
+            c + 1 < rows_.size() ? rows_[c + 1].base : n_links()};
   }
 
   /// Endpoints of a link, inverse of id().

@@ -1,7 +1,6 @@
 #include "net/transport.hpp"
 
 #include <cassert>
-#include <type_traits>
 #include <utility>
 
 namespace dca::net {
@@ -67,55 +66,17 @@ Transport::Transport(sim::ShardedKernel& kernel, const LinkTable& links,
   }
 }
 
-template <typename F>
-void Transport::schedule_delivery(LinkId lid, cell::CellId from,
-                                  cell::CellId to, sim::SimTime when, F&& fn) {
-  // The delivery closure carries a full Message by value on the hot path;
-  // it must stay inside the kernel's inline callback buffer.
-  static_assert(sim::EventFn::fits_inline<std::decay_t<F>>(),
-                "delivery closure must fit EventFn's inline buffer; grow "
-                "sim::kEventFnCapacity if net::Message grew");
-  sim::EventKey key;
-  key.when = when;
-  key.owner = to;
-  key.klass = sim::kClassDelivery;
-  key.sub = from;
-  key.seq = ++shard_links(from).link_seq[tx_rank(lid)];
-  (void)kernel_.schedule(key, std::forward<F>(fn));
+void Transport::log_send(sim::SimTime now, const Message& msg) {
+  log_->emit(now, sim::format_line("net: ", msg.from, " -> ", msg.to, " ",
+                                   msg.kind_name(), " ch=", msg.channel));
 }
 
-void Transport::send(Message msg) {
-  assert(msg.from != cell::kNoCell && msg.to != cell::kNoCell);
-  assert(msg.from != msg.to && "nodes do not message themselves");
-  ShardLinks& sl = shard_links(msg.from);
-  const sim::SimTime now = now_at(msg.from);
-  ++sl.total_sent;
-  if (kernel_.shard_of(msg.to) != kernel_.shard_of(msg.from)) {
-    ++sl.cross_shard_sent;
-  }
-  ++sl.by_kind[static_cast<std::size_t>(msg.kind)];
-  if (log_ != nullptr) {
-    log_->emit(now, sim::format_line("net: ", msg.from, " -> ", msg.to, " ",
-                                     msg.kind_name(), " ch=", msg.channel));
-  }
-  const LinkId lid = links_.require(msg.from, msg.to);
-  if (reliable_) {
-    LinkTx& tx = sl.tx[tx_rank(lid)];
-    const std::uint64_t seq = tx.next_seq++;
-    tx.pending.insert(seq).msg = std::move(msg);
-    transmit(lid, seq);
-    arm_rto(lid, seq);
-    return;
-  }
-  const sim::Duration d = latency_.delay(lid);
-  sim::SimTime when = now + (d > 0 ? d : 0);
-  sim::SimTime& floor_time = sl.link_clock[tx_rank(lid)];
-  if (when < floor_time) when = floor_time;
-  floor_time = when;
-  const cell::CellId from = msg.from;
-  const cell::CellId to = msg.to;
-  schedule_delivery(lid, from, to, when,
-                    [this, m = std::move(msg)]() { deliver(m); });
+void Transport::send_reliable(ShardLinks& sl, LinkId lid, Message&& msg) {
+  LinkTx& tx = sl.tx[tx_rank(lid)];
+  const std::uint64_t seq = tx.next_seq++;
+  tx.pending.insert(seq).msg = std::move(msg);
+  transmit(lid, seq);
+  arm_rto(lid, seq);
 }
 
 sim::Duration Transport::rto(int attempts) const {
@@ -183,7 +144,7 @@ void Transport::transmit(LinkId lid, std::uint64_t seq) {
     // No FIFO floor: frame-level reordering is the injected fault; the
     // receive side resequences.
     schedule_delivery(
-        lid, from, to, now + frame_delay(lid, rng),
+        sl, tx_rank(lid), from, to, now + frame_delay(lid, rng),
         [this, lid, seq, m = msg]() { on_data_frame(lid, seq, m); });
   }
 }
@@ -249,8 +210,8 @@ void Transport::send_ack(LinkId data_lid, std::uint64_t cumulative) {
   auto cb = [this, data_lid, cumulative]() { on_ack(data_lid, cumulative); };
   static_assert(sim::EventFn::fits_inline<decltype(cb)>(),
                 "ack closure must fit EventFn's inline buffer");
-  schedule_delivery(back, to, from, now + frame_delay(back, link_rng(sl, back)),
-                    std::move(cb));
+  schedule_delivery(sl, tx_rank(back), to, from,
+                    now + frame_delay(back, link_rng(sl, back)), std::move(cb));
 }
 
 void Transport::on_ack(LinkId data_lid, std::uint64_t cumulative) {

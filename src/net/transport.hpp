@@ -1,10 +1,13 @@
 // The control-message transport between mobile service stations.
 //
 // send() stamps a message with a delivery delay from the latency table and
-// schedules its arrival on the sharded kernel; the registered receiver (the
-// World in src/runner) dispatches it to the destination node. The transport
-// also keeps per-type message counters — the paper's "control message
-// complexity" metric.
+// schedules its arrival on the sharded kernel; broadcast() does so for one
+// copy per interference neighbour, walking the sender's LinkTable row. On
+// the fault-free path the delivery event calls the caller's `arrive`
+// callable inline (the World's node dispatch): one hop from the sender to
+// the queue, one from the queue to the node. The transport also keeps
+// per-type message counters — the paper's "control message complexity"
+// metric — counting a broadcast's fan-out at once.
 //
 // Links are FIFO: a message never overtakes an earlier message on the same
 // directed (from, to) link, whatever the latency table draws (the delivery
@@ -18,15 +21,16 @@
 // dropped / duplicated / re-jittered per FaultConfig on seed-derived
 // per-link streams, a per-link retransmission timer (RTO, exponential
 // backoff) resends until a cumulative ack arrives, and the receive side
-// resequences and dedups in a reorder ring before handing messages up. The
-// protocol layer therefore still sees exactly-once, per-link-FIFO delivery
-// — only later, which is what its timeout paths must survive. Transport
-// frames (retransmissions, acks) are not counted as protocol messages.
-// With no link fault configured none of this is on the send path.
+// resequences and dedups in a reorder ring before handing messages up
+// through the receiver set_receiver installed. The protocol layer
+// therefore still sees exactly-once, per-link-FIFO delivery — only later,
+// which is what its timeout paths must survive. Transport frames
+// (retransmissions, acks) are not counted as protocol messages. With no
+// link fault configured none of this is on the send path.
 //
 // A paused station's allocator process receives nothing: inbound messages
-// are held (in arrival order) and flushed on resume. Its transport keeps
-// acking, modelling a stalled process on a live host.
+// are held (in arrival order) and flushed on resume through the receiver.
+// Its transport keeps acking, modelling a stalled process on a live host.
 //
 // Sharding: every piece of link state has one owning side. The sender
 // side (FIFO floor, delivery sequence, send window, fault stream) lives on
@@ -41,7 +45,10 @@
 #pragma once
 
 #include <array>
+#include <cassert>
 #include <cstdint>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "net/fault.hpp"
@@ -75,7 +82,8 @@ class Transport {
   Transport(const Transport&) = delete;
   Transport& operator=(const Transport&) = delete;
 
-  /// Installs the delivery callback (dispatches to msg.to's node).
+  /// Installs the delivery callback of the reliable sublayer and the
+  /// pause flush; it must do what send()'s `arrive` callables do.
   void set_receiver(DeliverFn fn) { deliver_ = std::move(fn); }
 
   /// Structured trace sink for drop / dup / retransmit / pause / resume
@@ -88,8 +96,19 @@ class Transport {
 
   /// Sends one control message from msg.from, on msg.from's shard (or
   /// before the run). Counted immediately, delivered after the link's
-  /// one-way delay plus whatever the fault layer inflicts.
-  void send(Message msg);
+  /// one-way delay plus whatever the fault layer inflicts; without link
+  /// faults the delivery event calls `arrive(msg)`, a small copyable
+  /// callable it keeps by value. Aborts on a non-interference pair.
+  template <typename Arrive>
+  void send(Message&& msg, Arrive arrive);
+
+  /// send() of one copy to each interference neighbour of msg.from, in
+  /// order (msg.to is ignored); each copy takes its own link.
+  template <typename Arrive>
+  void broadcast(const Message& msg, Arrive arrive);
+
+  /// send() delivering through the set_receiver callback.
+  void send(Message msg) { send(std::move(msg), ToReceiver{this}); }
 
   /// Holds / releases cell c's inbound deliveries (whole-MSS pause).
   void pause(cell::CellId c);
@@ -137,6 +156,26 @@ class Transport {
     TransportStats stats;
   };
 
+  // Fault-free delivery event: the pause hold, then `arrive` inline.
+  template <typename Arrive>
+  struct Arrival {
+    Transport* transport;
+    Arrive arrive;
+    Message msg;
+    void operator()() {
+      const auto to = static_cast<std::size_t>(msg.to);
+      if (transport->paused_[to] != 0) {
+        transport->held_[to].push_back(std::move(msg));
+        return;
+      }
+      arrive(msg);
+    }
+  };
+  struct ToReceiver {
+    Transport* transport;
+    void operator()(const Message& m) const { transport->deliver_(m); }
+  };
+
   [[nodiscard]] ShardLinks& shard_links(cell::CellId c) {
     return shards_[static_cast<std::size_t>(kernel_.shard_of(c))];
   }
@@ -149,8 +188,16 @@ class Transport {
   }
 
   template <typename F>
-  void schedule_delivery(LinkId lid, cell::CellId from, cell::CellId to,
-                         sim::SimTime when, F&& fn);
+  void schedule_delivery(ShardLinks& sl, std::size_t rank, cell::CellId from,
+                         cell::CellId to, sim::SimTime when, F&& fn);
+  /// One counted copy on `lid` (tx rank `rank`): logged, then handed to
+  /// the reliable sublayer, or given its delay, floored at the link's
+  /// previous delivery, and its delivery event.
+  template <typename Arrive>
+  void post(ShardLinks& sl, LinkId lid, std::size_t rank,
+            Arrival<Arrive>&& arrival);
+  void log_send(sim::SimTime now, const Message& msg);
+  void send_reliable(ShardLinks& sl, LinkId lid, Message&& msg);
   void transmit(LinkId lid, std::uint64_t seq);
   void arm_rto(LinkId lid, std::uint64_t seq);
   void on_rto(LinkId lid, std::uint64_t seq);
@@ -195,5 +242,77 @@ class Transport {
   RecordFn record_;
   sim::TraceLog* log_ = nullptr;
 };
+
+template <typename F>
+void Transport::schedule_delivery(ShardLinks& sl, std::size_t rank,
+                                  cell::CellId from, cell::CellId to,
+                                  sim::SimTime when, F&& fn) {
+  // The delivery closure carries a full Message by value on the hot path;
+  // it must stay inside the kernel's inline callback buffer.
+  static_assert(sim::EventFn::fits_inline<std::decay_t<F>>(),
+                "delivery closure must fit EventFn's inline buffer; grow "
+                "sim::kEventFnCapacity if net::Message grew");
+  sim::EventKey key;
+  key.when = when;
+  key.owner = to;
+  key.klass = sim::kClassDelivery;
+  key.sub = from;
+  key.seq = ++sl.link_seq[rank];
+  (void)kernel_.schedule(key, std::forward<F>(fn));
+}
+
+template <typename Arrive>
+void Transport::post(ShardLinks& sl, LinkId lid, std::size_t rank,
+                     Arrival<Arrive>&& arrival) {
+  const cell::CellId from = arrival.msg.from;
+  const cell::CellId to = arrival.msg.to;
+  const sim::SimTime now = now_at(from);
+  if (log_ != nullptr) log_send(now, arrival.msg);
+  if (reliable_) {
+    send_reliable(sl, lid, std::move(arrival.msg));
+    return;
+  }
+  const sim::Duration d = latency_.delay(lid);
+  sim::SimTime when = now + (d > 0 ? d : 0);
+  sim::SimTime& floor_time = sl.link_clock[rank];
+  if (when < floor_time) when = floor_time;
+  floor_time = when;
+  schedule_delivery(sl, rank, from, to, when, std::move(arrival));
+}
+
+template <typename Arrive>
+void Transport::send(Message&& msg, Arrive arrive) {
+  assert(msg.from != cell::kNoCell && msg.to != cell::kNoCell);
+  assert(msg.from != msg.to && "nodes do not message themselves");
+  ShardLinks& sl = shard_links(msg.from);
+  ++sl.total_sent;
+  ++sl.by_kind[static_cast<std::size_t>(msg.kind)];
+  if (kernel_.shard_of(msg.to) != kernel_.shard_of(msg.from)) {
+    ++sl.cross_shard_sent;
+  }
+  const LinkId lid = links_.require(msg.from, msg.to);
+  post(sl, lid, tx_rank(lid), Arrival<Arrive>{this, arrive, std::move(msg)});
+}
+
+template <typename Arrive>
+void Transport::broadcast(const Message& msg, Arrive arrive) {
+  ShardLinks& sl = shard_links(msg.from);
+  const auto [first, last] = links_.row(msg.from);
+  sl.total_sent += static_cast<std::uint64_t>(last - first);
+  sl.by_kind[static_cast<std::size_t>(msg.kind)] +=
+      static_cast<std::uint64_t>(last - first);
+  // A sender's links all live on its shard and were ranked in id order,
+  // so its row's tx ranks are contiguous too.
+  const std::size_t rank0 = first < last ? tx_rank(first) : 0;
+  for (LinkId lid = first; lid < last; ++lid) {
+    Arrival<Arrive> arrival{this, arrive, msg};
+    arrival.msg.to = links_.endpoints(lid).second;
+    if (kernel_.shard_of(arrival.msg.to) != kernel_.shard_of(msg.from)) {
+      ++sl.cross_shard_sent;
+    }
+    post(sl, lid, rank0 + static_cast<std::size_t>(lid - first),
+         std::move(arrival));
+  }
+}
 
 }  // namespace dca::net

@@ -91,10 +91,7 @@ void AllocatorNode::advance() {
 
 void AllocatorNode::send_to_interference(net::Message msg) {
   msg.from = id_;
-  for (const cell::CellId j : interference()) {
-    msg.to = j;
-    env_->send(msg);
-  }
+  env_->broadcast(msg, interference());
 }
 
 void AllocatorNode::disarm_timer() {

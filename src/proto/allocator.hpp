@@ -67,6 +67,19 @@ class NodeEnv {
   /// Sends a control message (delivered after the network latency).
   virtual void send(net::Message msg) = 0;
 
+  /// Sends one copy of `msg` to each cell of `to` — the sender's
+  /// interference neighbourhood, in its order; msg.to is ignored. The
+  /// default is one send() per copy; the World sends the fan-out in one
+  /// call.
+  virtual void broadcast(const net::Message& msg,
+                         std::span<const cell::CellId> to) {
+    for (const cell::CellId j : to) {
+      net::Message copy = msg;
+      copy.to = j;
+      send(std::move(copy));
+    }
+  }
+
   /// The latency bound T (paper notation).
   [[nodiscard]] virtual sim::Duration latency_bound() const = 0;
 

@@ -17,6 +17,11 @@
 // identical) event streams, so the same counts come out for any
 // shard/thread configuration.
 //
+// Records reach the Sampler in canonical (t, cell) order, along which the
+// look-back bound for one neighbour j (t, or t - 1) never decreases, so it
+// keeps a forward cursor per cell instead of binary-searching j's
+// timeline per (record, neighbour); flags_at() is the direct lookup.
+//
 // Storage: one 8-byte word per change — (t << 2) | borrowing << 1 |
 // searching. A busy metro cell flips flags thousands of times over a
 // long run; the packed form halves the old {SimTime, bool, bool} layout
@@ -69,27 +74,44 @@ class FlagTimelines {
     auto it = std::upper_bound(
         tl.begin(), tl.end(), bound,
         [](sim::SimTime lhs, PackedFlagChange fc) {
-          return lhs < static_cast<sim::SimTime>(fc >> 2);
+          return lhs < time_of(fc);
         });
     if (it == tl.begin()) return {false, false};
     --it;
     return {((*it >> 1) & 1ull) != 0, (*it & 1ull) != 0};
   }
 
-  /// Fills every record's neighbour samples from the timelines (legacy
-  /// semantics: every interference neighbour is sampled at the close
-  /// instant for acquired and blocked records alike; the self-searching
-  /// term — acquisitions only — was already sampled live at close).
-  void apply_neighbor_samples(const cell::HexGrid& grid,
-                              std::vector<metrics::CallRecord>& records) const {
-    for (metrics::CallRecord& rec : records) {
-      for (const cell::CellId j : grid.interference(rec.cellId)) {
-        const auto [b, s] = flags_at(j, rec.t_decision, rec.cellId);
-        if (b) ++rec.borrowing_neighbors;
-        if (s) ++rec.searching_neighbors;
+  /// Fills records' neighbour samples from the timelines: every
+  /// interference neighbour is sampled at the close instant for acquired
+  /// and blocked records alike (the self-searching term — acquisitions
+  /// only — was already sampled live at close). Records in canonical
+  /// (t_decision, cell) order cost O(1) amortized per neighbour; a record
+  /// out of that order (a scripted call) rescans its neighbours' timelines.
+  class Sampler {
+   public:
+    Sampler(const FlagTimelines& flags, const cell::HexGrid& grid)
+        : flags_(flags), grid_(grid), next_(flags.timelines_.size(), 0) {}
+
+    void apply(metrics::CallDecision& rec) {
+      for (const cell::CellId j : grid_.interference(rec.cellId)) {
+        const sim::SimTime bound =
+            j < rec.cellId ? rec.t_decision : rec.t_decision - 1;
+        const auto& tl = flags_.timelines_[static_cast<std::size_t>(j)];
+        std::size_t& next = next_[static_cast<std::size_t>(j)];
+        if (next > 0 && time_of(tl[next - 1]) > bound) next = 0;  // out of order
+        while (next < tl.size() && time_of(tl[next]) <= bound) ++next;
+        if (next == 0) continue;
+        const PackedFlagChange fc = tl[next - 1];
+        if (((fc >> 1) & 1ull) != 0) ++rec.borrowing_neighbors;
+        if ((fc & 1ull) != 0) ++rec.searching_neighbors;
       }
     }
-  }
+
+   private:
+    const FlagTimelines& flags_;
+    const cell::HexGrid& grid_;
+    std::vector<std::size_t> next_;  // per cell: first entry past its bound
+  };
 
   /// Drops timeline entries no future query can observe: once every
   /// remaining record closes at t_decision >= frontier, the earliest
@@ -100,7 +122,7 @@ class FlagTimelines {
       auto it = std::upper_bound(
           tl.begin(), tl.end(), frontier - 1,
           [](sim::SimTime lhs, PackedFlagChange fc) {
-            return lhs < static_cast<sim::SimTime>(fc >> 2);
+            return lhs < time_of(fc);
           });
       if (it == tl.begin()) continue;
       tl.erase(tl.begin(), std::prev(it));
@@ -108,6 +130,10 @@ class FlagTimelines {
   }
 
  private:
+  [[nodiscard]] static sim::SimTime time_of(PackedFlagChange fc) {
+    return static_cast<sim::SimTime>(fc >> 2);
+  }
+
   std::vector<PackedFlagChange> cur_;  // latest flags per cell
   std::vector<std::vector<PackedFlagChange>> timelines_;
 };

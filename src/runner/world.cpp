@@ -72,8 +72,8 @@ sim::ShardedKernel make_kernel(const ScenarioConfig& c,
                             c.threads);
 }
 
-bool canonical_before(const metrics::CallRecord& a,
-                      const metrics::CallRecord& b) {
+bool canonical_before(const metrics::CallDecision& a,
+                      const metrics::CallDecision& b) {
   return a.t_decision != b.t_decision ? a.t_decision < b.t_decision
                                       : a.cellId < b.cellId;
 }
@@ -101,6 +101,11 @@ std::string scheme_name(Scheme s) {
 sim::SimTime World::ShardEnv::now() const { return world->kernel_.now(shard); }
 void World::ShardEnv::send(net::Message msg) {
   world->net_send(std::move(msg));
+}
+void World::ShardEnv::broadcast(const net::Message& msg,
+                                std::span<const CellId> to) {
+  world->bill(msg, static_cast<std::uint32_t>(to.size()));
+  world->transport_->broadcast(msg, Arrive{world});
 }
 sim::Duration World::ShardEnv::latency_bound() const {
   return world->latency_bound();
@@ -165,8 +170,7 @@ World::World(const ScenarioConfig& config, Scheme scheme,
   }
   transport_ = std::make_unique<net::Transport>(kernel_, links_, latency_,
                                                 config_.fault, config_.seed);
-  transport_->set_receiver(
-      [this](const net::Message& msg) { dispatch_to_node(msg); });
+  transport_->set_receiver(Arrive{this});
   transport_->set_recorder([this](const sim::TraceEvent& e) { emit(e); });
 
   const auto n = static_cast<std::size_t>(grid_.n_cells());
@@ -217,12 +221,12 @@ World::World(const ScenarioConfig& config, Scheme scheme,
   }
 
   kernel_.set_pin_threads(config_.pin);
+  for (ShardState& st : states_) {
+    st.tally = metrics::MessageTally(arrivals_.calls,
+                                     /*per_kind=*/!config_.stream_metrics);
+  }
   if (config_.stream_metrics) {
     builder_.emplace(latency_.max_one_way(), config_.warmup);
-    for (ShardState& st : states_) {
-      st.collector.set_streaming(true);
-      st.msg_tally_base.assign(arrivals_.calls, 0);
-    }
     kernel_.set_window_hook(
         [this](sim::SimTime frontier) { on_window(frontier); });
   }
@@ -302,31 +306,16 @@ void World::open_call(CellId c, std::uint64_t serial, traffic::CallId call,
   nodes_[static_cast<std::size_t>(c)]->request_channel(serial);
 }
 
-void World::net_send(net::Message msg) {
-  ShardState& st = state_of(msg.from);
-  // Metrics attribution at send time. HANDOFF carries the *next* leg's
-  // serial, whose record does not open until the message lands, so it
-  // counts as unattributable.
-  if (msg.serial == 0 || msg.kind == net::MsgKind::kHandoff) {
-    st.collector.on_message(msg);
-  } else if (builder_) {
-    // Streaming: a flat count per serial, summed across shards at run end
-    // — exact wherever the bill lands, and still correct for bills that
-    // arrive after the record was folded out of the engine.
-    if (traffic::mobility::hop_of(msg.serial) == 0 &&
-        msg.serial <= st.msg_tally_base.size()) {
-      ++st.msg_tally_base[static_cast<std::size_t>(msg.serial - 1)];
-    } else {
-      ++st.msg_tally_other[msg.serial];
-    }
-  } else if (!st.collector.bill(msg.serial, msg.kind)) {
-    // The record lives on another shard (its request cell's, or wherever
-    // a migrated call's handoff landed); bill it there at merge time. The
-    // record provably exists by then: messages carrying a serial are only
-    // ever sent after its record opened.
-    st.foreign_bills.emplace_back(msg.serial, msg.kind);
-  }
-  transport_->send(std::move(msg));
+void World::bill(const net::Message& msg, std::uint32_t n) {
+  // HANDOFF carries the *next* leg's serial, whose record does not open
+  // until the message lands; it is runner traffic, billed to no call.
+  if (msg.serial == 0 || msg.kind == net::MsgKind::kHandoff) return;
+  state_of(msg.from).tally.add(msg.serial, msg.kind, n);
+}
+
+void World::net_send(net::Message&& msg) {
+  bill(msg, 1);
+  transport_->send(std::move(msg), Arrive{this});
 }
 
 void World::dispatch_to_node(const net::Message& msg) {
@@ -684,9 +673,9 @@ void World::on_window(sim::SimTime frontier) {
 }
 
 void World::fold_to(sim::SimTime frontier) {
-  std::vector<metrics::CallRecord> batch;
+  std::vector<metrics::CallDecision> batch;
   for (ShardState& st : states_) {
-    std::vector<metrics::CallRecord> part =
+    std::vector<metrics::CallDecision> part =
         st.collector.drain_closed_before(frontier);
     batch.insert(batch.end(), std::make_move_iterator(part.begin()),
                  std::make_move_iterator(part.end()));
@@ -696,13 +685,14 @@ void World::fold_to(sim::SimTime frontier) {
     // sort reproduces the canonical close order within the batch.
     std::stable_sort(
         batch.begin(), batch.end(),
-        [](const metrics::CallRecord& a, const metrics::CallRecord& b) {
+        [](const metrics::CallDecision& a, const metrics::CallDecision& b) {
           return canonical_before(a, b);
         });
     // Neighbour samples need timeline entries at or before each close —
     // resolve them *before* pruning.
-    flags_.apply_neighbor_samples(grid_, batch);
-    for (const metrics::CallRecord& r : batch) {
+    FlagTimelines::Sampler sampler(flags_, grid_);
+    for (metrics::CallDecision& r : batch) {
+      sampler.apply(r);
       if (builder_->add_core(r)) {
         fold_order_.emplace_back(
             r.serial, metrics::AggregateBuilder::acquired_outcome(r.outcome));
@@ -738,49 +728,40 @@ void World::emit_trace(std::vector<sim::TraceEvent> events) {
   }
 }
 
-metrics::Aggregate World::aggregate_buffered() {
-  // Complete every record in place: foreign bills go to the one collector
-  // holding the serial, then the deferred neighbour samples.
-  for (const ShardState& st : states_) {
-    for (const auto& [serial, kind] : st.foreign_bills) {
-      bool billed = false;
-      for (ShardState& owner : states_) {
-        if (owner.collector.bill(serial, kind)) {
-          billed = true;
-          break;
-        }
-      }
-      assert(billed && "a bill for a serial no shard opened");
-      (void)billed;
-    }
-  }
-  for (ShardState& st : states_) {
-    st.foreign_bills.clear();
-    flags_.apply_neighbor_samples(grid_, st.collector.mutable_records());
-  }
-
-  // K-way merge in canonical (t_decision, cell) order: each shard closes
-  // its records in execution order, which is that order, so no record is
-  // copied or sorted.
-  metrics::AggregateBuilder builder(latency_.max_one_way(), config_.warmup);
+template <typename F>
+void World::for_each_record(F&& f) const {
+  // K-way merge by (t_decision, cell): each shard closes its records in
+  // execution order, which is canonical order (scripted calls close in
+  // script order), so no record is sorted. Each record is completed on its
+  // way out: the message counts every shard billed to its serial, then the
+  // neighbour samples.
+  FlagTimelines::Sampler sampler(flags_, grid_);
   std::vector<std::size_t> pos(states_.size(), 0);
   for (;;) {
-    const metrics::CallRecord* next = nullptr;
+    const metrics::CallDecision* next = nullptr;
     std::size_t from = 0;
     for (std::size_t s = 0; s < states_.size(); ++s) {
       const auto& recs = states_[s].collector.records();
       if (pos[s] == recs.size()) continue;
-      assert(pos[s] == 0 || !canonical_before(recs[pos[s]], recs[pos[s] - 1]));
       if (next == nullptr || canonical_before(recs[pos[s]], *next)) {
         next = &recs[pos[s]];
         from = s;
       }
     }
     if (next == nullptr) break;
-    builder.add(*next);
     ++pos[from];
+    metrics::CallRecord rec{*next};
+    for (const ShardState& st : states_) st.tally.add_to(rec);
+    sampler.apply(rec);
+    f(rec);
   }
-  return builder.finish();
+}
+
+std::vector<metrics::CallRecord> World::records() const {
+  assert(!builder_ && "a streaming run folds its records away");
+  std::vector<metrics::CallRecord> out;
+  for_each_record([&out](const metrics::CallRecord& r) { out.push_back(r); });
+  return out;
 }
 
 RunResult World::result() {
@@ -790,34 +771,26 @@ RunResult World::result() {
   if (builder_) {
     // Drain whatever closed after the last stride fold (the quiescence
     // tail runs past `duration`, so use an unbounded frontier), then
-    // merge the per-shard message tallies by summation and replay the two
-    // deferred message Summaries in fold order — the only Summaries whose
-    // inputs (final per-serial totals) are unknown at fold time.
+    // replay the two deferred message Summaries in fold order with the
+    // per-serial totals summed over the shards' tallies — the only
+    // Summaries whose inputs are unknown at fold time.
     fold_to(sim::kTimeNever);
-    ShardState& acc = states_.front();
-    for (std::size_t s = 1; s < states_.size(); ++s) {
-      const ShardState& st = states_[s];
-      for (std::size_t i = 0; i < st.msg_tally_base.size(); ++i) {
-        acc.msg_tally_base[i] += st.msg_tally_base[i];
-      }
-      for (const auto& [serial, count] : st.msg_tally_other) {
-        acc.msg_tally_other[serial] += count;
-      }
-    }
     for (const auto& [serial, acquired] : fold_order_) {
       std::uint32_t total = 0;
-      if (traffic::mobility::hop_of(serial) == 0 &&
-          serial <= acc.msg_tally_base.size()) {
-        total = acc.msg_tally_base[static_cast<std::size_t>(serial - 1)];
-      } else if (const auto it = acc.msg_tally_other.find(serial);
-                 it != acc.msg_tally_other.end()) {
-        total = it->second;
-      }
+      for (const ShardState& st : states_) total += st.tally.total(serial);
       builder_->add_messages(total, acquired);
     }
     out.agg = builder_->finish();
   } else {
-    out.agg = aggregate_buffered();
+    metrics::AggregateBuilder builder(latency_.max_one_way(), config_.warmup);
+    [[maybe_unused]] metrics::CallDecision last;
+    for_each_record([&](const metrics::CallRecord& r) {
+      assert((last.serial == 0 || !canonical_before(r, last)) &&
+             "each shard closes its records in (t, cell) order");
+      last = r;
+      builder.add(r);
+    });
+    out.agg = builder.finish();
   }
 
   out.total_messages = transport_->total_sent();

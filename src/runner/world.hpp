@@ -14,12 +14,14 @@
 //                           metric records (request cell = c)
 //   owner = link (a, b)     the transport's sender side on shard_of(a),
 //                           its receiver side on shard_of(b)
-//   per shard               collector, trace buffer, usage integral,
-//                           violation and availability counters
+//   per shard               collector, message tally (bills of the
+//                           messages its cells send), trace buffer, usage
+//                           integral, violation and availability counters
 //
 // Cross-shard effects travel exclusively as message deliveries (delay >=
 // the latency floor), satisfying the kernel's lookahead contract. Results
-// merge exactly: integer counters and int64 usage integrals sum; each
+// merge exactly: integer counters, message tallies and int64 usage
+// integrals sum; each
 // shard's call records and trace events are in (time, cell) order, and a
 // k-way merge by (time, cell) reproduces the canonical global order, since
 // same-(time, cell) entries always come from one shard in execution order.
@@ -37,6 +39,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -111,8 +114,6 @@ class World {
   void run();
 
   /// Merges the shards into the run's results; call once, after running.
-  /// Also finalizes the records collector() exposes (foreign message
-  /// bills and the deferred neighbour samples applied).
   [[nodiscard]] RunResult result();
 
   // -- accessors -----------------------------------------------------------
@@ -124,13 +125,13 @@ class World {
   [[nodiscard]] const proto::AllocatorNode& node(cell::CellId c) const {
     return *nodes_[static_cast<std::size_t>(c)];
   }
-  /// Call records of the cells on shard 0 — every record at the default
-  /// shards = 1, which is what the scripted API runs. Message bills are
-  /// complete for one shard at any time; neighbour samples are filled by
-  /// result().
-  [[nodiscard]] const metrics::Collector& collector() const noexcept {
-    return states_.front().collector;
-  }
+  /// Every shard's closed call records so far, in canonical
+  /// (t_decision, cell) order (scripted calls in the order they closed)
+  /// and complete: per-kind message counts summed over every shard's
+  /// tally (bills that land after a decision, such as the end-of-call
+  /// RELEASE, included) and the neighbour samples applied. Buffered runs
+  /// only: a stream_metrics run folds its records away.
+  [[nodiscard]] std::vector<metrics::CallRecord> records() const;
   [[nodiscard]] sim::Duration latency_bound() const {
     return latency_.max_one_way();
   }
@@ -170,6 +171,8 @@ class World {
 
     [[nodiscard]] sim::SimTime now() const override;
     void send(net::Message msg) override;
+    void broadcast(const net::Message& msg,
+                   std::span<const cell::CellId> to) override;
     [[nodiscard]] sim::Duration latency_bound() const override;
     void notify_acquired(cell::CellId cellId, std::uint64_t serial,
                          cell::ChannelId ch, proto::Outcome how,
@@ -203,14 +206,10 @@ class World {
   struct alignas(64) ShardState {
     ShardEnv env;
     metrics::Collector collector;  // records whose request cell is local
-    // Bills for serials this shard's collector does not hold (a migrated
-    // call's record lives where its handoff landed), applied at result().
-    std::vector<std::pair<std::uint64_t, net::MsgKind>> foreign_bills;
-    // Streaming-mode attribution: total attributed messages per serial,
-    // summed across shards at run end — generated calls' first legs in a
-    // dense vector by serial - 1, every other serial in the map.
-    std::vector<std::uint32_t> msg_tally_base;
-    std::unordered_map<std::uint64_t, std::uint32_t> msg_tally_other;
+    // Messages this shard's cells sent, billed by serial wherever the
+    // serial's record lives; summed over shards when the run merges.
+    // Per kind for buffered runs, totals only when streaming.
+    metrics::MessageTally tally;
     std::unordered_map<std::uint64_t, PendingCall> pending;
     std::unordered_map<std::uint64_t, ActiveCall> active;
     std::uint64_t violations = 0;
@@ -245,7 +244,13 @@ class World {
   void schedule_next_arrival(cell::CellId c);
   void open_call(cell::CellId c, std::uint64_t serial, traffic::CallId call,
                  sim::Duration holding, bool is_handoff);
-  void net_send(net::Message msg);
+  struct Arrive {  // the transport's receiver: straight to the node
+    World* world;
+    void operator()(const net::Message& m) const { world->dispatch_to_node(m); }
+  };
+  void net_send(net::Message&& msg);
+  /// Bills `n` copies of `msg` to its serial on the sender's shard.
+  void bill(const net::Message& msg, std::uint32_t n);
   void dispatch_to_node(const net::Message& msg);
   void handoff_arrival(const net::Message& msg);
 
@@ -288,8 +293,10 @@ class World {
   // `frontier` into the incremental aggregate and releases its memory.
   void on_window(sim::SimTime frontier);
   void fold_to(sim::SimTime frontier);
-  /// Buffered consumption: bills, samples and folds every shard's records.
-  [[nodiscard]] metrics::Aggregate aggregate_buffered();
+  /// Calls f(record) for every closed record of every shard in canonical
+  /// order, each completed as records() describes.
+  template <typename F>
+  void for_each_record(F&& f) const;
   void emit_trace(std::vector<sim::TraceEvent> events);
 
   ScenarioConfig config_;
@@ -331,7 +338,7 @@ class World {
   std::optional<metrics::AggregateBuilder> builder_;
   // Admitted records in fold order: (serial, acquired). The deferred
   // message Summaries replay over this at run end once the per-serial
-  // tallies are final — 9 bytes/call instead of a ~120-byte CallRecord.
+  // tallies are final — 9 bytes/call instead of a 56-byte CallDecision.
   std::vector<std::pair<std::uint64_t, bool>> fold_order_;
   sim::SimTime next_fold_ = 0;
   // In-engine conformance replay over the drained trace prefixes (the

@@ -89,12 +89,11 @@ class EventSlab {
     return slot;
   }
 
-  /// Frees a live slot on the fire path, returning its callback.
-  [[nodiscard]] EventFn release(std::uint32_t slot) noexcept {
+  /// Frees a live slot on the fire path, moving its callback into `into`.
+  void release_into(std::uint32_t slot, EventFn& into) noexcept {
     Node& n = node(slot);
-    EventFn fn = std::move(n.fn);
+    into = std::move(n.fn);
     free_slot(slot, n);
-    return fn;
   }
 
   /// Frees a live slot on the cancel path, destroying its callback.

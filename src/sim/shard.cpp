@@ -108,8 +108,8 @@ void ShardedKernel::drain_and_execute(int s) {
     slot.clear();
   }
   tls_current_shard_ = s;
-  while (!shard.queue.empty() && shard.queue.next_key().when < window_cap_) {
-    ShardQueue::Fired fired = shard.queue.pop();
+  ShardQueue::Fired fired;
+  while (shard.queue.pop_before(window_cap_, fired)) {
     shard.now = fired.key.when;
     ++shard.executed;
     fired.action();

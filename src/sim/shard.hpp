@@ -142,16 +142,30 @@ class ShardQueue {
     EventKey key;
     Action action;
   };
-  Fired pop() {
+
+  /// Pops the earliest live event into `out` when it fires before `cap`,
+  /// settling the queue once; returns false, popping nothing, otherwise.
+  bool pop_before(SimTime cap, Fired& out) {
+    if (live_ == 0) return false;
     const bool from_run = settle();
     const Entry e = from_run ? run_.back() : far_.top();
+    if (e.key.when >= cap) return false;
     if (from_run) {
       run_.pop_back();
     } else {
       far_.pop_top();
     }
     --live_;
-    return Fired{e.key, slab_.release(e.slot)};
+    out.key = e.key;
+    slab_.release_into(e.slot, out.action);
+    return true;
+  }
+
+  /// Pops the earliest live event. Precondition: !empty().
+  Fired pop() {
+    Fired out;
+    (void)pop_before(kTimeNever, out);
+    return out;
   }
 
   // Introspection for tests: pooled callback slots, and entries (live +

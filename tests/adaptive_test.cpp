@@ -34,8 +34,8 @@ TEST(Adaptive, LocalModeIsFreeAndInstant) {
   World w(cfg, Scheme::kAdaptive);
   const cell::CellId c = testutil::center_cell(cfg);
   offer_call(w, c, 1, sim::seconds(10));
-  ASSERT_EQ(w.collector().records().size(), 1u);
-  const auto& r = w.collector().records()[0];
+  ASSERT_EQ(w.records().size(), 1u);
+  const auto r = w.records()[0];
   EXPECT_EQ(r.outcome, proto::Outcome::kAcquiredLocal);
   EXPECT_EQ(r.delay(), 0);
   EXPECT_EQ(r.total_messages(), 0u);
@@ -69,7 +69,7 @@ TEST(Adaptive, FourthCallBorrowsViaUpdateRound) {
 
   offer_call(w, c, 4, sim::minutes(5));
   w.run_until(w.now() + sim::seconds(1));
-  const auto& r = w.collector().records().back();
+  const auto r = w.records().back();
   EXPECT_EQ(r.outcome, proto::Outcome::kAcquiredUpdate);
   EXPECT_EQ(r.attempts, 1);
   EXPECT_EQ(r.delay(), 2 * cfg.latency);  // one round trip
@@ -155,7 +155,7 @@ TEST(Adaptive, LocalAcquisitionInBorrowingModeNotifiesSubscribers) {
   // subscribers).
   const auto acq_before = w.sent_of(net::MsgKind::kAcquisition);
   offer_call(w, c, 50, sim::minutes(5));
-  const auto& r = w.collector().records().back();
+  const auto r = w.records().back();
   EXPECT_EQ(r.outcome, proto::Outcome::kAcquiredLocal);
   EXPECT_EQ(r.delay(), 0) << "announcement is asynchronous; service stays instant";
   const auto acq_sent = w.sent_of(net::MsgKind::kAcquisition) - acq_before;
@@ -187,7 +187,7 @@ TEST(Adaptive, FallsBackToSearchAfterAlphaFailedRounds) {
   // neither use a primary nor borrow; it searches and comes up empty.
   offer_call(w, c, 999, sim::minutes(5));
   w.run_until(w.now() + sim::seconds(30));
-  const auto& r = w.collector().records().back();
+  const auto r = w.records().back();
   EXPECT_EQ(r.outcome, proto::Outcome::kBlockedNoChannel);
   EXPECT_EQ(w.interference_violations(), 0u);
   // The failed search must have announced (ACQUISITION with no channel) so
@@ -216,7 +216,7 @@ TEST(Adaptive, SearchFindsChannelUpdateRoundsMissed) {
   w.run_to_quiescence();
   EXPECT_TRUE(w.quiescent());
   EXPECT_EQ(w.interference_violations(), 0u);
-  EXPECT_EQ(w.collector().records().size(), static_cast<std::size_t>(id - 1));
+  EXPECT_EQ(w.records().size(), static_cast<std::size_t>(id - 1));
 }
 
 TEST(Adaptive, ConcurrentHotCellsNeverInterfere) {
@@ -269,7 +269,7 @@ TEST(Adaptive, QueuedRequestsServeInOrder) {
   EXPECT_GE(w.node(c).queued(), 2u);
   w.run_until(w.now() + sim::seconds(10));
   // All three decided, in submission order.
-  const auto& recs = w.collector().records();
+  const auto& recs = w.records();
   std::vector<traffic::CallId> order;
   for (const auto& r : recs)
     if (r.call >= 10) order.push_back(r.call);

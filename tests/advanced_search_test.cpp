@@ -30,7 +30,7 @@ TEST(AdvancedSearch, StartsColdAndAllocatesOnDemand) {
   const cell::CellId c = testutil::center_cell(cfg);
   offer_call(w, c, 1, sim::seconds(30));
   w.run_until(sim::seconds(1));
-  const auto& r = w.collector().records().back();
+  const auto r = w.records().back();
   EXPECT_EQ(r.outcome, proto::Outcome::kAcquiredSearch);
   EXPECT_EQ(r.delay(), 2 * cfg.latency);
   EXPECT_EQ(node_of(w, c).allocated().size(), 1);
@@ -55,7 +55,7 @@ TEST(AdvancedSearch, ChannelStaysAllocatedAfterCallEnds) {
                                          sim::seconds(20));
   EXPECT_EQ(w.total_sent(), msgs_before)
       << "hot spot re-served from the allocated set at zero cost";
-  for (const auto& r : w.collector().records()) {
+  for (const auto& r : w.records()) {
     if (r.call >= 10) {
       EXPECT_EQ(r.outcome, proto::Outcome::kAcquiredLocal);
     }
@@ -70,7 +70,7 @@ TEST(AdvancedSearch, AllocatedHitIsInstantAndFree) {
   w.run_to_quiescence();     // ends; channel stays allocated
   const auto msgs = w.total_sent();
   offer_call(w, c, 2, sim::seconds(5));
-  const auto& r = w.collector().records().back();
+  const auto r = w.records().back();
   EXPECT_EQ(r.outcome, proto::Outcome::kAcquiredLocal);
   EXPECT_EQ(r.delay(), 0);
   EXPECT_EQ(w.total_sent(), msgs);
@@ -119,7 +119,7 @@ TEST(AdvancedSearch, TransferMovesIdleAllocatedChannel) {
   // channels.
   for (int i = 0; i < 4; ++i) offer_call(w, hot, id++, sim::minutes(2));
   w.run_until(w.now() + sim::seconds(5));
-  const auto& r = w.collector().records().back();
+  const auto r = w.records().back();
   EXPECT_EQ(r.outcome, proto::Outcome::kAcquiredUpdate)
       << "transfer outcome is classified as update-style";
   EXPECT_EQ(node_of(w, hot).transfers_in(), 4u);
@@ -179,7 +179,7 @@ TEST(AdvancedSearch, BlocksWhenRegionFullyBusy) {
   EXPECT_EQ(w.node(c).in_use().size(), 21);
   offer_call(w, c, 99, sim::minutes(30));
   w.run_until(w.now() + sim::seconds(2));
-  EXPECT_FALSE(proto::is_acquired(w.collector().records().back().outcome));
+  EXPECT_FALSE(proto::is_acquired(w.records().back().outcome));
   w.run_to_quiescence();
   EXPECT_TRUE(w.quiescent());
 }

@@ -25,14 +25,14 @@ TEST(AdvancedUpdate, PrimaryAcquisitionIsInstantWithBroadcastOnly) {
   const cell::CellId c = testutil::center_cell(cfg);
   const auto N = w.grid().interference(c).size();
   offer_call(w, c, 1, sim::seconds(10));
-  ASSERT_EQ(w.collector().records().size(), 1u);
-  const auto& r = w.collector().records()[0];
+  ASSERT_EQ(w.records().size(), 1u);
+  const auto r = w.records()[0];
   EXPECT_EQ(r.outcome, proto::Outcome::kAcquiredLocal);
   EXPECT_EQ(r.delay(), 0);
   EXPECT_EQ(r.total_messages(), N);  // the ACQUISITION broadcast
   w.run_to_quiescence();
   // Plus the RELEASE broadcast at call end: the paper's 2N term.
-  EXPECT_EQ(w.collector().records()[0].total_messages(), 2 * N);
+  EXPECT_EQ(w.records()[0].total_messages(), 2 * N);
 }
 
 TEST(AdvancedUpdate, BorrowAsksOnlyPrimariesOfTheChannel) {
@@ -48,7 +48,7 @@ TEST(AdvancedUpdate, BorrowAsksOnlyPrimariesOfTheChannel) {
   w.run_until(w.now() + sim::seconds(1));
   const auto requests =
       w.sent_of(net::MsgKind::kRequest) - before_requests;
-  const auto& r = w.collector().records().back();
+  const auto r = w.records().back();
   EXPECT_EQ(r.outcome, proto::Outcome::kAcquiredUpdate);
   // n_p primaries of a channel within radius 2 is small (2-3), far below
   // the 18-cell region the basic schemes broadcast to.
@@ -79,7 +79,7 @@ TEST(AdvancedUpdate, PrimaryOwnerRejectsItsBusyChannel) {
   // Another request at the center now has no free channel anywhere nearby.
   offer_call(w, c, 999, sim::minutes(5));
   w.run_until(w.now() + sim::seconds(5));
-  const auto& last = w.collector().records().back();
+  const auto last = w.records().back();
   EXPECT_FALSE(proto::is_acquired(last.outcome));
 }
 
@@ -170,7 +170,7 @@ TEST(AdvancedUpdate, Fig11TimestampInversionUnfairness) {
   // exact channel picks are randomized; assert the mechanism rather than
   // the single run: either a conditional failure occurred, or the two
   // requests never picked the same channel (in which case both succeeded).
-  const auto& recs = w.collector().records();
+  const auto& recs = w.records();
   bool both_succeeded = true;
   for (const auto& r : recs) {
     if ((r.call == 100 || r.call == 200) && !proto::is_acquired(r.outcome))

@@ -23,8 +23,8 @@ TEST(BasicSearch, SoloAcquisitionTakes2TAndOneRound) {
   offer_call(w, c, 1, sim::minutes(1));
   w.run_until(sim::seconds(1));
 
-  ASSERT_EQ(w.collector().records().size(), 1u);
-  const auto& r = w.collector().records()[0];
+  ASSERT_EQ(w.records().size(), 1u);
+  const auto r = w.records()[0];
   EXPECT_EQ(r.outcome, proto::Outcome::kAcquiredSearch);
   // Round trip: request out (T) + replies back (T).
   EXPECT_EQ(r.delay(), 2 * cfg.latency);
@@ -55,8 +55,8 @@ TEST(BasicSearch, ConcurrentNeighborsPickDistinctChannels) {
   offer_call(w, a, 1, sim::minutes(1));
   offer_call(w, b, 2, sim::minutes(1));
   w.run_until(sim::seconds(2));
-  ASSERT_EQ(w.collector().records().size(), 2u);
-  for (const auto& r : w.collector().records()) {
+  ASSERT_EQ(w.records().size(), 2u);
+  for (const auto& r : w.records()) {
     EXPECT_EQ(r.outcome, proto::Outcome::kAcquiredSearch);
   }
   EXPECT_FALSE(w.node(a).in_use().intersects(w.node(b).in_use()));
@@ -71,7 +71,7 @@ TEST(BasicSearch, YoungerConcurrentSearchIsDeferredAndSlower) {
   offer_call(w, a, 1, sim::minutes(1));
   offer_call(w, b, 2, sim::minutes(1));
   w.run_until(sim::seconds(2));
-  const auto& recs = w.collector().records();
+  const auto& recs = w.records();
   // One of the two finished in 2T; the other had its reply deferred and
   // needed strictly longer.
   const auto d0 = recs[0].delay(), d1 = recs[1].delay();
@@ -90,7 +90,7 @@ TEST(BasicSearch, FindsChannelWheneverOneExists) {
     w.run_until(w.now() + sim::seconds(1));
   }
   int acquired = 0;
-  for (const auto& r : w.collector().records())
+  for (const auto& r : w.records())
     if (proto::is_acquired(r.outcome)) ++acquired;
   EXPECT_EQ(acquired, 20);
   EXPECT_EQ(w.node(c).in_use().size(), 20);
@@ -107,7 +107,7 @@ TEST(BasicSearch, BlocksWhenRegionExhausted) {
   // All 21 channels used in the cell itself: the 22nd must fail.
   offer_call(w, c, 99, sim::minutes(10));
   w.run_until(w.now() + sim::seconds(1));
-  EXPECT_EQ(w.collector().records().back().outcome,
+  EXPECT_EQ(w.records().back().outcome,
             proto::Outcome::kBlockedNoChannel);
   // A failed search still announces, so no waiting counter leaks.
   w.run_to_quiescence();

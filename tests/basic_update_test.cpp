@@ -23,8 +23,8 @@ TEST(BasicUpdate, SoloAcquisitionCostsOneHandshakePlusBroadcasts) {
   offer_call(w, c, 1, sim::seconds(10));
   w.run_until(sim::seconds(1));
 
-  ASSERT_EQ(w.collector().records().size(), 1u);
-  const auto& r = w.collector().records()[0];
+  ASSERT_EQ(w.records().size(), 1u);
+  const auto r = w.records()[0];
   EXPECT_EQ(r.outcome, proto::Outcome::kAcquiredUpdate);
   EXPECT_EQ(r.attempts, 1);
   EXPECT_EQ(r.delay(), 2 * cfg.latency);  // 2Tm with m = 1
@@ -33,7 +33,7 @@ TEST(BasicUpdate, SoloAcquisitionCostsOneHandshakePlusBroadcasts) {
 
   // After the call ends, the RELEASE broadcast completes Table 2's 4N.
   w.run_to_quiescence();
-  EXPECT_EQ(w.collector().records()[0].total_messages(), 4 * N);
+  EXPECT_EQ(w.records()[0].total_messages(), 4 * N);
 }
 
 TEST(BasicUpdate, NeighborsLearnUsageThroughBroadcasts) {
@@ -66,7 +66,7 @@ TEST(BasicUpdate, SameChannelConflictGoesToOlderTimestamp) {
   offer_call(w, a, 1, sim::minutes(1));
   offer_call(w, b, 2, sim::minutes(1));
   w.run_until(sim::seconds(2));
-  for (const auto& r : w.collector().records())
+  for (const auto& r : w.records())
     EXPECT_TRUE(proto::is_acquired(r.outcome));
   EXPECT_FALSE(w.node(a).in_use().intersects(w.node(b).in_use()));
   EXPECT_EQ(w.interference_violations(), 0u);
@@ -93,7 +93,7 @@ TEST(BasicUpdate, RetriesConsumeAttemptsUnderContention) {
   w.run_until(w.now() + sim::seconds(5));
   EXPECT_EQ(w.interference_violations(), 0u);
   int acquired = 0, failed = 0;
-  for (const auto& r : w.collector().records()) {
+  for (const auto& r : w.records()) {
     if (r.call >= 100) (proto::is_acquired(r.outcome) ? acquired : failed)++;
   }
   // Only 3 channels were left for 6 requests in one interference region.
@@ -112,7 +112,7 @@ TEST(BasicUpdate, BlocksLocallyWhenNothingBelievedFree) {
   EXPECT_EQ(w.node(c).in_use().size(), 21);
   offer_call(w, c, 99, sim::minutes(30));
   w.run_until(w.now() + sim::seconds(1));
-  const auto& last = w.collector().records().back();
+  const auto last = w.records().back();
   EXPECT_EQ(last.outcome, proto::Outcome::kBlockedNoChannel);
   EXPECT_EQ(last.total_messages(), 0u) << "local information suffices to fail fast";
 }
@@ -138,7 +138,7 @@ TEST(BasicUpdate, StarvationCapReportsStarved) {
   offer_call(w, b, 200, sim::minutes(1));
   w.run_until(w.now() + sim::seconds(5));
   int acquired = 0, starved = 0;
-  for (const auto& r : w.collector().records()) {
+  for (const auto& r : w.records()) {
     if (r.call < 100) continue;
     if (proto::is_acquired(r.outcome)) ++acquired;
     if (r.outcome == proto::Outcome::kBlockedStarved) ++starved;

@@ -151,6 +151,29 @@ TEST(ChannelSetProperty, SetAlgebraMatchesBitwiseReference) {
   }
 }
 
+// size_minus / first_minus (the adaptive scheme's free-primary queries)
+// against the set-algebra expression they replace, over random sets of
+// every density, inline (70 channels) and heap-spilled (300).
+TEST(ChannelSetProperty, MinusQueriesMatchSetAlgebra) {
+  std::mt19937_64 rng(9090);
+  for (const int universe : {70, 300}) {
+    std::uniform_int_distribution<int> pick(0, universe - 1);
+    for (int round = 0; round < 200; ++round) {
+      ChannelSet x(universe), a(universe), b(universe);
+      const int fill = round % 4 == 0 ? 2 : universe / (1 + round % 5);
+      for (int i = 0; i < fill; ++i) {
+        x.insert(pick(rng));
+        a.insert(pick(rng));
+        b.insert(pick(rng));
+      }
+      if (round % 7 == 0) x = ChannelSet::all(universe);
+      const ChannelSet expected = x - a - b;
+      EXPECT_EQ(x.size_minus(a, b), expected.size()) << universe << "/" << round;
+      EXPECT_EQ(x.first_minus(a, b), expected.first()) << universe << "/" << round;
+    }
+  }
+}
+
 TEST(ChannelSetProperty, AllAndCopiesPreserveUniverse) {
   for (const int universe : {1, 64, 70, 128, 129, 512}) {
     const ChannelSet s = ChannelSet::all(universe);

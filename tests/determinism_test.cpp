@@ -202,7 +202,10 @@ TEST(Determinism, TracingItselfDoesNotPerturbTheRun) {
 // FNV-1a-64 of trace_to_jsonl for three scenarios, recorded when the
 // simulator still had a second, independently written engine and every
 // engine and shard count agreed on them. Trace equality is checked
-// against these constants, not against another engine.
+// against these constants, not against another engine. Next to each sits
+// the number of events the kernel executes for the scenario, so an
+// events/s figure can only move through speed, never through a changed
+// event count.
 
 std::uint64_t fnv1a64(const std::string& s) {
   std::uint64_t h = 0xcbf29ce484222325ull;
@@ -232,7 +235,8 @@ runner::ScenarioConfig digest_config() {
 }
 
 void expect_trace_digest(runner::ScenarioConfig cfg, Scheme scheme, double rho,
-                         std::uint64_t digest, std::size_t events) {
+                         std::uint64_t digest, std::size_t events,
+                         std::uint64_t executed) {
   for (const int shards : {1, 2, 4}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     cfg.shards = shards;
@@ -242,13 +246,14 @@ void expect_trace_digest(runner::ScenarioConfig cfg, Scheme scheme, double rho,
     EXPECT_EQ(r.violations, 0u);
     EXPECT_TRUE(r.quiescent);
     EXPECT_EQ(rec.size(), events);
+    EXPECT_EQ(r.executed_events, executed);
     EXPECT_EQ(fnv1a64(runner::trace_to_jsonl(rec.events())), digest);
   }
 }
 
 TEST(TraceDigest, AdaptiveClean) {
   expect_trace_digest(digest_config(), Scheme::kAdaptive, 0.8,
-                      0x4284b13de0de75b2ull, 906);
+                      0x4284b13de0de75b2ull, 906, 10610);
 }
 
 TEST(TraceDigest, AdaptiveDropDupJitterCrashPartition) {
@@ -261,7 +266,8 @@ TEST(TraceDigest, AdaptiveDropDupJitterCrashPartition) {
   cfg.fault.partitions.push_back(
       net::PartitionSpec{{0, 1, 2, 6, 7, 8}, sim::seconds(60), sim::seconds(90)});
   cfg.request_timeout = sim::milliseconds(100);
-  expect_trace_digest(cfg, Scheme::kAdaptive, 0.7, 0xe3cd2bd653e21909ull, 126894);
+  expect_trace_digest(cfg, Scheme::kAdaptive, 0.7, 0xe3cd2bd653e21909ull, 126894,
+                      122291);
 }
 
 TEST(TraceDigest, BasicSearchMobilityJitter) {
@@ -269,7 +275,7 @@ TEST(TraceDigest, BasicSearchMobilityJitter) {
   cfg.mean_dwell_s = 10.0;
   cfg.latency_jitter = sim::milliseconds(3);
   expect_trace_digest(cfg, Scheme::kBasicSearch, 0.7, 0x32e9ecf76ab10869ull,
-                      10060);
+                      10060, 59465);
 }
 
 }  // namespace

@@ -18,8 +18,8 @@ TEST(Fca, AcquiresInstantlyWithZeroMessages) {
   World w(small_config(), Scheme::kFca);
   offer_call(w, testutil::center_cell(small_config()), 1, sim::seconds(30));
   // Decision must have been synchronous: record closed at t = 0.
-  ASSERT_EQ(w.collector().records().size(), 1u);
-  const auto& r = w.collector().records()[0];
+  ASSERT_EQ(w.records().size(), 1u);
+  const auto r = w.records()[0];
   EXPECT_EQ(r.outcome, proto::Outcome::kAcquiredLocal);
   EXPECT_EQ(r.delay(), 0);
   EXPECT_EQ(r.total_messages(), 0u);
@@ -32,7 +32,7 @@ TEST(Fca, ServesExactlyPrimarySetSize) {
   const cell::CellId c = testutil::center_cell(cfg);
   for (traffic::CallId i = 0; i < 5; ++i) offer_call(w, c, 100 + i, sim::minutes(5));
   int ok = 0, blocked = 0;
-  for (const auto& r : w.collector().records()) {
+  for (const auto& r : w.records()) {
     (proto::is_acquired(r.outcome) ? ok : blocked)++;
   }
   EXPECT_EQ(ok, 3);
@@ -46,7 +46,7 @@ TEST(Fca, BlockedEvenWhenNeighborhoodIdle) {
   World w(cfg, Scheme::kFca);
   const cell::CellId c = testutil::center_cell(cfg);
   for (traffic::CallId i = 0; i < 4; ++i) offer_call(w, c, i + 1, sim::minutes(5));
-  const auto& recs = w.collector().records();
+  const auto& recs = w.records();
   ASSERT_EQ(recs.size(), 4u);
   EXPECT_EQ(recs[3].outcome, proto::Outcome::kBlockedNoChannel);
   // Meanwhile the rest of the system is completely idle.
@@ -66,7 +66,7 @@ TEST(Fca, ReleaseMakesChannelReusable) {
   w.run_to_quiescence();  // calls end, channels released
   EXPECT_TRUE(w.node(c).in_use().empty());
   offer_call(w, c, 4, sim::seconds(10));
-  EXPECT_EQ(w.collector().records().back().outcome, proto::Outcome::kAcquiredLocal);
+  EXPECT_EQ(w.records().back().outcome, proto::Outcome::kAcquiredLocal);
 }
 
 TEST(Fca, NeighborsReusePatternNeverInterferes) {

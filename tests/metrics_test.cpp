@@ -6,6 +6,7 @@
 #include "metrics/summary.hpp"
 #include "metrics/table.hpp"
 #include "metrics/timeseries.hpp"
+#include "traffic/mobility.hpp"
 
 namespace dca::metrics {
 namespace {
@@ -60,43 +61,85 @@ TEST(TableNum, Precision) {
 class CollectorFixture : public ::testing::Test {
  protected:
   Collector c;
+  // Serials 1..2 are dense (generated first legs); the rest go through
+  // the tally's map.
+  MessageTally tally{2, /*per_kind=*/true};
 
-  net::Message billed(std::uint64_t serial, net::MsgKind kind) {
-    net::Message m;
-    m.kind = kind;
-    m.serial = serial;
-    m.from = 0;
-    m.to = 1;
-    return m;
+  /// The closed record `i` with the tally's counts added, as the engine
+  /// completes it at merge time.
+  CallRecord completed(std::size_t i) const {
+    CallRecord r{c.records().at(i)};
+    tally.add_to(r);
+    return r;
+  }
+
+  Aggregate aggregate(sim::Duration T, sim::SimTime warmup = 0) const {
+    std::vector<CallRecord> records;
+    for (std::size_t i = 0; i < c.records().size(); ++i) {
+      records.push_back(completed(i));
+    }
+    return aggregate_records(records, T, warmup);
   }
 };
 
 TEST_F(CollectorFixture, BillsMessagesToOpenRecord) {
   c.open(1, 100, 5, 0, false);
-  c.on_message(billed(1, net::MsgKind::kRequest));
-  c.on_message(billed(1, net::MsgKind::kResponse));
-  c.on_message(billed(1, net::MsgKind::kResponse));
+  tally.add(1, net::MsgKind::kRequest, 1);
+  tally.add(1, net::MsgKind::kResponse, 2);
   c.close(1, 2000, proto::Outcome::kAcquiredUpdate, 1, 2, 0);
   ASSERT_EQ(c.records().size(), 1u);
-  const CallRecord& r = c.records()[0];
+  const CallRecord r = completed(0);
   EXPECT_EQ(r.total_messages(), 3u);
   EXPECT_EQ(r.messages[static_cast<std::size_t>(net::MsgKind::kResponse)], 2u);
+  EXPECT_EQ(tally.total(1), 3u);
   EXPECT_EQ(r.delay(), 2000);
 }
 
 TEST_F(CollectorFixture, BillsPostCloseMessagesToClosedRecord) {
-  c.open(1, 100, 5, 0, false);
-  c.close(1, 10, proto::Outcome::kAcquiredLocal, 0, 0, 0);
+  const std::uint64_t scripted = traffic::mobility::encode_serial(1, 1);
+  c.open(scripted, 100, 5, 0, false);
+  c.close(scripted, 10, proto::Outcome::kAcquiredLocal, 0, 0, 0);
   // The end-of-call RELEASE arrives long after the acquisition closed.
-  c.on_message(billed(1, net::MsgKind::kRelease));
-  EXPECT_EQ(c.records()[0].total_messages(), 1u);
-  EXPECT_EQ(c.unattributed_messages(), 0u);
+  tally.add(scripted, net::MsgKind::kRelease, 1);
+  EXPECT_EQ(completed(0).total_messages(), 1u);
+  EXPECT_EQ(completed(0).messages[static_cast<std::size_t>(
+                net::MsgKind::kRelease)],
+            1u);
 }
 
 TEST_F(CollectorFixture, UnattributedMessagesCounted) {
-  c.on_message(billed(0, net::MsgKind::kChangeMode));
-  c.on_message(billed(999, net::MsgKind::kRelease));  // unknown serial
-  EXPECT_EQ(c.unattributed_messages(), 2u);
+  // Bills to serials no record holds are still counted, under their own
+  // serial, and never leak into a record.
+  c.open(2, 100, 5, 0, false);
+  c.close(2, 10, proto::Outcome::kAcquiredLocal, 0, 0, 0);
+  tally.add(1, net::MsgKind::kChangeMode, 1);
+  tally.add(999, net::MsgKind::kRelease, 2);  // unknown serial
+  EXPECT_EQ(tally.total(1), 1u);
+  EXPECT_EQ(tally.total(999), 2u);
+  EXPECT_EQ(tally.total(998), 0u);
+  EXPECT_EQ(completed(0).total_messages(), 0u);
+}
+
+TEST(MessageTally, TotalsOnlyAndPerKindAgree) {
+  MessageTally totals(3, /*per_kind=*/false);
+  MessageTally kinds(3, /*per_kind=*/true);
+  const std::uint64_t serials[] = {1, 3, 7,
+                                   traffic::mobility::encode_serial(1, 5)};
+  std::uint32_t n = 1;
+  for (const std::uint64_t s : serials) {
+    for (int k = 0; k < net::kNumMsgKinds; ++k, ++n) {
+      totals.add(s, static_cast<net::MsgKind>(k), n);
+      kinds.add(s, static_cast<net::MsgKind>(k), n);
+    }
+  }
+  for (const std::uint64_t s : serials) {
+    EXPECT_EQ(totals.total(s), kinds.total(s)) << s;
+    CallRecord r;
+    r.serial = s;
+    kinds.add_to(r);
+    EXPECT_EQ(r.total_messages(), kinds.total(s)) << s;
+  }
+  EXPECT_EQ(totals.total(2), 0u);
 }
 
 TEST_F(CollectorFixture, AggregateComputesXiFractionsAndM) {
@@ -112,7 +155,7 @@ TEST_F(CollectorFixture, AggregateComputesXiFractionsAndM) {
   c.open(5, 5, 4, 0, false);
   c.close(5, 70000, proto::Outcome::kBlockedNoChannel, 3, 0, 0);
 
-  const Aggregate a = c.aggregate(/*T=*/5000);
+  const Aggregate a = aggregate(/*T=*/5000);
   EXPECT_EQ(a.offered, 5u);
   EXPECT_EQ(a.acquired, 4u);
   EXPECT_EQ(a.blocked, 1u);
@@ -132,7 +175,7 @@ TEST_F(CollectorFixture, WarmupDiscardsEarlyRecords) {
   c.close(1, 0, proto::Outcome::kAcquiredLocal, 0, 0, 0);
   c.open(2, 2, 0, /*now=*/100, false);
   c.close(2, 100, proto::Outcome::kBlockedNoChannel, 0, 0, 0);
-  const Aggregate a = c.aggregate(1, /*warmup=*/50);
+  const Aggregate a = aggregate(1, /*warmup=*/50);
   EXPECT_EQ(a.offered, 1u);
   EXPECT_EQ(a.blocked, 1u);
 }
@@ -140,7 +183,7 @@ TEST_F(CollectorFixture, WarmupDiscardsEarlyRecords) {
 TEST_F(CollectorFixture, StarvedAndHandoffTracking) {
   c.open(1, 1, 0, 0, /*is_handoff=*/true);
   c.close(1, 10, proto::Outcome::kBlockedStarved, 10, 0, 0);
-  const Aggregate a = c.aggregate(1);
+  const Aggregate a = aggregate(1);
   EXPECT_EQ(a.starved, 1u);
   EXPECT_EQ(a.handoff_failures, 1u);
   EXPECT_DOUBLE_EQ(a.drop_rate(), 1.0);

@@ -5,14 +5,22 @@
 // scenarios the paper tables are reproduced from (Table 2's low-load
 // point, Table 3's high-load sweep points) and on the engine's hard
 // configurations (multi-shard, latency jitter, mobility).
+#include <algorithm>
 #include <cstdint>
+#include <random>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "cell/grid.hpp"
 #include "metrics/collector.hpp"
 #include "runner/experiment.hpp"
+#include "runner/flag_timeline.hpp"
+#include "runner/world.hpp"
 #include "sim/trace.hpp"
+#include "traffic/mobility.hpp"
+#include "traffic/profile.hpp"
 #include "test_util.hpp"
 
 namespace dca {
@@ -116,6 +124,109 @@ TEST(StreamingMetrics, ShardedJitteredMobileRunMatchesBuffered) {
   cfg.latency_jitter = sim::milliseconds(2);
   cfg.mean_dwell_s = 90.0;
   expect_equivalent_runs(cfg, Scheme::kAdaptive, 0.9);
+}
+
+// The one message tally both modes bill into: a buffered record's per-kind
+// counts are the sum of every shard's bills to its serial, so they must not
+// depend on the shard count — including a moving call's later legs
+// (hop > 0 serials, billed through the tally's map) and bills sent from
+// another shard than the record's. The buffered messages_per_call must
+// equal the streamed one.
+TEST(StreamingMetrics, PerKindBillsMatchAcrossShardCounts) {
+  ScenarioConfig cfg = testutil::small_config();
+  cfg.duration = sim::minutes(2);
+  cfg.mean_holding_s = 20.0;
+  cfg.mean_dwell_s = 8.0;
+  const traffic::UniformProfile load(cfg.arrival_rate_for_load(0.8));
+
+  std::vector<metrics::CallRecord> one_shard;
+  metrics::Summary buffered_mpc;
+  for (const int shards : {1, 2, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    cfg.shards = shards;
+    cfg.threads = 2;
+    runner::World w(cfg, Scheme::kAdaptive, &load);
+    w.run();
+    const std::vector<metrics::CallRecord> recs = w.records();
+    const RunResult r = w.result();
+    EXPECT_EQ(r.violations, 0u);
+    ASSERT_TRUE(r.quiescent);
+    if (shards == 1) {
+      one_shard = recs;
+      buffered_mpc = r.agg.messages_per_call;
+      const auto later_legs = std::count_if(
+          recs.begin(), recs.end(), [](const metrics::CallRecord& rec) {
+            return traffic::mobility::hop_of(rec.serial) > 0 &&
+                   rec.total_messages() > 0;
+          });
+      EXPECT_GT(later_legs, 0) << "no billed handoff leg exercised";
+      continue;
+    }
+    EXPECT_GT(r.cross_shard_messages, 0u);
+    ASSERT_EQ(recs.size(), one_shard.size());
+    for (std::size_t i = 0; i < recs.size(); ++i) {
+      ASSERT_EQ(recs[i].serial, one_shard[i].serial) << i;
+      EXPECT_EQ(recs[i].messages, one_shard[i].messages)
+          << "serial " << recs[i].serial;
+      EXPECT_EQ(recs[i].borrowing_neighbors, one_shard[i].borrowing_neighbors);
+      EXPECT_EQ(recs[i].searching_neighbors, one_shard[i].searching_neighbors);
+    }
+  }
+
+  cfg.stream_metrics = true;
+  const RunResult streamed = runner::run_profile(cfg, Scheme::kAdaptive, load);
+  expect_same_summary(buffered_mpc, streamed.agg.messages_per_call,
+                      "messages_per_call");
+}
+
+// The neighbour-sample cursor against the direct timeline lookup, on many
+// closes per instant: every cell closes at most instants, so each
+// neighbour j sits both below and above its closers, and many flag
+// changes share an instant. Then the same records out of order.
+TEST(FlagSampler, CursorMatchesDirectLookup) {
+  const cell::HexGrid grid(5, 5, 2);
+  const auto n = static_cast<std::size_t>(grid.n_cells());
+  runner::FlagTimelines flags;
+  flags.reset(n);
+  std::mt19937_64 rng(2024);
+  for (sim::SimTime t = 0; t < 60; ++t) {
+    for (cell::CellId c = 0; c < grid.n_cells(); ++c) {
+      for (int k = static_cast<int>(rng() % 4); k > 0; --k) {
+        flags.observe(c, t, (rng() & 1) != 0, (rng() & 2) != 0);
+      }
+    }
+  }
+  std::vector<metrics::CallDecision> recs;  // canonical (t, cell) order
+  for (sim::SimTime t = 0; t < 62; ++t) {
+    for (cell::CellId c = 0; c < grid.n_cells(); ++c) {
+      for (int k = static_cast<int>(rng() % 3); k > 0; --k) {
+        metrics::CallDecision r;
+        r.cellId = c;
+        r.t_decision = t;
+        recs.push_back(r);
+      }
+    }
+  }
+  const auto expect_direct = [&](std::vector<metrics::CallDecision> in) {
+    std::vector<metrics::CallDecision> sampled = in;
+    runner::FlagTimelines::Sampler sampler(flags, grid);
+    for (metrics::CallDecision& r : sampled) sampler.apply(r);
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      int borrowing = 0;
+      int searching = 0;
+      for (const cell::CellId j : grid.interference(in[i].cellId)) {
+        const auto [b, srch] = flags.flags_at(j, in[i].t_decision, in[i].cellId);
+        borrowing += b ? 1 : 0;
+        searching += srch ? 1 : 0;
+      }
+      EXPECT_EQ(sampled[i].borrowing_neighbors, borrowing) << i;
+      EXPECT_EQ(sampled[i].searching_neighbors, searching) << i;
+    }
+  };
+  expect_direct(recs);
+  // Scripted calls can close out of canonical order; the cursor rewinds.
+  std::shuffle(recs.begin(), recs.end(), rng);
+  expect_direct(recs);
 }
 
 TEST(StreamingMetrics, StreamedTraceIsByteIdenticalAndConformant) {

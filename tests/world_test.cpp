@@ -64,7 +64,7 @@ TEST(World, HandoffMovesCallToNeighbor) {
   w.run_to_quiescence();
   // The call lived 10 minutes with ~30 expected handoffs; records beyond
   // the first must be handoff requests for the same call id.
-  const auto& recs = w.collector().records();
+  const auto& recs = w.records();
   ASSERT_GT(recs.size(), 3u);
   int handoffs = 0;
   for (const auto& r : recs) {
@@ -85,7 +85,7 @@ TEST(World, HandoffFailureDropsCall) {
   for (cell::CellId c = 0; c < w.grid().n_cells(); ++c)
     for (int i = 0; i < 3; ++i) offer_call(w, c, id++, sim::minutes(2));
   w.run_to_quiescence();
-  const auto agg = w.collector().aggregate(cfg.latency);
+  const auto agg = metrics::aggregate_records(w.records(), cfg.latency);
   EXPECT_GT(agg.handoff_failures, 0u);
   EXPECT_TRUE(w.quiescent());
 }
