@@ -46,14 +46,7 @@ void AdaptiveNode::bump_claim(ChannelId ch, int delta) {
   }
 }
 
-void AdaptiveNode::set_known_use(CellId j, ChannelId ch, bool on) {
-  // Writes about non-neighbours (harmless, and possible via broadcast
-  // paths) used to land in write-only per-cell slots; with rank-indexed
-  // storage they are dropped outright — nothing ever read them, because
-  // interfered() and Best() only consult IN_i members.
-  const int r = nbr_rank(j);
-  if (r < 0) return;
-  ChannelSet& s = known_use_[static_cast<std::size_t>(r)];
+void AdaptiveNode::set_claim(ChannelSet& s, ChannelId ch, bool on) {
   if (s.contains(ch) == on) return;
   if (on) {
     s.insert(ch);
@@ -63,17 +56,16 @@ void AdaptiveNode::set_known_use(CellId j, ChannelId ch, bool on) {
   bump_claim(ch, on ? 1 : -1);
 }
 
-void AdaptiveNode::set_pending_grant(CellId j, ChannelId ch, bool on) {
+void AdaptiveNode::set_use_and_grant(CellId j, ChannelId ch, bool use,
+                                     bool grant) {
+  // Writes about non-neighbours (harmless, and possible via broadcast
+  // paths) used to land in write-only per-cell slots; with rank-indexed
+  // storage they are dropped outright — nothing ever read them, because
+  // interfered() and Best() only consult IN_i members.
   const int r = nbr_rank(j);
   if (r < 0) return;
-  ChannelSet& s = pending_grants_[static_cast<std::size_t>(r)];
-  if (s.contains(ch) == on) return;
-  if (on) {
-    s.insert(ch);
-  } else {
-    s.erase(ch);
-  }
-  bump_claim(ch, on ? 1 : -1);
+  set_claim(known_use_[static_cast<std::size_t>(r)], ch, use);
+  set_claim(pending_grants_[static_cast<std::size_t>(r)], ch, grant);
 }
 
 void AdaptiveNode::assign_known_use(CellId j, const ChannelSet& nu) {
@@ -518,8 +510,7 @@ void AdaptiveNode::check_mode() {
 
 void AdaptiveNode::handle_acquisition(const net::Message& msg) {
   if (msg.channel != kNoChannel) {
-    set_known_use(msg.from, msg.channel, true);
-    set_pending_grant(msg.from, msg.channel, false);
+    set_use_and_grant(msg.from, msg.channel, true, false);
     check_mode();
   }
   if (msg.acq_type == net::AcqType::kSearch) {
@@ -543,8 +534,7 @@ void AdaptiveNode::handle_acquisition(const net::Message& msg) {
 }
 
 void AdaptiveNode::handle_release(const net::Message& msg) {
-  set_known_use(msg.from, msg.channel, false);
-  set_pending_grant(msg.from, msg.channel, false);
+  set_use_and_grant(msg.from, msg.channel, false, false);
   check_mode();
   maybe_repack();  // one of our primaries may just have become free
 }
@@ -742,8 +732,7 @@ void AdaptiveNode::send_grant(CellId to, std::uint64_t serial, std::uint64_t wav
   // The paper updates both I_i and U_j at grant time; the grant is also
   // remembered as pending so a later status snapshot cannot erase it while
   // the borrower's confirmation is in flight.
-  set_known_use(to, r, true);
-  set_pending_grant(to, r, true);
+  set_use_and_grant(to, r, true, true);
   net::Message resp;
   resp.kind = net::MsgKind::kResponse;
   resp.res_type = net::ResType::kGrant;
@@ -812,9 +801,11 @@ void AdaptiveNode::on_peer_restart(CellId j) {
   }
   if (const int r = nbr_rank(j); r >= 0) {
     assign_known_use(j, ChannelSet(spectrum_size()));
-    const ChannelSet pg = pending_grants_[static_cast<std::size_t>(r)];
-    for (ChannelId c = pg.first(); c != kNoChannel; c = pg.next_after(c)) {
-      set_pending_grant(j, c, false);
+    ChannelSet& pg = pending_grants_[static_cast<std::size_t>(r)];
+    const ChannelSet granted = pg;
+    for (ChannelId c = granted.first(); c != kNoChannel;
+         c = granted.next_after(c)) {
+      set_claim(pg, c, false);
     }
   }
   // A grant, status, or reply j issued before crashing is void. Resolve

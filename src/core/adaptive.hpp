@@ -181,8 +181,12 @@ class AdaptiveNode final : public proto::AllocatorNode {
   // 1->0. All writes to known_use_/pending_grants_ MUST go through these
   // wrappers so the cache never drifts from the vectors it mirrors.
   void bump_claim(cell::ChannelId ch, int delta);
-  void set_known_use(cell::CellId j, cell::ChannelId ch, bool on);
-  void set_pending_grant(cell::CellId j, cell::ChannelId ch, bool on);
+  /// Puts ch in or out of one of the sets, bumping the claim on a change.
+  void set_claim(cell::ChannelSet& s, cell::ChannelId ch, bool on);
+  /// ch in U_j per `use`, then in j's pending grants per `grant`, with one
+  /// rank lookup; a no-op for non-neighbours.
+  void set_use_and_grant(cell::CellId j, cell::ChannelId ch, bool use,
+                         bool grant);
   void assign_known_use(cell::CellId j, const cell::ChannelSet& nu);
 
   // -- helpers ------------------------------------------------------------

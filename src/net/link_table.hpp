@@ -26,12 +26,19 @@
 // insert/find/erase with no tree walk and no per-frame allocation once
 // warm. Iteration order never escapes to simulation results — every
 // traversal the transport does is by explicit ascending seq.
+//
+// HandlePool keeps what those rings point at: each frame payload in
+// flight sits once in a chunked pool and a ring slot holds its 32-bit
+// handle, so a ring that doubles past a collision moves handles, not
+// payloads.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -193,6 +200,11 @@ class SeqRing {
     return s.value;
   }
 
+  /// Heap bytes of the slot array (the ring never shrinks).
+  [[nodiscard]] std::size_t bytes() const noexcept {
+    return slots_.capacity() * sizeof(Slot);
+  }
+
   /// Removes seq if present; returns whether it was.
   bool erase(std::uint64_t seq) noexcept {
     if (slots_.empty()) return false;
@@ -239,6 +251,96 @@ class SeqRing {
   std::vector<Slot> slots_;
   std::size_t mask_ = 0;
   std::size_t size_ = 0;
+};
+
+/// Chunked, free-listed store of values behind 32-bit handles, after
+/// sim::EventSlab. Chunks of 256 slots are added only when every slot is
+/// live and never move or shrink, so a value stays in place from put() to
+/// release() and capacity exceeds the peak occupancy by less than one
+/// chunk. Freed slots go on an intrusive free list and are reused first.
+/// Handle values never reach simulation results.
+template <typename T>
+class HandlePool {
+ public:
+  using Handle = std::uint32_t;
+
+  /// Stores `value` in a free slot (growing by one chunk if none).
+  template <typename U>
+  Handle put(U&& value) {
+    if (free_head_ == kNil) grow();
+    const Handle h = free_head_;
+    Node& n = node(h);
+    free_head_ = n.next_free;
+    n.next_free = kLive;
+    n.value = std::forward<U>(value);
+    if (++live_ > high_water_) high_water_ = live_;
+    return h;
+  }
+
+  [[nodiscard]] const T& operator[](Handle h) const noexcept {
+    assert(node(h).next_free == kLive && "stale payload handle");
+    return node(h).value;
+  }
+
+  /// Moves the value out and frees its slot.
+  T take(Handle h) {
+    T v = std::move(node(h).value);
+    release(h);
+    return v;
+  }
+
+  /// Frees a live slot, dropping whatever its value owns.
+  void release(Handle h) noexcept {
+    Node& n = node(h);
+    assert(n.next_free == kLive && "releasing a free payload slot");
+    n.value = T{};
+    n.next_free = free_head_;
+    free_head_ = h;
+    --live_;
+  }
+
+  [[nodiscard]] std::size_t live() const noexcept { return live_; }
+  /// Most slots ever live at once.
+  [[nodiscard]] std::size_t high_water() const noexcept { return high_water_; }
+  /// Heap bytes of the chunks and their index.
+  [[nodiscard]] std::size_t bytes() const noexcept {
+    return chunks_.size() * kChunkSlots * sizeof(Node) +
+           chunks_.capacity() * sizeof(chunks_[0]);
+  }
+
+ private:
+  static constexpr Handle kNil = 0xFFFFFFFFu;
+  static constexpr Handle kLive = 0xFFFFFFFEu;
+  static constexpr Handle kChunkShift = 8;  // 256 slots per chunk
+  static constexpr Handle kChunkSlots = 1u << kChunkShift;
+
+  struct Node {
+    T value{};
+    Handle next_free = kNil;
+  };
+
+  [[nodiscard]] Node& node(Handle h) noexcept {
+    return chunks_[h >> kChunkShift][h & (kChunkSlots - 1)];
+  }
+  [[nodiscard]] const Node& node(Handle h) const noexcept {
+    return chunks_[h >> kChunkShift][h & (kChunkSlots - 1)];
+  }
+
+  void grow() {
+    const auto base = static_cast<Handle>(chunks_.size()) << kChunkShift;
+    chunks_.push_back(std::make_unique<Node[]>(kChunkSlots));
+    // Thread the new chunk onto the free list so slots hand out in
+    // ascending order.
+    for (Handle i = kChunkSlots; i-- > 0;) {
+      chunks_.back()[i].next_free = free_head_;
+      free_head_ = base + i;
+    }
+  }
+
+  std::vector<std::unique_ptr<Node[]>> chunks_;
+  Handle free_head_ = kNil;
+  std::size_t live_ = 0;
+  std::size_t high_water_ = 0;
 };
 
 }  // namespace dca::net

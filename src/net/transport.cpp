@@ -74,7 +74,7 @@ void Transport::log_send(sim::SimTime now, const Message& msg) {
 void Transport::send_reliable(ShardLinks& sl, LinkId lid, Message&& msg) {
   LinkTx& tx = sl.tx[tx_rank(lid)];
   const std::uint64_t seq = tx.next_seq++;
-  tx.pending.insert(seq).msg = std::move(msg);
+  tx.pending.insert(seq).payload = sl.payloads.put(std::move(msg));
   transmit(lid, seq);
   arm_rto(lid, seq);
 }
@@ -133,7 +133,7 @@ void Transport::transmit(LinkId lid, std::uint64_t seq) {
   sim::RngStream& rng = link_rng(sl, lid);
   const PendingFrame* f = sl.tx[tx_rank(lid)].pending.find(seq);
   assert(f != nullptr && "transmitting a frame not in the window");
-  const Message& msg = f->msg;
+  const Message& msg = sl.payloads[f->payload];
   int copies = 1;
   if (faults_.dup_prob > 0 && rng.bernoulli(faults_.dup_prob)) {
     ++sl.stats.frames_duplicated;
@@ -178,21 +178,23 @@ void Transport::on_rto(LinkId lid, std::uint64_t seq) {
 void Transport::on_data_frame(LinkId lid, std::uint64_t seq,
                               const Message& msg) {
   // Runs on the receiver's shard. The rx vector is sized once at
-  // construction, so this reference stays valid across node deliveries.
-  LinkRx& rx = shard_links(msg.to).rx[rx_rank_[static_cast<std::size_t>(lid)]];
+  // construction and pool slots never move, so these references stay
+  // valid across node deliveries.
+  ShardLinks& sl = shard_links(msg.to);
+  LinkRx& rx = sl.rx[rx_rank_[static_cast<std::size_t>(lid)]];
   if (seq == rx.next_expected) {
     // In order: deliver straight away, then release any successors that
     // arrived ahead of this frame. Only frames past a gap are buffered.
     ++rx.next_expected;
     deliver(msg);
-    while (Message* next = rx.reorder.find(rx.next_expected)) {
-      const Message m = std::move(*next);
+    while (const PayloadPool::Handle* next = rx.reorder.find(rx.next_expected)) {
+      const Message m = sl.payloads.take(*next);
       rx.reorder.erase(rx.next_expected);
       ++rx.next_expected;
       deliver(m);
     }
   } else if (seq > rx.next_expected && !rx.reorder.contains(seq)) {
-    rx.reorder.insert(seq) = msg;
+    rx.reorder.insert(seq) = sl.payloads.put(msg);
   }
   send_ack(lid, rx.next_expected - 1);
 }
@@ -219,11 +221,13 @@ void Transport::on_ack(LinkId data_lid, std::uint64_t cumulative) {
   // range [lowest_unacked, next_seq), so the cumulative prefix walk frees
   // exactly the acknowledged frames in ascending seq.
   const cell::CellId from = links_.endpoints(data_lid).first;
-  LinkTx& tx = shard_links(from).tx[tx_rank(data_lid)];
+  ShardLinks& sl = shard_links(from);
+  LinkTx& tx = sl.tx[tx_rank(data_lid)];
   while (tx.lowest_unacked <= cumulative && tx.lowest_unacked < tx.next_seq) {
     PendingFrame* f = tx.pending.find(tx.lowest_unacked);
     assert(f != nullptr && "hole in the transport send window");
     if (f->timer != sim::kInvalidEventId) kernel_.cancel(from, f->timer);
+    sl.payloads.release(f->payload);
     tx.pending.erase(tx.lowest_unacked);
     ++tx.lowest_unacked;
   }
@@ -272,6 +276,29 @@ std::uint64_t Transport::cross_shard_sent() const {
   std::uint64_t n = 0;
   for (const ShardLinks& sl : shards_) n += sl.cross_shard_sent;
   return n;
+}
+
+std::size_t Transport::footprint() const {
+  std::size_t bytes = 0;
+  for (const ShardLinks& sl : shards_) {
+    bytes += sl.tx.capacity() * sizeof(LinkTx) +
+             sl.rx.capacity() * sizeof(LinkRx) + sl.payloads.bytes();
+    for (const LinkTx& tx : sl.tx) bytes += tx.pending.bytes();
+    for (const LinkRx& rx : sl.rx) bytes += rx.reorder.bytes();
+    for (const sim::RngStream& rng : sl.fault_rng) bytes += rng.bytes();
+  }
+  return bytes;
+}
+
+Transport::Occupancy Transport::occupancy() const {
+  Occupancy o;
+  for (const ShardLinks& sl : shards_) {
+    for (const LinkTx& tx : sl.tx) o.unacked += tx.pending.size();
+    for (const LinkRx& rx : sl.rx) o.reordering += rx.reorder.size();
+    o.payloads += sl.payloads.live();
+    o.payload_peak += sl.payloads.high_water();
+  }
+  return o;
 }
 
 TransportStats Transport::stats() const {

@@ -28,20 +28,29 @@
 // (retransmissions, acks) are not counted as protocol messages. With no
 // link fault configured none of this is on the send path.
 //
+// Between send and ack a payload lives once, in the sender shard's
+// payload pool; the send window holds its 32-bit handle, the attempt count
+// and the RTO timer. Each data frame in flight carries its own copy of the
+// Message in its delivery closure. A frame that arrives past a gap is put
+// into the receiver shard's pool, the reorder ring holds its handle, and
+// draining the ring takes the payload back out. The ack releases the
+// sender's copy as the cumulative prefix leaves the window.
+//
 // A paused station's allocator process receives nothing: inbound messages
 // are held (in arrival order) and flushed on resume through the receiver.
 // Its transport keeps acking, modelling a stalled process on a live host.
 //
 // Sharding: every piece of link state has one owning side. The sender
-// side (FIFO floor, delivery sequence, send window, fault stream) lives on
-// shard_of(from), the receiver side (reorder ring) on shard_of(to); each
-// shard's vectors hold only its own links, indexed by a dense per-shard
-// rank, so total link state is n_links whatever the shard count. Every
-// delivery is keyed (when, to, kClassDelivery, from, per-link send seq),
-// so same-instant arrivals at a receiver resolve in the same canonical
-// order on any shard and thread count, and each RTO timer draws its
-// sender cell's local counter (ShardedKernel::schedule_local), which the
-// cell's protocol timers share.
+// side (FIFO floor, delivery sequence, send window and its payloads, fault
+// stream) lives on shard_of(from), the receiver side (reorder ring and its
+// payloads) on shard_of(to), so only a shard's own events touch its
+// payload pool. Each shard's vectors hold only its own links, indexed by a
+// dense per-shard rank, so total link state is n_links whatever the shard
+// count. Every delivery is keyed (when, to, kClassDelivery, from, per-link
+// send seq), so same-instant arrivals at a receiver resolve in the same
+// canonical order on any shard and thread count, and each RTO timer draws
+// its sender cell's local counter (ShardedKernel::schedule_local), which
+// the cell's protocol timers share.
 #pragma once
 
 #include <array>
@@ -125,10 +134,24 @@ class Transport {
   [[nodiscard]] std::uint64_t cross_shard_sent() const;
   [[nodiscard]] TransportStats stats() const;
 
+  /// Heap and vector bytes of the reliable sublayer: send windows, reorder
+  /// rings, payload pools and fault streams. 0 without link faults.
+  [[nodiscard]] std::size_t footprint() const;
+
+  /// Reliable-sublayer occupancy, summed over shards.
+  struct Occupancy {
+    std::size_t unacked = 0;       // frames in send windows
+    std::size_t reordering = 0;    // frames parked in reorder rings
+    std::size_t payloads = 0;      // live payload-pool slots
+    std::size_t payload_peak = 0;  // sum of each pool's high-water mark
+  };
+  [[nodiscard]] Occupancy occupancy() const;
+
  private:
+  using PayloadPool = HandlePool<Message>;
   struct PendingFrame {
-    Message msg;
     sim::EventId timer = sim::kInvalidEventId;
+    PayloadPool::Handle payload = 0;
     int attempts = 0;
   };
   struct LinkTx {
@@ -140,7 +163,7 @@ class Transport {
   };
   struct LinkRx {
     std::uint64_t next_expected = 1;
-    SeqRing<Message> reorder;
+    SeqRing<PayloadPool::Handle> reorder;
   };
   // Written only by events of its own shard; alignas keeps neighbouring
   // shards off each other's cache lines.
@@ -153,6 +176,7 @@ class Transport {
     std::vector<LinkTx> tx;                // send window, by tx rank
     std::vector<LinkRx> rx;                // reorder ring, by rx rank
     std::vector<sim::RngStream> fault_rng;  // by tx rank, from (seed, link)
+    PayloadPool payloads;  // behind this shard's tx windows and rx rings
     TransportStats stats;
   };
 

@@ -33,6 +33,10 @@ struct RunResult {
   std::uint64_t executed_events = 0;
   bool quiescent = false;
   net::TransportStats transport;  // all-zero unless faults were enabled
+  /// Bytes the reliable transport holds at the end of the run (send
+  /// windows, reorder rings, payload pools, fault streams; none of them
+  /// shrinks, so this is also their peak). 0 unless link faults were on.
+  std::uint64_t transport_bytes = 0;
   /// Crash/resync availability accounting (all-zero with crashes off).
   metrics::Availability availability;
 

@@ -800,6 +800,7 @@ RunResult World::result() {
         transport_->sent_of(static_cast<net::MsgKind>(k));
   }
   out.transport = transport_->stats();
+  out.transport_bytes = transport_->footprint();
   if (crashes_on_) {
     // Outages and resyncs still open when the run stopped count up to
     // that instant. run() drains every restart and resync, so it has none.

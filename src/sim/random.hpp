@@ -111,6 +111,11 @@ class RngStream {
     }
   }
 
+  /// Bytes this stream holds: itself, plus the engine once built.
+  [[nodiscard]] std::size_t bytes() const noexcept {
+    return sizeof(RngStream) + (engine_ ? sizeof(Engine) : 0);
+  }
+
  private:
   using Engine = std::mt19937_64;
   using Word = Engine::result_type;

@@ -242,6 +242,22 @@ TEST(ValidateScenario, DcasimRejectsOutOfRangeIntWithExitTwo) {
   EXPECT_NE(e.out.find("bad value for rows"), std::string::npos) << e.out;
 }
 
+TEST(ValidateScenario, DcasimJsonReportsTransportBytes) {
+  // The reliable transport's byte ledger is 0 unless a link fault is on.
+  auto transport_bytes = [](const std::string& faults) {
+    const Exit e = run_dcasim(
+        "--scheme adaptive --rows 7 --cols 7 --rho 0.6 --duration-min 0.5 "
+        "--warmup-min 0.1 --timeout-ms 500 --json" + faults);
+    EXPECT_EQ(e.status, 0) << e.out;
+    const std::string key = "\"transport_bytes\":";
+    const auto at = e.out.find(key);
+    EXPECT_NE(at, std::string::npos) << e.out;
+    return at == std::string::npos ? -1 : std::stoll(e.out.substr(at + key.size()));
+  };
+  EXPECT_EQ(transport_bytes(""), 0);
+  EXPECT_GT(transport_bytes(" --drop-prob 0.05"), 0);
+}
+
 TEST(ValidateScenario, DcasimFlagsMatchConfigFile) {
   // The same values as a scenario file and as flags (key `k` is flag `--k`
   // with `_` -> `-`; a `true` bool is a presence flag) must give the same

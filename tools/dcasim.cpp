@@ -285,6 +285,8 @@ int main(int argc, char** argv) {
     json.value(r.availability.mean_time_to_resync_s());
     json.key("peak_rss_bytes");
     json.value(r.peak_rss_bytes);
+    json.key("transport_bytes");
+    json.value(r.transport_bytes);
     json.end_object();
     if (r.violations != 0) {
       std::fprintf(stderr, "dcasim: INTERFERENCE VIOLATIONS DETECTED\n");
