@@ -33,7 +33,6 @@
 #include <utility>
 #include <vector>
 
-#include "bench_util.hpp"
 #include "metrics/json.hpp"
 #include "runner/experiment.hpp"
 
@@ -51,6 +50,8 @@ constexpr double kCrashMeanS = 2.0;
 // without it the run cannot drain (and validate_scenario rejects it). The
 // chaos campaign's value.
 constexpr dca::sim::Duration kCrashRequestTimeout = dca::sim::milliseconds(500);
+
+void heading(const char* title) { std::printf("\n=== %s ===\n\n", title); }
 
 ScenarioConfig bench_config() {
   ScenarioConfig c;
@@ -161,7 +162,7 @@ int main(int argc, char**) {
   const unsigned hw = std::thread::hardware_concurrency();
   std::printf("hardware threads: %u, rho=%.2f\n", hw, kRho);
 
-  dca::benchutil::heading("scaling curve: shards x threads (pinned)");
+  heading("scaling curve: shards x threads (pinned)");
   struct ScalePoint {
     int shards;
     int threads;
@@ -182,7 +183,7 @@ int main(int argc, char**) {
     }
   }
 
-  dca::benchutil::heading("crash recovery: events/sec and availability");
+  heading("crash recovery: events/sec and availability");
   struct CrashRun {
     int shards;
     Timed run;
@@ -211,7 +212,7 @@ int main(int argc, char**) {
   // Peak RSS is the process high-water mark, so it is an upper bound (the
   // sections above allocated too), but this run's working set dominates
   // the process by an order of magnitude.
-  dca::benchutil::heading("metro memory: 60x60 streaming, peak RSS per cell");
+  heading("metro memory: 60x60 streaming, peak RSS per cell");
   ScenarioConfig metro = bench_config();
   metro.rows = 60;
   metro.cols = 60;

@@ -1,4 +1,4 @@
-// Plain-text table rendering for the bench binaries: aligned console
+// Plain-text table rendering for dcasim and the tools: aligned console
 // tables (the formats the paper's Tables 1–3 are printed in) and CSV for
 // downstream plotting.
 #pragma once

@@ -19,8 +19,9 @@
 // conditional grant counts as failure. This is exactly the unfairness the
 // paper's Fig. 11 exhibits: when a younger request's messages overtake an
 // older one's, the primaries promise the channel to the younger request
-// and the older one — despite its priority — fails. The bench
-// `fig11_advanced_update_unfairness` reproduces the scenario verbatim.
+// and the older one — despite its priority — fails. The check
+// `Experiments.Fig11AdvancedUpdateDropsTheOlderRequest` reproduces the
+// scenario verbatim.
 #pragma once
 
 #include <cstdint>

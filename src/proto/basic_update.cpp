@@ -36,7 +36,7 @@ void BasicUpdateNode::try_attempt(std::uint64_t serial, int round) {
   }
   // Default policy picks uniformly among believed-free channels: concurrent
   // requesters that deterministically picked the lowest id would collide
-  // every round (the policy ablation bench quantifies this).
+  // every round.
   const cell::ChannelId r =
       policy().pick(freeSet, pick_, env().rng(id()), pick_cursor_);
 

@@ -1,6 +1,6 @@
 // One-call experiment drivers: assemble a World (runner/world.hpp), drive
-// a traffic profile through it, and return the aggregated results every
-// bench/table consumes.
+// a traffic profile through it, and return the aggregated results dcasim,
+// the tools and the experiment checks (tests/experiments_test.cpp) consume.
 #pragma once
 
 #include <array>

@@ -5,7 +5,6 @@
 #include "metrics/collector.hpp"
 #include "metrics/summary.hpp"
 #include "metrics/table.hpp"
-#include "metrics/timeseries.hpp"
 #include "traffic/mobility.hpp"
 
 namespace dca::metrics {
@@ -207,29 +206,6 @@ TEST(JainIndex, ScaleInvariant) {
   std::vector<double> b;
   for (const double x : a) b.push_back(1000.0 * x);
   EXPECT_NEAR(jain_index(a), jain_index(b), 1e-12);
-}
-
-TEST(TimeSeries, BucketsSumsAndCounts) {
-  TimeSeries ts(sim::seconds(60));
-  ts.add(sim::seconds(10), 1.0);
-  ts.add(sim::seconds(59), 3.0);
-  ts.add(sim::seconds(60), 5.0);   // next bucket
-  ts.add(sim::seconds(200), 7.0);  // bucket 3
-  ASSERT_EQ(ts.n_buckets(), 4u);
-  EXPECT_DOUBLE_EQ(ts.sum(0), 4.0);
-  EXPECT_EQ(ts.count(0), 2u);
-  EXPECT_DOUBLE_EQ(ts.mean(0), 2.0);
-  EXPECT_DOUBLE_EQ(ts.sum(1), 5.0);
-  EXPECT_EQ(ts.count(2), 0u);
-  EXPECT_DOUBLE_EQ(ts.mean(2), 0.0);
-  EXPECT_DOUBLE_EQ(ts.sum(3), 7.0);
-  EXPECT_EQ(ts.bucket_start(3), sim::seconds(180));
-}
-
-TEST(TimeSeries, NegativeTimesClampToFirstBucket) {
-  TimeSeries ts(100);
-  ts.add(-50, 2.0);
-  EXPECT_DOUBLE_EQ(ts.sum(0), 2.0);
 }
 
 TEST(OutcomeNames, AllDistinct) {

@@ -236,6 +236,33 @@ TEST(ValidateScenario, DcasimRejectsZeroLatencyWithExitTwo) {
   EXPECT_NE(e.out.find(kLatencyMessage), std::string::npos) << e.out;
 }
 
+// Each malformed load flag is rejected before any run, naming the flag.
+void expect_flag_rejected(const std::string& flag, const std::string& value) {
+  const Exit e = run_dcasim("--duration-min 1 --warmup-min 0 --" + flag + " " + value +
+                            " 2>&1");
+  EXPECT_EQ(e.status, 2) << "--" << flag << " " << value << ": " << e.out;
+  EXPECT_NE(e.out.find("--" + flag + " must be"), std::string::npos) << e.out;
+}
+
+TEST(ValidateScenario, DcasimRejectsBadRhoWithExitTwo) {
+  // A non-finite rate would never finish planning arrivals; a negative one
+  // would run no calls at all.
+  for (const char* v : {"nan", "inf", "-1"}) expect_flag_rejected("rho", v);
+}
+
+TEST(ValidateScenario, DcasimRejectsBadHotFactorWithExitTwo) {
+  for (const char* v : {"0.5", "nan", "inf"}) expect_flag_rejected("hot-factor", v);
+}
+
+TEST(ValidateScenario, DcasimRejectsBadHotCellWithExitTwo) {
+  // The default 8x8 grid has cells 0..63; -1 means the centre.
+  for (const char* v : {"9999", "64", "-2"}) expect_flag_rejected("hot-cell", v);
+}
+
+TEST(ValidateScenario, DcasimRejectsBadSeedsWithExitTwo) {
+  for (const char* v : {"0", "-3", "4294967297"}) expect_flag_rejected("seeds", v);
+}
+
 TEST(ValidateScenario, DcasimRejectsOutOfRangeIntWithExitTwo) {
   const Exit e = run_dcasim("--rows 4294967304 --dump-config 2>&1");
   EXPECT_EQ(e.status, 2) << e.out;

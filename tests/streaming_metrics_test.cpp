@@ -31,7 +31,7 @@ using runner::ScenarioConfig;
 using runner::Scheme;
 
 /// Shortened paper-table scenario (8x8, 70 channels): same geometry and
-/// rates as the Table 1/2/3 benches, trimmed so the full matrix stays in
+/// rates as the Table 1/2/3 checks, trimmed so the full matrix stays in
 /// test time.
 ScenarioConfig golden_config() {
   ScenarioConfig c = testutil::paper_config();

@@ -7,7 +7,10 @@
 //   $ dcasim --scheme all --rho 0.9 --rows 14 --cols 14 --torus --csv
 //   $ dcasim --profile hotspot --hot-factor 10 --scheme fca
 //   $ dcasim --help
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -89,6 +92,26 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "dcasim: invalid scenario: %s\n", problem.c_str());
     return 2;
   }
+  // The load flags: rejected here, before any run, so a malformed value
+  // never reaches the arrival planner (a non-finite rate never ends).
+  const double rho = args.get_double("rho");
+  const double hot_factor = args.get_double("hot-factor");
+  const std::int64_t hot_cell = args.get_int("hot-cell");
+  const std::int64_t seeds = args.get_int("seeds");
+  const char* bad_flag = nullptr;
+  if (!std::isfinite(rho) || rho < 0.0) {
+    bad_flag = "--rho must be a finite number >= 0";
+  } else if (!std::isfinite(hot_factor) || hot_factor < 1.0) {
+    bad_flag = "--hot-factor must be a finite number >= 1";
+  } else if (hot_cell < -1 || hot_cell >= std::int64_t{cfg.rows} * cfg.cols) {
+    bad_flag = "--hot-cell must be -1 (the grid centre) or a cell id of the grid";
+  } else if (seeds < 1 || seeds > std::numeric_limits<int>::max()) {
+    bad_flag = "--seeds must be between 1 and 2147483647";
+  }
+  if (bad_flag != nullptr) {
+    std::fprintf(stderr, "dcasim: %s\n", bad_flag);
+    return 2;
+  }
   if (cfg.warmup >= cfg.duration) {
     cfg.warmup = cfg.duration / 10;
     std::fprintf(stderr,
@@ -102,8 +125,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const double rho = args.get_double("rho");
-  const int n_seeds = static_cast<int>(args.get_int("seeds"));
+  const int n_seeds = static_cast<int>(seeds);
   const std::string profile_name = args.get_string("profile");
   if (profile_name != "uniform" && profile_name != "hotspot") {
     std::fprintf(stderr, "dcasim: unknown profile '%s'\n", profile_name.c_str());
@@ -190,9 +212,9 @@ int main(int argc, char** argv) {
       }
     }
     if (hotspot) {
-      cell::CellId hot = static_cast<cell::CellId>(args.get_int("hot-cell"));
-      if (hot < 0) hot = (cfg.rows / 2) * cfg.cols + cfg.cols / 2;
-      r = runner::run_hotspot(cfg, s, rho, args.get_double("hot-factor"),
+      const cell::CellId hot = hot_cell < 0 ? (cfg.rows / 2) * cfg.cols + cfg.cols / 2
+                                            : static_cast<cell::CellId>(hot_cell);
+      r = runner::run_hotspot(cfg, s, rho, hot_factor,
                               cfg.warmup, cfg.duration, {hot}, trace);
     } else {
       r = runner::run_uniform(cfg, s, rho, trace);
