@@ -18,13 +18,6 @@ AdaptiveNode::AdaptiveNode(const proto::NodeContext& ctx, const AdaptiveParams& 
       params_(params),
       nfc_(params.window),
       borrowed_(ctx.plan->n_channels()) {
-  // Let the allocation policy rewrite the hysteresis pair before the
-  // invariants are enforced (tuned-threshold plugs in here); a policy
-  // returning a bad pair trips the same assertions as a bad config.
-  const auto th = policy().thresholds(
-      {params_.theta_low, params_.theta_high});
-  params_.theta_low = th.low;
-  params_.theta_high = th.high;
   params_.check();
   known_use_.assign(nbr_count(), ChannelSet(spectrum_size()));
   pending_grants_.assign(nbr_count(), ChannelSet(spectrum_size()));
@@ -113,7 +106,7 @@ void AdaptiveNode::proceed() {
   // well (DESIGN.md note on deviations).
   if (!awaiting_.empty()) {
     req_->phase = Phase::kWaitQuiet;
-    arm_timer(resilience().request_timeout, [this]() { on_phase_timeout(); });
+    arm_timer(request_timeout(), [this]() { on_phase_timeout(); });
     return;
   }
 
@@ -141,7 +134,7 @@ void AdaptiveNode::proceed() {
     req_->phase = Phase::kWaitStatus;
     req_->wave = change_wave_;
     req_->statuses = 0;
-    arm_timer(resilience().request_timeout, [this]() { on_phase_timeout(); });
+    arm_timer(request_timeout(), [this]() { on_phase_timeout(); });
     if (interference().empty()) proceed();  // nobody to hear from
     return;
   }
@@ -177,7 +170,7 @@ void AdaptiveNode::begin_update_round(ChannelId ch) {
   req_->rejected = false;
   req_->granters.clear();
 
-  arm_timer(resilience().request_timeout, [this]() { on_phase_timeout(); });
+  arm_timer(request_timeout(), [this]() { on_phase_timeout(); });
 
   net::Message msg;
   msg.kind = net::MsgKind::kRequest;
@@ -199,7 +192,7 @@ void AdaptiveNode::begin_search_round() {
   req_->channel = kNoChannel;
   req_->responses = 0;
   trace_search_start(req_->serial, req_->ts);
-  arm_timer(resilience().request_timeout, [this]() { on_phase_timeout(); });
+  arm_timer(request_timeout(), [this]() { on_phase_timeout(); });
 
   net::Message msg;
   msg.kind = net::MsgKind::kRequest;

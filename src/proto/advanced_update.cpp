@@ -106,7 +106,7 @@ void AdvancedUpdateNode::try_attempt(std::uint64_t serial, int round) {
   a.targets.assign(targets.begin(), targets.end());
   attempt_ = a;
   granters_.clear();
-  arm_timer(resilience().request_timeout, [this]() { abort_attempt(); });
+  arm_timer(request_timeout(), [this]() { abort_attempt(); });
 
   net::Message req;
   req.kind = net::MsgKind::kRequest;

@@ -26,8 +26,8 @@ AllocatorNode::AllocatorNode(const NodeContext& ctx)
       grid_(ctx.grid),
       plan_(ctx.plan),
       env_(ctx.env),
-      resilience_(ctx.resilience),
-      policy_(ctx.policy != nullptr ? ctx.policy : &AllocationPolicy::fallback()) {
+      request_timeout_(ctx.request_timeout),
+      handoff_guard_(ctx.handoff_guard) {
   assert(grid_ != nullptr && plan_ != nullptr && env_ != nullptr);
   assert(grid_->valid(id_));
 }
@@ -43,15 +43,13 @@ void AllocatorNode::request_channel(std::uint64_t serial) {
 
 void AllocatorNode::begin_request(std::uint64_t serial) {
   current_serial_ = serial;
-  if (policy_->gates_admission()) {
-    // Mobility serials encode (call, hop); hop > 0 marks a handoff leg.
-    const RequestClass cls = traffic::mobility::hop_of(serial) > 0
-                                 ? RequestClass::kHandoff
-                                 : RequestClass::kNewCall;
-    if (!policy_->admit(cls, admission_free_count())) {
-      complete_blocked(serial, Outcome::kBlockedNoChannel, 0);
-      return;
-    }
+  // Guard channels: a new call (mobility serials encode (call, hop); hop 0
+  // is the call's first leg) needs more than handoff_guard_ believed-free
+  // channels, so the last few stay for handoffs. -1 never gates.
+  if (handoff_guard_ >= 0 && traffic::mobility::hop_of(serial) == 0 &&
+      admission_free_count() <= handoff_guard_) {
+    complete_blocked(serial, Outcome::kBlockedNoChannel, 0);
+    return;
   }
   start_request(serial);
 }
@@ -145,7 +143,7 @@ void AllocatorNode::send_resync_requests() {
 }
 
 void AllocatorNode::arm_resync_timer() {
-  if (!resilience_.enabled()) return;
+  if (request_timeout_ <= 0) return;
   const std::uint64_t gen = ++resync_timer_gen_;
   auto cb = [this, gen]() {
     if (gen != resync_timer_gen_ || !resyncing_) return;
@@ -160,7 +158,7 @@ void AllocatorNode::arm_resync_timer() {
   static_assert(sim::TimerFn::fits_inline<decltype(cb)>(),
                 "resync timer closure must fit TimerFn's inline buffer");
   resync_timer_ =
-      env_->schedule_in(resilience_.request_timeout, sim::TimerFn(std::move(cb)));
+      env_->schedule_in(request_timeout_, sim::TimerFn(std::move(cb)));
 }
 
 void AllocatorNode::disarm_resync_timer() {

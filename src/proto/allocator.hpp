@@ -30,7 +30,6 @@
 #include "cell/spectrum.hpp"
 #include "net/message.hpp"
 #include "net/timestamp.hpp"
-#include "proto/policy.hpp"
 #include "sim/event_store.hpp"
 #include "sim/fifo.hpp"
 #include "sim/random.hpp"
@@ -135,28 +134,20 @@ class NodeEnv {
   }
 };
 
-/// Fault-tolerance knobs shared by all schemes. The all-zero default
-/// disables every timer, which preserves the fault-free message
-/// trajectories bit for bit.
-struct Resilience {
-  /// How long a node waits on the replies of one protocol round before
-  /// aborting the round. 0 = wait forever (safe only on lossless links).
-  sim::Duration request_timeout = 0;
-
-  [[nodiscard]] bool enabled() const noexcept { return request_timeout > 0; }
-};
-
 /// Immutable wiring shared by all nodes of a world.
 struct NodeContext {
   cell::CellId id = cell::kNoCell;
   const cell::HexGrid* grid = nullptr;
   const cell::ReusePlan* plan = nullptr;
   NodeEnv* env = nullptr;
-  Resilience resilience;
-  /// Shared allocation policy; nullptr falls back to
-  /// AllocationPolicy::fallback() (paper behaviour). Last member so the
-  /// many 4/5-element aggregate-init sites keep compiling unchanged.
-  const AllocationPolicy* policy = nullptr;
+  /// How long a node waits on the replies of one protocol round before
+  /// aborting the round. 0 disables every timer (safe only on lossless
+  /// links), which keeps the fault-free message trajectories bit for bit.
+  sim::Duration request_timeout = 0;
+  /// Guard channels (scenario key `handoff_guard`): a new call is blocked
+  /// while the node believes at most this many channels are free; handoff
+  /// legs always pass. -1 = no gate.
+  int handoff_guard = -1;
 };
 
 class AllocatorNode {
@@ -233,11 +224,11 @@ class AllocatorNode {
   virtual void start_request(std::uint64_t serial) = 0;
 
   /// The node's view of how many channels a fresh request could use right
-  /// now — the estimate the policy admission gate compares against. Only
-  /// consulted when policy().gates_admission() is true, so the default
-  /// (non-gating) policy costs nothing here. The base default is the
-  /// loosest sensible bound; schemes that track remote state override it
-  /// with their actual believed-free count.
+  /// now — the estimate the guard-channel gate compares against. Only
+  /// consulted for new calls when handoff_guard >= 0, so ungated runs
+  /// never compute it. The base default is the loosest sensible bound;
+  /// schemes that track remote state override it with their actual
+  /// believed-free count.
   [[nodiscard]] virtual int admission_free_count() const {
     return spectrum_size() - use_.size();
   }
@@ -310,15 +301,14 @@ class AllocatorNode {
   [[nodiscard]] NodeEnv& env() const noexcept { return *env_; }
   [[nodiscard]] const cell::HexGrid& grid() const noexcept { return *grid_; }
   [[nodiscard]] const cell::ReusePlan& plan() const noexcept { return *plan_; }
-  [[nodiscard]] const AllocationPolicy& policy() const noexcept { return *policy_; }
 
   /// Sends `msg` (with from/to filled in) to every cell in IN_i.
   void send_to_interference(net::Message msg);
 
   // -- protocol timer (fault hardening) ------------------------------------
 
-  [[nodiscard]] const Resilience& resilience() const noexcept {
-    return resilience_;
+  [[nodiscard]] sim::Duration request_timeout() const noexcept {
+    return request_timeout_;
   }
 
   /// Arms the node's single protocol timer, replacing any armed one. The
@@ -329,7 +319,7 @@ class AllocatorNode {
   /// in-tree is a [this]-capture, so arming never allocates.
   template <typename F>
   void arm_timer(sim::Duration delay, F&& fn) {
-    if (!resilience_.enabled()) return;
+    if (request_timeout_ <= 0) return;
     disarm_timer();
     const std::uint64_t gen = timer_gen_;
     auto cb = [this, gen, f = std::forward<F>(fn)]() mutable {
@@ -357,7 +347,7 @@ class AllocatorNode {
 
  private:
   void advance();
-  /// Runs the policy admission gate, then start_request or an immediate
+  /// Runs the guard-channel gate, then start_request or an immediate
   /// block. The single entry point for serving a request (fresh or
   /// dequeued), so gated and ungated paths stay aligned across schemes.
   void begin_request(std::uint64_t serial);
@@ -374,8 +364,8 @@ class AllocatorNode {
   const cell::HexGrid* grid_;
   const cell::ReusePlan* plan_;
   NodeEnv* env_;
-  Resilience resilience_;
-  const AllocationPolicy* policy_;
+  sim::Duration request_timeout_;
+  int handoff_guard_;
   bool busy_ = false;
   std::uint64_t current_serial_ = 0;  // the serial begin_request is serving
   sim::Fifo<std::uint64_t> queue_;

@@ -14,7 +14,7 @@ void BasicSearchNode::start_request(std::uint64_t serial) {
   search_ = s;
 
   trace_search_start(serial, s.ts);
-  arm_timer(resilience().request_timeout, [this]() { abort_search(); });
+  arm_timer(request_timeout(), [this]() { abort_search(); });
 
   net::Message req;
   req.kind = net::MsgKind::kRequest;

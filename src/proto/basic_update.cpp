@@ -34,11 +34,11 @@ void BasicUpdateNode::try_attempt(std::uint64_t serial, int round) {
     complete_blocked(serial, Outcome::kBlockedNoChannel, round - 1);
     return;
   }
-  // Default policy picks uniformly among believed-free channels: concurrent
+  // The default pick is uniform over the believed-free channels: concurrent
   // requesters that deterministically picked the lowest id would collide
   // every round.
   const cell::ChannelId r =
-      policy().pick(freeSet, pick_, env().rng(id()), pick_cursor_);
+      pick_channel(freeSet, pick_, env().rng(id()), pick_cursor_);
 
   Attempt a;
   a.serial = serial;
@@ -47,7 +47,7 @@ void BasicUpdateNode::try_attempt(std::uint64_t serial, int round) {
   a.round = round;
   attempt_ = a;
   granters_.clear();
-  arm_timer(resilience().request_timeout, [this]() { abort_attempt(); });
+  arm_timer(request_timeout(), [this]() { abort_attempt(); });
 
   net::Message req;
   req.kind = net::MsgKind::kRequest;

@@ -25,7 +25,7 @@
 #include <vector>
 
 #include "proto/allocator.hpp"
-#include "proto/policy.hpp"
+#include "proto/channel_pick.hpp"
 
 namespace dca::proto {
 

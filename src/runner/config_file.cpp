@@ -224,15 +224,9 @@ const std::vector<Option>& options() {
                                              {"round-robin",
                                               proto::ChannelPick::kRoundRobin}}},
             [](auto& c) -> auto& { return c.update_pick; }),
-      Option{"policy", "allocation policy, name or name(k=v,...); see PROTOCOL.md",
-             false,
-             [](const std::string& v, ScenarioConfig& c) {
-               std::string why;
-               proto::PolicySpec spec;
-               if (proto::parse_policy_spec(v, spec, why)) c.policy = std::move(spec);
-               return why;
-             },
-             [](const ScenarioConfig& c) { return c.policy.to_string(); }},
+      field("handoff_guard",
+            "guard channels: block new calls while free <= this (-1 = off)", kInt,
+            [](auto& c) -> auto& { return c.handoff_guard; }),
       field("theta_low", "adaptive: enter borrowing below this prediction", kInt,
             [](auto& c) -> auto& { return c.adaptive.theta_low; }),
       field("theta_high", "adaptive: return to local at this prediction", kInt,

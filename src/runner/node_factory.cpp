@@ -1,8 +1,5 @@
 #include "runner/node_factory.hpp"
 
-#include <cstdio>
-#include <cstdlib>
-
 #include "core/adaptive.hpp"
 #include "proto/advanced_search.hpp"
 #include "proto/advanced_update.hpp"
@@ -33,17 +30,6 @@ std::unique_ptr<proto::AllocatorNode> make_node(const proto::NodeContext& ctx,
       return std::make_unique<core::AdaptiveNode>(ctx, config.adaptive);
   }
   return nullptr;
-}
-
-std::unique_ptr<const proto::AllocationPolicy> make_policy(
-    const ScenarioConfig& config) {
-  std::string error;
-  auto policy = proto::PolicyRegistry::instance().make(config.policy, error);
-  if (policy == nullptr) {
-    std::fprintf(stderr, "fatal: %s\n", error.c_str());
-    std::abort();
-  }
-  return policy;
 }
 
 }  // namespace dca::runner

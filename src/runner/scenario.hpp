@@ -10,7 +10,7 @@
 #include "cell/reuse.hpp"
 #include "core/params.hpp"
 #include "net/fault.hpp"
-#include "proto/policy.hpp"
+#include "proto/channel_pick.hpp"
 #include "sim/types.hpp"
 
 namespace dca::runner {
@@ -99,13 +99,13 @@ struct ScenarioConfig {
   // see DESIGN.md faithfulness note 7).
   int max_update_attempts = 10;
 
-  // Channel-selection policy of the basic update scheme.
+  // Channel pick of the basic update scheme.
   proto::ChannelPick update_pick = proto::ChannelPick::kRandom;
 
-  /// Allocation policy (registry name + parameters) shared by every node.
-  /// "default" reproduces the paper's hard-wired behaviour bit for bit;
-  /// see PolicyRegistry for the registered alternatives.
-  proto::PolicySpec policy;
+  /// Guard channels: a new call is blocked while its cell believes at
+  /// most this many channels are free; handoff legs always pass. -1 (the
+  /// paper's behaviour) gates nothing; 0 still gates a cell with none free.
+  int handoff_guard = -1;
 
   // Adaptive-scheme tuning (Section 3.5).
   core::AdaptiveParams adaptive;

@@ -182,12 +182,10 @@ World::World(const ScenarioConfig& config, Scheme scheme,
         config_.seed, std::uint64_t{0x90de000} + static_cast<std::uint64_t>(c)));
   }
 
-  policy_ = make_policy(config_);
   nodes_.reserve(n);
   for (CellId c = 0; c < grid_.n_cells(); ++c) {
-    proto::NodeContext ctx{c, &grid_, &plan_, &state_of(c).env,
-                           proto::Resilience{config_.request_timeout},
-                           policy_.get()};
+    const proto::NodeContext ctx{c, &grid_, &plan_, &state_of(c).env,
+                                 config_.request_timeout, config_.handoff_guard};
     nodes_.push_back(make_node(ctx, scheme_, config_));
   }
 

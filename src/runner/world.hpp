@@ -311,8 +311,6 @@ class World {
   sim::ShardedKernel kernel_;
   std::unique_ptr<net::Transport> transport_;
   std::vector<ShardState> states_;
-  // Shared by every node; must outlive nodes_ (declared before it).
-  std::unique_ptr<const proto::AllocationPolicy> policy_;
   std::vector<std::unique_ptr<proto::AllocatorNode>> nodes_;
   // Per-cell protocol, pause and crash streams, each from (seed, cell).
   std::vector<sim::RngStream> node_rng_;

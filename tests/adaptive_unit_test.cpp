@@ -32,7 +32,7 @@ class AdaptiveUnit : public ::testing::Test {
 
   void rebuild() {
     node_ = std::make_unique<AdaptiveNode>(
-        proto::NodeContext{kSelf, &grid_, &plan_, &env_, proto::Resilience{}, nullptr}, params_);
+        proto::NodeContext{kSelf, &grid_, &plan_, &env_}, params_);
   }
 
   /// Neighbours of the node under test, ascending.

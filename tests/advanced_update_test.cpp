@@ -1,12 +1,10 @@
 // Tests for the advanced update scheme (Dong & Lai TR-48): zero-latency
 // primary acquisitions, borrow requests confined to the channel's primary
-// owners NP(c, r), promise arbitration, and the conditional-grant
-// unfairness the paper's Fig. 11 criticizes.
+// owners NP(c, r) and promise arbitration. The conditional-grant
+// unfairness the paper's Fig. 11 criticizes is pinned exactly by
+// Experiments.Fig11AdvancedUpdateDropsTheOlderRequest.
 #include <gtest/gtest.h>
 
-#include <vector>
-
-#include "net/latency.hpp"
 #include "proto/advanced_update.hpp"
 #include "runner/world.hpp"
 #include "test_util.hpp"
@@ -103,80 +101,6 @@ TEST(AdvancedUpdate, ConcurrentBorrowersNeverCollide) {
   }
   EXPECT_EQ(w.interference_violations(), 0u);
   EXPECT_FALSE(w.node(a).in_use().intersects(w.node(b).in_use()));
-}
-
-// The Fig. 11 scenario: an older request loses to a younger one because the
-// younger one's messages overtake it and the primaries promise the channel
-// away, answering the older request with a conditional grant.
-TEST(AdvancedUpdate, Fig11TimestampInversionUnfairness) {
-  auto cfg = small_config();
-  // Custom latency: make c1's messages slow and c2's fast so c2's request
-  // overtakes c1's despite c1 requesting first (lower timestamp).
-  World probe(cfg, Scheme::kAdvancedUpdate);  // only to read the topology
-  const cell::CellId c1 = testutil::center_cell(cfg);
-  // c2: an interfering cell of the same colour? No — any cell in IN_c1
-  // with the same *borrow target* works; pick a distance-2 cell so both
-  // share primaries for some channel colour.
-  cell::CellId c2 = cell::kNoCell;
-  for (const cell::CellId j : probe.grid().interference(c1)) {
-    if (probe.grid().distance(c1, j) == 2 &&
-        probe.plan().color_of(j) != probe.plan().color_of(c1)) {
-      c2 = j;
-      break;
-    }
-  }
-  ASSERT_NE(c2, cell::kNoCell);
-
-  // Everything c1 sends crawls; everything c2 sends sprints; every other
-  // link keeps the scenario's 5 ms.
-  std::vector<net::LinkDelay> pins;
-  for (const cell::CellId j : probe.grid().interference(c1)) {
-    pins.push_back({c1, j, sim::milliseconds(40)});
-  }
-  for (const cell::CellId j : probe.grid().interference(c2)) {
-    pins.push_back({c2, j, sim::milliseconds(1)});
-  }
-  World w(cfg, Scheme::kAdvancedUpdate, nullptr, pins);
-  ASSERT_EQ(w.latency_bound(), sim::milliseconds(40));
-
-  // Exhaust both requesters' primaries so their next request borrows.
-  traffic::CallId id = 1;
-  for (int i = 0; i < 3; ++i) {
-    offer_call(w, c1, id++, sim::minutes(30));
-    offer_call(w, c2, id++, sim::minutes(30));
-  }
-  w.run_until(sim::seconds(1));
-
-  // Saturate all but one borrowable colour from c1's perspective... the
-  // simplest deterministic trigger: both borrow at nearly the same time,
-  // c1 strictly first (lower Lamport timestamp), c2's request arriving
-  // first at the shared primaries.
-  offer_call(w, c1, 100, sim::minutes(30));
-  w.run_until(w.now() + sim::milliseconds(2));
-  offer_call(w, c2, 200, sim::minutes(30));
-  w.run_until(w.now() + sim::seconds(30));
-
-  EXPECT_EQ(w.interference_violations(), 0u);
-  // Count conditional-grant failures across all nodes: the unfairness
-  // signature. (Both may still eventually succeed via retries on other
-  // channels; the *signature* is that an older request was turned away at
-  // least once while a younger one took the channel.)
-  std::uint64_t conditional = 0;
-  for (cell::CellId c = 0; c < w.grid().n_cells(); ++c) {
-    conditional +=
-        dynamic_cast<const proto::AdvancedUpdateNode&>(w.node(c)).conditional_failures();
-  }
-  // The scripted overtaking makes a conditional failure likely but the
-  // exact channel picks are randomized; assert the mechanism rather than
-  // the single run: either a conditional failure occurred, or the two
-  // requests never picked the same channel (in which case both succeeded).
-  const auto& recs = w.records();
-  bool both_succeeded = true;
-  for (const auto& r : recs) {
-    if ((r.call == 100 || r.call == 200) && !proto::is_acquired(r.outcome))
-      both_succeeded = false;
-  }
-  EXPECT_TRUE(conditional > 0 || both_succeeded);
 }
 
 TEST(AdvancedUpdate, BoundaryCellsOnlyBorrowArbitrationSafeColors) {

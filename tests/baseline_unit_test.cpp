@@ -13,6 +13,8 @@
 #include "proto/advanced_update.hpp"
 #include "proto/basic_search.hpp"
 #include "proto/basic_update.hpp"
+#include "proto/fca.hpp"
+#include "traffic/mobility.hpp"
 
 namespace dca {
 namespace {
@@ -26,8 +28,7 @@ class BaselineUnit : public ::testing::Test {
   BaselineUnit() : grid_(8, 8, 2), plan_(cell::ReusePlan::cluster(grid_, 21, 7)) {}
 
   [[nodiscard]] proto::NodeContext ctx() {
-    return proto::NodeContext{kSelf, &grid_, &plan_, &env_, proto::Resilience{},
-                              nullptr};
+    return proto::NodeContext{kSelf, &grid_, &plan_, &env_};
   }
   [[nodiscard]] std::span<const cell::CellId> in() const {
     return grid_.interference(kSelf);
@@ -88,6 +89,33 @@ TEST(ChannelPickPolicy, NamesAreStable) {
   EXPECT_STREQ(proto::channel_pick_name(proto::ChannelPick::kLowest), "lowest");
   EXPECT_STREQ(proto::channel_pick_name(proto::ChannelPick::kRoundRobin),
                "round-robin");
+}
+
+// ------------------------------------------------------- guard channels ---
+
+// handoff_guard = 2 on an FCA cell with 3 primaries: a new call (hop 0)
+// needs more than 2 believed-free channels; a handoff leg (hop 1) is
+// served regardless.
+TEST_F(BaselineUnit, HandoffGuardGuardsNewCallsOnly) {
+  proto::NodeContext c = ctx();
+  c.handoff_guard = 2;
+  proto::FcaNode node(c);
+  using traffic::mobility::encode_serial;
+
+  node.request_channel(encode_serial(1, 0));  // 3 free > 2: admitted
+  ASSERT_EQ(env_.completions().size(), 1u);
+  EXPECT_EQ(env_.completions()[0].outcome, proto::Outcome::kAcquiredLocal);
+
+  node.request_channel(encode_serial(2, 0));  // 2 free <= 2: gated
+  ASSERT_EQ(env_.completions().size(), 2u);
+  EXPECT_EQ(env_.completions()[1].outcome, proto::Outcome::kBlockedNoChannel);
+  EXPECT_EQ(env_.completions()[1].attempts, 0);
+
+  node.request_channel(encode_serial(3, 1));  // handoff leg: served
+  ASSERT_EQ(env_.completions().size(), 3u);
+  EXPECT_EQ(env_.completions()[2].outcome, proto::Outcome::kAcquiredLocal);
+  EXPECT_EQ(node.in_use().size(), 2);
+  EXPECT_TRUE(env_.sent().empty());
 }
 
 // ------------------------------------------------------- basic search -----

@@ -13,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include "cell/spectrum.hpp"
+#include "proto/channel_pick.hpp"
+#include "sim/random.hpp"
 
 namespace dca::cell {
 namespace {
@@ -210,6 +212,50 @@ TEST(ChannelSetProperty, OutOfUniverseInsertAssertsInDebug) {
   EXPECT_FALSE(s.contains(70));
   EXPECT_EQ(s.size(), 0);
 #endif
+}
+
+// -- ChannelSet::nth (the kRandom channel-pick select) ----------------------
+
+TEST(ChannelSetNth, MatchesToVectorOnEveryIndex) {
+  ChannelSet s(200);
+  for (const ChannelId c : {0, 1, 7, 63, 64, 65, 127, 128, 140, 199}) s.insert(c);
+  const auto members = s.to_vector();
+  ASSERT_EQ(static_cast<int>(members.size()), s.size());
+  for (std::size_t k = 0; k < members.size(); ++k)
+    EXPECT_EQ(s.nth(static_cast<int>(k)), members[k]) << "k=" << k;
+}
+
+TEST(ChannelSetNth, OutOfRangeIsNoChannel) {
+  ChannelSet s(64);
+  EXPECT_EQ(s.nth(0), kNoChannel);  // empty set
+  s.insert(5);
+  s.insert(40);
+  EXPECT_EQ(s.nth(2), kNoChannel);
+  EXPECT_EQ(s.nth(-1), kNoChannel);
+  EXPECT_EQ(s.nth(1000), kNoChannel);
+}
+
+TEST(ChannelSetNth, DenseSetFullSweep) {
+  const ChannelSet s = ChannelSet::all(130);
+  for (int k = 0; k < 130; ++k) EXPECT_EQ(s.nth(k), k);
+  EXPECT_EQ(s.nth(130), kNoChannel);
+}
+
+// The kRandom pick must draw pick_index(size()) — the exact draw the old
+// to_vector()[pick_index(size())] path made — so fixed-seed trajectories
+// are unchanged.
+TEST(ChannelSetNth, RandomPickMatchesMaterializedEquivalent) {
+  ChannelSet s(300);
+  for (ChannelId c = 2; c < 300; c += 7) s.insert(c);
+  auto rng_a = sim::RngStream::derive(99, 1);
+  auto rng_b = sim::RngStream::derive(99, 1);
+  ChannelId cursor = kNoChannel;
+  for (int i = 0; i < 500; ++i) {
+    const ChannelId picked =
+        proto::pick_channel(s, proto::ChannelPick::kRandom, rng_a, cursor);
+    const auto members = s.to_vector();
+    EXPECT_EQ(picked, members[rng_b.pick_index(members.size())]);
+  }
 }
 
 }  // namespace

@@ -59,6 +59,9 @@ TEST(ScenarioFile, RejectsMalformedValues) {
   EXPECT_FALSE(runner::apply_scenario_text("net_partition = 0 @ 1..\n", cfg, err));
   EXPECT_FALSE(runner::apply_scenario_text("just a line\n", cfg, err));
   EXPECT_NE(err.find("key = value"), std::string::npos);
+  // A guard below -1 parses as an int; validation rejects it by name.
+  ASSERT_TRUE(runner::apply_scenario_text("handoff_guard = -2\n", cfg, err)) << err;
+  EXPECT_NE(runner::validate_options(cfg).find("handoff_guard"), std::string::npos);
 }
 
 // Every field of two configs, compared exactly.
@@ -83,8 +86,7 @@ void expect_same(const ScenarioConfig& a, const ScenarioConfig& b) {
   EXPECT_EQ(a.stream_metrics, b.stream_metrics);
   EXPECT_EQ(a.max_update_attempts, b.max_update_attempts);
   EXPECT_EQ(a.update_pick, b.update_pick);
-  EXPECT_EQ(a.policy.name, b.policy.name);
-  EXPECT_EQ(a.policy.params, b.policy.params);
+  EXPECT_EQ(a.handoff_guard, b.handoff_guard);
   EXPECT_EQ(a.adaptive.theta_low, b.adaptive.theta_low);
   EXPECT_EQ(a.adaptive.theta_high, b.adaptive.theta_high);
   EXPECT_EQ(a.adaptive.window, b.adaptive.window);
@@ -135,8 +137,7 @@ TEST(ScenarioFile, RoundTripsThroughSerialization) {
   cfg.seed = (std::uint64_t{1} << 63) + 12345;  // above INT64_MAX
   cfg.max_update_attempts = 4;
   cfg.update_pick = proto::ChannelPick::kLowest;
-  std::string err;
-  ASSERT_TRUE(proto::parse_policy_spec("handoff-priority(guard=3)", cfg.policy, err));
+  cfg.handoff_guard = 3;
   cfg.adaptive.theta_low = 3;
   cfg.adaptive.theta_high = 7;
   cfg.adaptive.alpha = 5;
@@ -171,6 +172,7 @@ TEST(ScenarioFile, RoundTripsThroughSerialization) {
   }
 
   ScenarioConfig back;
+  std::string err;
   ASSERT_TRUE(runner::apply_scenario_text(text, back, err)) << err;
   expect_same(back, cfg);
   EXPECT_EQ(runner::scenario_to_text(back), text);

@@ -293,7 +293,7 @@ TEST(ValidateScenario, DcasimFlagsMatchConfigFile) {
       "rows = 14\ncols = 14\ntorus = true\nchannels = 35\nholding_s = 97.25\n"
       "latency_ms = 2.5\njitter_ms = 0.75\nduration_min = 0.76131501666666667\n"
       "warmup_min = 0.1\nseed = 18446744073709551557\nmax_update_attempts = 4\n"
-      "update_pick = lowest\npolicy = handoff-priority(guard=3)\ntheta_low = 3\n"
+      "update_pick = lowest\nhandoff_guard = 3\ntheta_low = 3\n"
       "theta_high = 6\nalpha = 2\nwindow_s = 7\nstrict_fig4 = true\n"
       "repack = true\ndrop_prob = 0.0123456789\ndup_prob = 0.05\n"
       "fault_jitter_ms = 3\npause_rate_per_min = 0.5\npause_mean_s = 2\n"

@@ -104,7 +104,7 @@ class TimerTest : public ::testing::Test {
   TimerProbe make_probe(proto::NodeEnv& env,
                         sim::Duration timeout = sim::milliseconds(100)) {
     return TimerProbe(
-        proto::NodeContext{0, &grid_, &plan_, &env, proto::Resilience{timeout}});
+        proto::NodeContext{0, &grid_, &plan_, &env, timeout});
   }
 
   cell::HexGrid grid_;

@@ -1,11 +1,13 @@
-// tournament — the scheme × policy sweep harness.
+// tournament — the scheme × variant sweep harness.
 //
-// Runs every registered allocation policy under every allocation scheme
-// across a scenario matrix (load × spatial profile × fault cocktail ×
-// mobility × shards) and emits one comparison row per combination, as an
-// aligned text table and as machine-readable JSON. This is the regression
-// surface scenario PRs plug into: add a scenario axis (or a policy file in
-// src/proto/policies/) and every combination gets measured.
+// Runs every allocation scheme under three allocation variants — the
+// paper's behaviour, guard channels (`handoff_guard = 2`) and a wider
+// adaptive hysteresis (`theta_low = 3`, `theta_high = 6`), each a
+// scenario-text override — across a scenario matrix (load × spatial
+// profile × fault cocktail × mobility × shards) and emits one comparison
+// row per combination, as an aligned text table and as machine-readable
+// JSON. Add a scenario axis or a variant and every combination gets
+// measured.
 //
 //   $ tournament                 # full matrix -> TOURNAMENT.{txt,json}
 //   $ tournament --smoke         # reduced matrix (CI-sized, a few seconds)
@@ -15,18 +17,19 @@
 // attempts over update-style acquisitions), msgs/call, events/sec (engine
 // throughput), uptime% and mttr_s (crash-recovery availability; 100 / 0 on
 // crash-free axes), plus the scenario axes. Simulation outputs depend only on
-// (scenario, scheme, policy, seed) — never on shards/threads — so a shards
+// (scenario, scheme, variant, seed) — never on shards/threads — so a shards
 // axis row differing from its shards=1 twin in anything but events/sec is
 // itself a regression.
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "metrics/json.hpp"
 #include "metrics/table.hpp"
-#include "proto/policy.hpp"
+#include "runner/config_file.hpp"
 #include "runner/experiment.hpp"
 
 namespace {
@@ -41,10 +44,22 @@ struct Axes {
   int shards = 1;
 };
 
+/// A named allocation variant: scenario text applied over each point.
+struct Variant {
+  const char* name;
+  const char* overrides;
+};
+
+constexpr Variant kVariants[] = {
+    {"paper", ""},
+    {"guard=2", "handoff_guard = 2\n"},
+    {"theta=3/6", "theta_low = 3\ntheta_high = 6\n"},
+};
+
 struct Row {
   Axes axes;
   std::string scheme;
-  std::string policy;
+  std::string variant;
   double blocking_pct = 0.0;
   double retry = 0.0;
   double msgs_per_call = 0.0;
@@ -79,7 +94,7 @@ runner::ScenarioConfig base_config(bool smoke) {
   return c;
 }
 
-runner::ScenarioConfig configure(const Axes& a, bool smoke) {
+runner::ScenarioConfig configure(const Axes& a, const Variant& v, bool smoke) {
   runner::ScenarioConfig c = base_config(smoke);
   c.shards = a.shards;
   if (a.mobility) c.mean_dwell_s = c.mean_holding_s / 2.0;  // ~1-2 hops/call
@@ -95,15 +110,17 @@ runner::ScenarioConfig configure(const Axes& a, bool smoke) {
     c.fault.crash_mean_s = 2.0;
     c.request_timeout = sim::milliseconds(500);
   }
+  std::string error;
+  if (!runner::apply_scenario_text(v.overrides, c, error)) {
+    std::fprintf(stderr, "tournament: variant %s: %s\n", v.name, error.c_str());
+    std::exit(1);
+  }
   return c;
 }
 
 Row run_one(const Axes& a, runner::Scheme scheme, const std::string& schemeName,
-            const proto::PolicySpec& spec, const std::string& policyDesc,
-            bool smoke) {
-  const runner::ScenarioConfig base = configure(a, smoke);
-  runner::ScenarioConfig c = base;
-  c.policy = spec;
+            const Variant& v, bool smoke) {
+  const runner::ScenarioConfig c = configure(a, v, smoke);
 
   const auto t0 = std::chrono::steady_clock::now();
   runner::RunResult r;
@@ -120,7 +137,7 @@ Row run_one(const Axes& a, runner::Scheme scheme, const std::string& schemeName,
   Row row;
   row.axes = a;
   row.scheme = schemeName;
-  row.policy = policyDesc;
+  row.variant = v.name;
   row.blocking_pct = 100.0 * r.agg.drop_rate();
   row.retry = r.agg.mean_update_attempts;
   row.msgs_per_call = r.agg.messages_per_call.mean();
@@ -165,7 +182,7 @@ int main(int argc, char** argv) {
 
   // The scenario matrix. Smoke keeps one point per axis (plus the shards
   // axis, which is the shard-count check) so CI exercises every scheme ×
-  // policy combination in seconds; full crosses all axes.
+  // variant combination in seconds; full crosses all axes.
   std::vector<Axes> matrix;
   if (smoke) {
     for (const int shards : {1, 2})
@@ -191,39 +208,23 @@ int main(int argc, char** argv) {
       {runner::Scheme::kAdaptive, "adaptive"},
   };
 
-  // Every registered policy at its default parameters.
-  struct PolicyChoice {
-    proto::PolicySpec spec;
-    std::string desc;
-  };
-  std::vector<PolicyChoice> policies;
-  for (const std::string& name : proto::PolicyRegistry::instance().names()) {
-    PolicyChoice pc;
-    pc.spec.name = name;
-    std::string err;
-    const auto policy = proto::PolicyRegistry::instance().make(pc.spec, err);
-    if (policy == nullptr) {
-      std::fprintf(stderr, "tournament: %s\n", err.c_str());
-      return 1;
-    }
-    pc.desc = policy->describe();
-    policies.push_back(std::move(pc));
-  }
-
   // Validate every scenario in the matrix once, before burning sweep time.
   for (const Axes& a : matrix) {
-    const std::string problem = runner::validate_scenario(configure(a, smoke));
-    if (!problem.empty()) {
-      std::fprintf(stderr, "tournament: invalid scenario point: %s\n",
-                   problem.c_str());
-      return 1;
+    for (const Variant& v : kVariants) {
+      const std::string problem = runner::validate_scenario(configure(a, v, smoke));
+      if (!problem.empty()) {
+        std::fprintf(stderr, "tournament: invalid scenario point (%s): %s\n",
+                     v.name, problem.c_str());
+        return 1;
+      }
     }
   }
 
-  const std::size_t total = matrix.size() * std::size(kSchemes) * policies.size();
-  std::printf("tournament: %zu scenario points x %zu schemes x %zu policies = "
+  const std::size_t total =
+      matrix.size() * std::size(kSchemes) * std::size(kVariants);
+  std::printf("tournament: %zu scenario points x %zu schemes x %zu variants = "
               "%zu runs (%s matrix)\n",
-              matrix.size(), std::size(kSchemes), policies.size(), total,
+              matrix.size(), std::size(kSchemes), std::size(kVariants), total,
               smoke ? "smoke" : "full");
 
   std::vector<Row> rows;
@@ -232,8 +233,8 @@ int main(int argc, char** argv) {
   bool all_clean = true;
   for (const Axes& a : matrix) {
     for (const auto& s : kSchemes) {
-      for (const PolicyChoice& pc : policies) {
-        rows.push_back(run_one(a, s.scheme, s.name, pc.spec, pc.desc, smoke));
+      for (const Variant& v : kVariants) {
+        rows.push_back(run_one(a, s.scheme, s.name, v, smoke));
         const Row& row = rows.back();
         if (row.violations != 0 || !row.quiescent) all_clean = false;
         ++done;
@@ -243,11 +244,11 @@ int main(int argc, char** argv) {
     }
   }
 
-  metrics::Table table({"scheme", "policy", "rho", "profile", "fault", "mob",
+  metrics::Table table({"scheme", "variant", "rho", "profile", "fault", "mob",
                         "shards", "block%", "retry", "msgs/call", "ev/s",
                         "uptime%", "mttr_s"});
   for (const Row& r : rows) {
-    table.add_row({r.scheme, r.policy, metrics::Table::num(r.axes.rho, 1),
+    table.add_row({r.scheme, r.variant, metrics::Table::num(r.axes.rho, 1),
                    r.axes.profile, r.axes.fault, r.axes.mobility ? "on" : "off",
                    std::to_string(r.axes.shards),
                    metrics::Table::num(r.blocking_pct, 2),
@@ -275,8 +276,8 @@ int main(int argc, char** argv) {
     w.begin_object();
     w.key("scheme");
     w.value(r.scheme);
-    w.key("policy");
-    w.value(r.policy);
+    w.key("variant");
+    w.value(r.variant);
     w.key("rho");
     w.value(r.axes.rho);
     w.key("profile");
