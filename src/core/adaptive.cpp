@@ -463,8 +463,7 @@ void AdaptiveNode::handle_change_mode(const net::Message& msg) {
   resp.wave = msg.wave;
   resp.from = id();
   resp.to = msg.from;
-  resp.use = use_;
-  env().send(resp);
+  env().send(resp, {use_, {}});
 }
 
 // ---------------------------------------------------------------------------
@@ -547,7 +546,7 @@ void AdaptiveNode::handle_response(const net::Message& msg) {
     case net::ResType::kStatus:
       // Fresh snapshot of the sender's Use set (grants we issued are
       // tracked separately in pending_grants_ and survive the overwrite).
-      assign_known_use(msg.from, msg.use);
+      assign_known_use(msg.from, env().payload(msg).use);
       if (req_.has_value() && req_->phase == Phase::kWaitStatus &&
           msg.wave == req_->wave) {
         ++req_->statuses;
@@ -578,7 +577,7 @@ void AdaptiveNode::handle_response(const net::Message& msg) {
           msg.serial != req_->serial) {
         return;
       }
-      assign_known_use(msg.from, msg.use);
+      assign_known_use(msg.from, env().payload(msg).use);
       ++req_->responses;
       if (req_->responses == static_cast<int>(interference().size())) {
         const ChannelSet freeSet =
@@ -757,8 +756,7 @@ void AdaptiveNode::send_use_reply(CellId to, std::uint64_t serial, net::ResType 
   resp.serial = serial;
   resp.from = id();
   resp.to = to;
-  resp.use = use_;
-  env().send(resp);
+  env().send(resp, {use_, {}});
 }
 
 // ---------------------------------------------------------------------------
@@ -814,12 +812,15 @@ void AdaptiveNode::on_peer_restart(CellId j) {
   }
 }
 
-void AdaptiveNode::fill_resync_reply(net::Message& m) const {
+void AdaptiveNode::fill_resync_reply(net::Message& m,
+                                     net::SetPayload& sets) const {
+  (void)sets;
   m.mode = mode_ == 0 ? 0 : 1;
 }
 
-void AdaptiveNode::apply_resync_reply(const net::Message& msg) {
-  assign_known_use(msg.from, msg.use);
+void AdaptiveNode::apply_resync_reply(const net::Message& msg,
+                                      const net::SetPayload& sets) {
+  assign_known_use(msg.from, sets.use);
   if (msg.mode != 0) update_set_.insert(msg.from);
 }
 

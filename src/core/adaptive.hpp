@@ -99,8 +99,10 @@ class AdaptiveNode final : public proto::AllocatorNode {
   void on_release(cell::ChannelId ch, std::uint64_t serial) override;
   void on_crash() override;
   void on_peer_restart(cell::CellId j) override;
-  void fill_resync_reply(net::Message& m) const override;
-  void apply_resync_reply(const net::Message& m) override;
+  void fill_resync_reply(net::Message& m,
+                         net::SetPayload& sets) const override;
+  void apply_resync_reply(const net::Message& m,
+                          const net::SetPayload& sets) override;
   void on_resync_done() override;
   [[nodiscard]] int admission_free_count() const override {
     return free_primary_count();

@@ -30,9 +30,12 @@
 // HandlePool keeps what those rings point at: each frame payload in
 // flight sits once in a chunked pool and a ring slot holds its 32-bit
 // handle, so a ring that doubles past a collision moves handles, not
-// payloads.
+// payloads. The runner keeps the messages' set payloads in HandlePools
+// too, which the receiving shard reads in place.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <cstdio>
@@ -166,10 +169,15 @@ class LinkTable {
 /// the empty sentinel — transport sequence numbers start at 1). When two
 /// live seqs would collide (window wider than the ring) the ring doubles
 /// and re-places its survivors, so correctness never depends on the
-/// initial size.
+/// initial size; shrink_to_span() halves it again once the window has
+/// narrowed.
 template <typename T>
 class SeqRing {
  public:
+  /// The capacity of a ring's first slot array, and the floor
+  /// shrink_to_span() never goes below.
+  static constexpr std::size_t kMinCapacity = 16;
+
   SeqRing() = default;
 
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
@@ -190,19 +198,46 @@ class SeqRing {
   /// Inserts a default slot for seq (growing past collisions) and returns
   /// its value. seq must not already be present.
   T& insert(std::uint64_t seq) {
-    if (slots_.empty()) reserve_pow2(kInitialCapacity);
+    if (slots_.empty()) reserve_pow2(kMinCapacity);
     while (slots_[static_cast<std::size_t>(seq) & mask_].seq != 0) {
       grow();
     }
     Slot& s = slots_[static_cast<std::size_t>(seq) & mask_];
     s.seq = seq;
     ++size_;
+    if (seq > hi_) hi_ = seq;
     return s.value;
   }
 
-  /// Heap bytes of the slot array (the ring never shrinks).
+  /// Slots of the ring (0 before the first insert).
+  [[nodiscard]] std::size_t capacity() const noexcept { return slots_.size(); }
+
+  /// Heap bytes of the slot array.
   [[nodiscard]] std::size_t bytes() const noexcept {
     return slots_.capacity() * sizeof(Slot);
+  }
+
+  /// Halves the ring, down to kMinCapacity slots, while its live span —
+  /// from `lo`, which must not exceed the lowest live seq, to the highest
+  /// seq ever inserted — is at most a quarter of the capacity. A window
+  /// that widened past the ring (a partition holds every frame until the
+  /// heal) thus gives the memory back once it drains, and the factor of
+  /// two between the shrink and the grow thresholds keeps a window near
+  /// one size from flapping. Survivors keep their values; none collide,
+  /// since they span less than the new capacity.
+  void shrink_to_span(std::uint64_t lo) {
+    std::size_t cap = slots_.size();
+    const std::uint64_t span = size_ == 0 ? 0 : hi_ - lo + 1;
+    if (cap <= kMinCapacity || span * 4 > cap) return;
+    while (cap > kMinCapacity && span * 4 <= cap) cap /= 2;
+    std::vector<Slot> old = std::move(slots_);
+    reserve_pow2(cap);
+    for (Slot& s : old) {
+      if (s.seq == 0) continue;
+      Slot& home = slots_[static_cast<std::size_t>(s.seq) & mask_];
+      assert(home.seq == 0 && "shrink_to_span: `lo` above a live seq");
+      home = std::move(s);
+    }
   }
 
   /// Removes seq if present; returns whether it was.
@@ -217,8 +252,6 @@ class SeqRing {
   }
 
  private:
-  static constexpr std::size_t kInitialCapacity = 16;
-
   struct Slot {
     std::uint64_t seq = 0;  // 0 = empty
     T value{};
@@ -251,6 +284,7 @@ class SeqRing {
   std::vector<Slot> slots_;
   std::size_t mask_ = 0;
   std::size_t size_ = 0;
+  std::uint64_t hi_ = 0;  // highest seq ever inserted
 };
 
 /// Chunked, free-listed store of values behind 32-bit handles, after
@@ -259,10 +293,21 @@ class SeqRing {
 /// release() and capacity exceeds the peak occupancy by less than one
 /// chunk. Freed slots go on an intrusive free list and are reused first.
 /// Handle values never reach simulation results.
+///
+/// put(), take() and release() belong to the pool's owner (one shard).
+/// operator[] may run on another thread while the owner keeps putting,
+/// provided the put of that handle happens-before the read (the kernel's
+/// window barrier orders every cross-shard delivery after its send): the
+/// chunk index such a reader walks is never reallocated in place — a full
+/// index is copied into one twice its size, published, and kept alive.
 template <typename T>
 class HandlePool {
  public:
   using Handle = std::uint32_t;
+
+  HandlePool() = default;
+  HandlePool(const HandlePool&) = delete;
+  HandlePool& operator=(const HandlePool&) = delete;
 
   /// Stores `value` in a free slot (growing by one chunk if none).
   template <typename U>
@@ -302,10 +347,16 @@ class HandlePool {
   [[nodiscard]] std::size_t live() const noexcept { return live_; }
   /// Most slots ever live at once.
   [[nodiscard]] std::size_t high_water() const noexcept { return high_water_; }
-  /// Heap bytes of the chunks and their index.
+  /// Heap bytes of the chunks and their indexes.
   [[nodiscard]] std::size_t bytes() const noexcept {
+    std::size_t index_slots = 0;
+    for (std::size_t cap = kFirstIndex; cap <= index_cap_; cap *= 2) {
+      index_slots += cap;
+    }
     return chunks_.size() * kChunkSlots * sizeof(Node) +
-           chunks_.capacity() * sizeof(chunks_[0]);
+           chunks_.capacity() * sizeof(chunks_[0]) +
+           indexes_.capacity() * sizeof(indexes_[0]) +
+           index_slots * sizeof(Node*);
   }
 
  private:
@@ -313,24 +364,32 @@ class HandlePool {
   static constexpr Handle kLive = 0xFFFFFFFEu;
   static constexpr Handle kChunkShift = 8;  // 256 slots per chunk
   static constexpr Handle kChunkSlots = 1u << kChunkShift;
+  static constexpr std::size_t kFirstIndex = 8;  // chunk pointers
 
   struct Node {
     T value{};
     Handle next_free = kNil;
   };
 
-  [[nodiscard]] Node& node(Handle h) noexcept {
-    return chunks_[h >> kChunkShift][h & (kChunkSlots - 1)];
-  }
-  [[nodiscard]] const Node& node(Handle h) const noexcept {
-    return chunks_[h >> kChunkShift][h & (kChunkSlots - 1)];
+  [[nodiscard]] Node& node(Handle h) const noexcept {
+    return index_.load()[h >> kChunkShift][h & (kChunkSlots - 1)];
   }
 
   void grow() {
-    const auto base = static_cast<Handle>(chunks_.size()) << kChunkShift;
+    const std::size_t k = chunks_.size();
+    if (k == index_cap_) {
+      const std::size_t cap = index_cap_ == 0 ? kFirstIndex : index_cap_ * 2;
+      auto bigger = std::make_unique<Node*[]>(cap);
+      if (k != 0) std::copy_n(indexes_.back().get(), k, bigger.get());
+      indexes_.push_back(std::move(bigger));
+      index_cap_ = cap;
+      index_.store(indexes_.back().get());
+    }
     chunks_.push_back(std::make_unique<Node[]>(kChunkSlots));
+    indexes_.back()[k] = chunks_.back().get();
     // Thread the new chunk onto the free list so slots hand out in
     // ascending order.
+    const auto base = static_cast<Handle>(k) << kChunkShift;
     for (Handle i = kChunkSlots; i-- > 0;) {
       chunks_.back()[i].next_free = free_head_;
       free_head_ = base + i;
@@ -338,6 +397,11 @@ class HandlePool {
   }
 
   std::vector<std::unique_ptr<Node[]>> chunks_;
+  // Every chunk index built so far, the published one last; older ones
+  // stay alive for readers that loaded them before a grow.
+  std::vector<std::unique_ptr<Node*[]>> indexes_;
+  std::atomic<Node**> index_{nullptr};
+  std::size_t index_cap_ = 0;
   Handle free_head_ = kNil;
   std::size_t live_ = 0;
   std::size_t high_water_ = 0;

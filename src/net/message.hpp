@@ -1,12 +1,23 @@
 // The protocol wire format: one tagged message struct covering the five
 // message types of the paper (Section 3.2) plus the fields the baseline
 // schemes need. Keeping a single concrete struct (rather than a class
-// hierarchy) keeps the network layer trivially copyable and the traces
-// easy to read.
+// hierarchy) keeps the traces easy to read.
+//
+// A Message is a 56-byte trivially copyable header of scalars: six one-byte
+// tags, three 32-bit ids, two 64-bit counters and a Lamport stamp. The
+// only non-scalar operands of the protocols — the Use set of a search,
+// status or resync reply, plus the allocated set of an advanced-search
+// reply — travel as a SetPayload behind the header's 32-bit `sets`
+// handle: the sender's environment stores the payload when it sends, the
+// receiver reads it through its environment, and the runner frees it once
+// the message has been dispatched. So every copy the network makes (a
+// delivery closure, a send-window slot, a reorder-ring slot, a paused
+// cell's hold) moves 56 bytes, not the sets.
 #pragma once
 
 #include <cstdint>
 #include <string_view>
+#include <type_traits>
 
 #include "cell/grid.hpp"
 #include "cell/spectrum.hpp"
@@ -60,44 +71,54 @@ enum class ResType : std::uint8_t {
 /// ACQUISITION.acq_type: how the announced channel was obtained.
 enum class AcqType : std::uint8_t { kNonSearch = 0, kSearch = 1 };
 
+/// Handle of a message's SetPayload in its sender's payload store.
+using SetHandle = std::uint32_t;
+/// The `sets` value of a message that carries no set.
+inline constexpr SetHandle kNoSets = 0xFFFFFFFFu;
+
+/// The set operands a message may carry, kept out of the header: `use` is
+/// the sender's Use set (RESPONSE kSearchReply / kStatus, RESYNC_REPLY);
+/// advanced search replies also carry the allocated set in `alloc` (with
+/// `use` holding its busy subset). Everything else leaves `alloc` empty.
+struct SetPayload {
+  cell::ChannelSet use;
+  cell::ChannelSet alloc;
+};
+
 struct Message {
   MsgKind kind = MsgKind::kRequest;
+  ReqType req_type = ReqType::kUpdate;
+  ResType res_type = ResType::kReject;
+  AcqType acq_type = AcqType::kNonSearch;
+  /// Transfer negotiation operation (kTransfer only).
+  TransferOp transfer_op = TransferOp::kRequest;
+  /// CHANGE_MODE operand: 0 = local, 1 = borrowing.
+  std::int8_t mode = 0;
+
   cell::CellId from = cell::kNoCell;
   cell::CellId to = cell::kNoCell;
+
+  /// Channel operand: requested / granted / rejected / released / acquired.
+  /// kNoChannel for search requests and failed-search acquisitions.
+  cell::ChannelId channel = cell::kNoChannel;
+
+  /// The SetPayload this message carries, or kNoSets. Set by the sending
+  /// environment, never by a node; meaningless outside the one delivery
+  /// it was stored for, and never part of a trace or a result.
+  SetHandle sets = kNoSets;
 
   /// Serial of the channel-acquisition attempt this message is billed to
   /// (set by the original requester, echoed by responders); 0 = not
   /// attributable to a specific acquisition (e.g. end-of-call RELEASE).
   std::uint64_t serial = 0;
 
-  ReqType req_type = ReqType::kUpdate;
-  ResType res_type = ResType::kReject;
-  AcqType acq_type = AcqType::kNonSearch;
-
-  /// Channel operand: requested / granted / rejected / released / acquired.
-  /// kNoChannel for search requests and failed-search acquisitions.
-  cell::ChannelId channel = cell::kNoChannel;
-
-  /// Requester's Lamport timestamp (REQUEST only).
-  Timestamp ts;
-
-  /// CHANGE_MODE operand: 0 = local, 1 = borrowing.
-  std::int8_t mode = 0;
-
   /// Mode-change wave tag: CHANGE_MODE(1) messages and their kStatus
   /// replies carry the sender's wave counter so a requester collecting
   /// statuses can ignore replies to a stale wave.
   std::uint64_t wave = 0;
 
-  /// Use-set payload for RESPONSE kSearchReply / kStatus.
-  cell::ChannelSet use;
-
-  /// Allocated-set payload (advanced search replies carry allocated AND
-  /// busy sets; `use` holds the busy subset).
-  cell::ChannelSet alloc;
-
-  /// Transfer negotiation operation (kTransfer only).
-  TransferOp transfer_op = TransferOp::kRequest;
+  /// Requester's Lamport timestamp (REQUEST only).
+  Timestamp ts;
 
   [[nodiscard]] constexpr std::string_view kind_name() const {
     switch (kind) {
@@ -114,6 +135,12 @@ struct Message {
     return "?";
   }
 };
+
+// Every delivery closure, send-window slot, reorder-ring slot and paused
+// hold copies the header; keep it small and memcpy-able.
+static_assert(sizeof(Message) <= 56, "net::Message grew past its 56-byte header");
+static_assert(std::is_trivially_copyable_v<Message>,
+              "net::Message must stay trivially copyable");
 
 /// Number of distinct MsgKind values (for counter arrays).
 inline constexpr int kNumMsgKinds = 9;

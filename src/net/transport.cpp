@@ -193,6 +193,7 @@ void Transport::on_data_frame(LinkId lid, std::uint64_t seq,
       ++rx.next_expected;
       deliver(m);
     }
+    rx.reorder.shrink_to_span(rx.next_expected);
   } else if (seq > rx.next_expected && !rx.reorder.contains(seq)) {
     rx.reorder.insert(seq) = sl.payloads.put(msg);
   }
@@ -231,6 +232,7 @@ void Transport::on_ack(LinkId data_lid, std::uint64_t cumulative) {
     tx.pending.erase(tx.lowest_unacked);
     ++tx.lowest_unacked;
   }
+  tx.pending.shrink_to_span(tx.lowest_unacked);
 }
 
 void Transport::deliver(const Message& msg) {
@@ -293,7 +295,10 @@ std::size_t Transport::footprint() const {
 Transport::Occupancy Transport::occupancy() const {
   Occupancy o;
   for (const ShardLinks& sl : shards_) {
-    for (const LinkTx& tx : sl.tx) o.unacked += tx.pending.size();
+    for (const LinkTx& tx : sl.tx) {
+      o.unacked += tx.pending.size();
+      o.send_ring_slots += tx.pending.capacity();
+    }
     for (const LinkRx& rx : sl.rx) o.reordering += rx.reorder.size();
     o.payloads += sl.payloads.live();
     o.payload_peak += sl.payloads.high_water();

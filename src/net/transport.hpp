@@ -31,10 +31,14 @@
 // Between send and ack a payload lives once, in the sender shard's
 // payload pool; the send window holds its 32-bit handle, the attempt count
 // and the RTO timer. Each data frame in flight carries its own copy of the
-// Message in its delivery closure. A frame that arrives past a gap is put
-// into the receiver shard's pool, the reorder ring holds its handle, and
-// draining the ring takes the payload back out. The ack releases the
-// sender's copy as the cumulative prefix leaves the window.
+// 56-byte Message header in its delivery closure; a message's set payload
+// is not part of it (it stays in the runner's store behind the header's
+// handle, which the transport copies like any other field). A frame that
+// arrives past a gap is put into the receiver shard's pool, the reorder
+// ring holds its handle, and draining the ring takes the payload back
+// out. The ack releases the sender's copy as the cumulative prefix leaves
+// the window. Send and reorder rings that doubled while a window was wide
+// (a partition holds every frame until the heal) halve again as it drains.
 //
 // A paused station's allocator process receives nothing: inbound messages
 // are held (in arrival order) and flushed on resume through the receiver.
@@ -144,6 +148,7 @@ class Transport {
     std::size_t reordering = 0;    // frames parked in reorder rings
     std::size_t payloads = 0;      // live payload-pool slots
     std::size_t payload_peak = 0;  // sum of each pool's high-water mark
+    std::size_t send_ring_slots = 0;  // capacity of every send ring
   };
   [[nodiscard]] Occupancy occupancy() const;
 
@@ -271,8 +276,8 @@ template <typename F>
 void Transport::schedule_delivery(ShardLinks& sl, std::size_t rank,
                                   cell::CellId from, cell::CellId to,
                                   sim::SimTime when, F&& fn) {
-  // The delivery closure carries a full Message by value on the hot path;
-  // it must stay inside the kernel's inline callback buffer.
+  // The delivery closure carries the Message header by value on the hot
+  // path; it must stay inside the kernel's inline callback buffer.
   static_assert(sim::EventFn::fits_inline<std::decay_t<F>>(),
                 "delivery closure must fit EventFn's inline buffer; grow "
                 "sim::kEventFnCapacity if net::Message grew");

@@ -101,9 +101,7 @@ void AdvancedSearchNode::reply_sets(cell::CellId to, std::uint64_t serial) {
   resp.serial = serial;
   resp.from = id();
   resp.to = to;
-  resp.use = use_;          // busy set
-  resp.alloc = allocated_;  // allocated set
-  env().send(resp);
+  env().send(resp, {use_, allocated_});  // busy set, allocated set
   await_decision_.insert(to);
 }
 
@@ -111,8 +109,9 @@ void AdvancedSearchNode::handle_response(const net::Message& msg) {
   if (!search_.has_value() || msg.serial != search_->serial) return;
   assert(msg.res_type == net::ResType::kSearchReply);
   if (const int r = nbr_rank(msg.from); r >= 0) {
-    known_allocated_[static_cast<std::size_t>(r)] = msg.alloc;
-    known_busy_[static_cast<std::size_t>(r)] = msg.use;
+    const net::SetPayload& sets = env().payload(msg);
+    known_allocated_[static_cast<std::size_t>(r)] = sets.alloc;
+    known_busy_[static_cast<std::size_t>(r)] = sets.use;
   }
   ++search_->responses;
   if (search_->responses == static_cast<int>(interference().size())) {
@@ -381,18 +380,21 @@ void AdvancedSearchNode::on_peer_restart(cell::CellId j) {
   if (search_.has_value()) abort_search();
 }
 
-void AdvancedSearchNode::fill_resync_reply(net::Message& m) const {
-  m.alloc = allocated_;
+void AdvancedSearchNode::fill_resync_reply(net::Message& m,
+                                           net::SetPayload& sets) const {
+  (void)m;
+  sets.alloc = allocated_;
 }
 
-void AdvancedSearchNode::apply_resync_reply(const net::Message& m) {
+void AdvancedSearchNode::apply_resync_reply(const net::Message& m,
+                                           const net::SetPayload& sets) {
   if (const int r = nbr_rank(m.from); r >= 0) {
-    known_busy_[static_cast<std::size_t>(r)] = m.use;
-    known_allocated_[static_cast<std::size_t>(r)] = m.alloc;
+    known_busy_[static_cast<std::size_t>(r)] = sets.use;
+    known_allocated_[static_cast<std::size_t>(r)] = sets.alloc;
   }
   // A transfer that concluded while we were down is decided in the
   // claimant's favour: whatever the region now claims is not ours.
-  allocated_ -= m.alloc;
+  allocated_ -= sets.alloc;
 }
 
 void AdvancedSearchNode::abort_search() {

@@ -279,9 +279,10 @@ void AdvancedUpdateNode::on_peer_restart(cell::CellId j) {
   if (attempt_.has_value()) abort_attempt();
 }
 
-void AdvancedUpdateNode::apply_resync_reply(const net::Message& m) {
+void AdvancedUpdateNode::apply_resync_reply(const net::Message& m,
+                                            const net::SetPayload& sets) {
   if (const int r = nbr_rank(m.from); r >= 0) {
-    known_use_[static_cast<std::size_t>(r)] = m.use;
+    known_use_[static_cast<std::size_t>(r)] = sets.use;
   }
 }
 

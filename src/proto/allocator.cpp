@@ -188,9 +188,9 @@ bool AllocatorNode::handle_resync(const net::Message& msg) {
     m.kind = net::MsgKind::kResyncReply;
     m.from = id_;
     m.to = msg.from;
-    m.use = use_;
-    fill_resync_reply(m);
-    env_->send(std::move(m));
+    net::SetPayload sets{use_, {}};
+    fill_resync_reply(m, sets);
+    env_->send(m, std::move(sets));
     return true;
   }
   if (msg.kind == net::MsgKind::kResyncReply) {
@@ -199,7 +199,7 @@ bool AllocatorNode::handle_resync(const net::Message& msg) {
     if (r >= 0 && resync_waiting_[static_cast<std::size_t>(r)] != 0) {
       resync_waiting_[static_cast<std::size_t>(r)] = 0;
       --resync_missing_;
-      apply_resync_reply(msg);
+      apply_resync_reply(msg, env_->payload(msg));
       if (resync_missing_ == 0) resync_done();
     }
     return true;

@@ -66,6 +66,18 @@ class NodeEnv {
   /// Sends a control message (delivered after the network latency).
   virtual void send(net::Message msg) = 0;
 
+  /// Sends a control message carrying set operands: the environment
+  /// stores `sets` and puts its handle in msg.sets (whatever the node left
+  /// there is overwritten). Unicast only — no broadcast carries a set.
+  virtual void send(net::Message msg, net::SetPayload sets) = 0;
+
+  /// The set operands of `msg`, a message being delivered that was sent
+  /// with them (msg.sets != kNoSets). Valid until on_message returns: the
+  /// runner frees the payload once the message is dispatched, so a node
+  /// copies out whatever it keeps.
+  [[nodiscard]] virtual const net::SetPayload& payload(
+      const net::Message& msg) const = 0;
+
   /// Sends one copy of `msg` to each cell of `to` — the sender's
   /// interference neighbourhood, in its order; msg.to is ignored. The
   /// default is one send() per copy; the World sends the fan-out in one
@@ -254,12 +266,20 @@ class AllocatorNode {
   /// closes the stale-grant race.
   virtual void on_peer_restart(cell::CellId j) { (void)j; }
 
-  /// Add scheme-specific payload to an outgoing kResyncReply (m.use is
+  /// Add scheme-specific state to an outgoing kResyncReply (sets.use is
   /// already this node's Use set).
-  virtual void fill_resync_reply(net::Message& m) const { (void)m; }
+  virtual void fill_resync_reply(net::Message& m, net::SetPayload& sets) const {
+    (void)m;
+    (void)sets;
+  }
 
-  /// Absorb a neighbour's kResyncReply state snapshot during resync.
-  virtual void apply_resync_reply(const net::Message& m) { (void)m; }
+  /// Absorb a neighbour's kResyncReply state snapshot (its header and its
+  /// set operands) during resync.
+  virtual void apply_resync_reply(const net::Message& m,
+                                  const net::SetPayload& sets) {
+    (void)m;
+    (void)sets;
+  }
 
   /// All neighbours answered; runs before NodeEnv::notify_resynced (e.g.
   /// the adaptive scheme re-evaluates its mode here).

@@ -65,8 +65,7 @@ void BasicSearchNode::reply_use_set(cell::CellId to, std::uint64_t serial) {
   resp.serial = serial;
   resp.from = id();
   resp.to = to;
-  resp.use = use_;
-  env().send(resp);
+  env().send(resp, {use_, {}});
   // Having authorized `to` to pick anything outside our Use set, we must
   // not finalize a selection of our own until `to` announces its decision.
   await_decision_.insert(to);
@@ -75,7 +74,7 @@ void BasicSearchNode::reply_use_set(cell::CellId to, std::uint64_t serial) {
 void BasicSearchNode::handle_response(const net::Message& msg) {
   if (!search_.has_value() || msg.serial != search_->serial) return;
   assert(msg.res_type == net::ResType::kSearchReply);
-  search_->busy |= msg.use;
+  search_->busy |= env().payload(msg).use;
   ++search_->responses;
   maybe_finalize();
 }

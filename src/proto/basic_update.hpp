@@ -50,7 +50,8 @@ class BasicUpdateNode final : public AllocatorNode {
   void on_release(cell::ChannelId ch, std::uint64_t serial) override;
   void on_crash() override;
   void on_peer_restart(cell::CellId j) override;
-  void apply_resync_reply(const net::Message& m) override;
+  void apply_resync_reply(const net::Message& m,
+                          const net::SetPayload& sets) override;
   [[nodiscard]] int admission_free_count() const override {
     cell::ChannelSet freeSet = cell::ChannelSet::all(spectrum_size());
     freeSet -= use_;

@@ -1,5 +1,7 @@
 #include "runner/scenario.hpp"
 
+#include <cstdio>
+
 #include "cell/spectrum.hpp"
 
 namespace dca::runner {
@@ -86,6 +88,16 @@ std::string validate_options(const ScenarioConfig& c) {
   if (c.shards > c.rows * c.cols) return "more shards than cells";
 
   return "";
+}
+
+std::string validate_load(const ScenarioConfig& c, double peak_rate_sum) {
+  const double candidates = peak_rate_sum * sim::to_seconds(c.duration);
+  if (candidates <= kMaxArrivalCandidates) return "";
+  char expected[32];
+  std::snprintf(expected, sizeof expected, "%.3g", candidates);
+  return "rho too large: the offered load plans ~" + std::string(expected) +
+         " arrival candidates over the run, above the cap of 1e8 (lower rho, "
+         "the duration or the grid)";
 }
 
 std::string validate_plan(const cell::HexGrid& grid, const cell::ReusePlan& plan) {

@@ -143,6 +143,21 @@ struct ScenarioConfig {
 /// Every check of validate_scenario that needs no grid.
 [[nodiscard]] std::string validate_options(const ScenarioConfig& config);
 
+/// Most arrival candidates one run may plan. The arrival planner holds
+/// every candidate of the horizon at once (24 bytes each), so the cap
+/// bounds that plan at ~2.4 GB; the largest workloads in-tree plan under
+/// 10^7.
+inline constexpr double kMaxArrivalCandidates = 1e8;
+
+/// The offered-load check: `peak_rate_sum` is the cells' summed peak
+/// arrival rate in calls per second, so peak_rate_sum * duration is the
+/// expected number of arrival candidates. Rejects a load above
+/// kMaxArrivalCandidates (or a non-finite one), naming the `rho` key: a
+/// huge but finite rho otherwise gives zero-length gaps and the planner
+/// grows until memory runs out. Empty when the load is plannable.
+[[nodiscard]] std::string validate_load(const ScenarioConfig& config,
+                                        double peak_rate_sum);
+
 /// The final geometry check: the reuse plan must give no two interfering
 /// cells the same primary channels (catches e.g. torus dimensions that do
 /// not fit the cluster pattern).

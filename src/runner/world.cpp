@@ -102,6 +102,14 @@ sim::SimTime World::ShardEnv::now() const { return world->kernel_.now(shard); }
 void World::ShardEnv::send(net::Message msg) {
   world->net_send(std::move(msg));
 }
+void World::ShardEnv::send(net::Message msg, net::SetPayload sets) {
+  msg.sets = world->state_of(msg.from).sets.put(std::move(sets));
+  world->net_send(std::move(msg));
+}
+const net::SetPayload& World::ShardEnv::payload(const net::Message& msg) const {
+  assert(msg.sets != net::kNoSets && "reading the sets of a message sent without");
+  return world->state_of(msg.from).sets[msg.sets];
+}
 void World::ShardEnv::broadcast(const net::Message& msg,
                                 std::span<const CellId> to) {
   world->bill(msg, static_cast<std::uint32_t>(to.size()));
@@ -212,6 +220,12 @@ World::World(const ScenarioConfig& config, Scheme scheme,
     }
   }
   if (load != nullptr) {
+    double peak_rate_sum = 0.0;
+    for (CellId c = 0; c < grid_.n_cells(); ++c) peak_rate_sum += load->max_rate(c);
+    if (const std::string problem = validate_load(config_, peak_rate_sum);
+        !problem.empty()) {
+      reject(problem);
+    }
     arrivals_ = traffic::plan_arrivals(grid_.n_cells(), *load,
                                        config_.mean_holding_s, config_.seed,
                                        config_.duration);
@@ -225,8 +239,12 @@ World::World(const ScenarioConfig& config, Scheme scheme,
   }
   if (config_.stream_metrics) {
     builder_.emplace(latency_.max_one_way(), config_.warmup);
-    kernel_.set_window_hook(
-        [this](sim::SimTime frontier) { on_window(frontier); });
+  }
+  if (config_.stream_metrics || config_.shards > 1) {
+    kernel_.set_window_hook([this](sim::SimTime frontier) {
+      hand_back_sets();
+      if (builder_) on_window(frontier);
+    });
   }
 }
 
@@ -330,7 +348,33 @@ void World::dispatch_to_node(const net::Message& msg) {
     // resync replies — it just admits no new traffic yet.
     nodes_[static_cast<std::size_t>(msg.to)]->on_message(msg);
   }
+  // Every delivery of a message sent with sets ends here exactly once:
+  // handed to the node, dropped by a crashed MSS, or flushed from a paused
+  // cell's hold (the reliable transport filters duplicate frames first).
+  if (msg.sets != net::kNoSets) release_sets(msg);
   flag_check(msg.to);
+}
+
+void World::release_sets(const net::Message& msg) {
+  const int owner = kernel_.shard_of(msg.from);
+  const int here = kernel_.shard_of(msg.to);
+  if (owner == here) {
+    states_[static_cast<std::size_t>(owner)].sets.release(msg.sets);
+  } else {
+    // The owner shard may be putting into its pool right now; only the
+    // barrier, with every worker parked, may touch its free list.
+    states_[static_cast<std::size_t>(here)].hand_back.emplace_back(owner,
+                                                                  msg.sets);
+  }
+}
+
+void World::hand_back_sets() {
+  for (ShardState& st : states_) {
+    for (const auto& [owner, h] : st.hand_back) {
+      states_[static_cast<std::size_t>(owner)].sets.release(h);
+    }
+    st.hand_back.clear();
+  }
 }
 
 void World::handoff_arrival(const net::Message& msg) {
@@ -642,6 +686,18 @@ std::uint64_t World::reassignments() const {
 std::size_t World::active_calls() const {
   std::size_t n = 0;
   for (const ShardState& st : states_) n += st.active.size();
+  return n;
+}
+
+std::size_t World::live_set_payloads() const {
+  std::size_t n = 0;
+  for (const ShardState& st : states_) n += st.sets.live();
+  return n;
+}
+
+std::size_t World::set_payload_peak() const {
+  std::size_t n = 0;
+  for (const ShardState& st : states_) n += st.sets.high_water();
   return n;
 }
 

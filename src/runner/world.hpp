@@ -16,7 +16,11 @@
 //                           its receiver side on shard_of(b)
 //   per shard               collector, message tally (bills of the
 //                           messages its cells send), trace buffer, usage
-//                           integral, violation and availability counters
+//                           integral, violation and availability counters,
+//                           set payloads of the messages its cells send
+//                           (a receiver on another shard reads them in
+//                           place and hands them back at the window
+//                           barrier)
 //
 // Cross-shard effects travel exclusively as message deliveries (delay >=
 // the latency floor), satisfying the kernel's lookahead contract. Results
@@ -158,6 +162,12 @@ class World {
   /// end-of-run check).
   [[nodiscard]] bool quiescent() const;
 
+  /// Set payloads stored and not yet released, summed over the shards: 0
+  /// once every message sent with sets has been dispatched.
+  [[nodiscard]] std::size_t live_set_payloads() const;
+  /// Sum of each shard's most set payloads stored at once.
+  [[nodiscard]] std::size_t set_payload_peak() const;
+
  private:
   /// Per-shard NodeEnv. Nodes of shard s all share one env; `current` is set
   /// to the owning cell of the event being executed, which is how
@@ -171,6 +181,9 @@ class World {
 
     [[nodiscard]] sim::SimTime now() const override;
     void send(net::Message msg) override;
+    void send(net::Message msg, net::SetPayload sets) override;
+    [[nodiscard]] const net::SetPayload& payload(
+        const net::Message& msg) const override;
     void broadcast(const net::Message& msg,
                    std::span<const cell::CellId> to) override;
     [[nodiscard]] sim::Duration latency_bound() const override;
@@ -221,6 +234,13 @@ class World {
     std::int64_t channels_in_use = 0;
     sim::SimTime last_usage_change = 0;
     std::vector<sim::TraceEvent> trace;
+    // Set payloads of the messages this shard's cells sent, from the send
+    // until the receiver has dispatched the message; a receiver on another
+    // shard reads them in place.
+    net::HandlePool<net::SetPayload> sets;
+    // (owning shard, handle) of payloads this shard's cells received from
+    // other shards, released into their pools at the next window barrier.
+    std::vector<std::pair<int, net::SetHandle>> hand_back;
   };
 
   [[nodiscard]] ShardState& state_of(cell::CellId c) {
@@ -252,6 +272,12 @@ class World {
   /// Bills `n` copies of `msg` to its serial on the sender's shard.
   void bill(const net::Message& msg, std::uint32_t n);
   void dispatch_to_node(const net::Message& msg);
+  /// Frees the set payload of a message that has been dispatched: at once
+  /// when it stayed on its sender's shard, else at the next window barrier.
+  void release_sets(const net::Message& msg);
+  /// Releases every handed-back payload into its owner's pool. Runs at the
+  /// window barriers, where no worker is touching any pool.
+  void hand_back_sets();
   void handoff_arrival(const net::Message& msg);
 
   // Fault timelines.

@@ -3,18 +3,20 @@
 //
 // std::function heap-allocates any capture larger than ~2 pointers, which
 // on the simulation hot path means one malloc/free per scheduled message
-// delivery (a delivery closure carries a 136-byte net::Message by value).
-// SmallFn reserves enough inline storage for every closure the engine
-// schedules, so the schedule/fire path performs no heap allocation at all;
-// callables that genuinely exceed the buffer (none in-tree — the network
-// layer static_asserts its delivery closures fit) fall back to the heap
-// rather than failing to compile.
+// delivery (a delivery closure carries a 56-byte net::Message header by
+// value). SmallFn reserves enough inline storage for every closure the
+// engine schedules, so the schedule/fire path performs no heap allocation
+// at all; callables that genuinely exceed the buffer (none in-tree — the
+// network layer and the runner static_assert their hot closures fit) fall
+// back to the heap rather than failing to compile.
 //
 // Dispatch is a single pointer to a per-type operations table (invoke /
 // relocate / destroy), so an engaged SmallFn costs one indirect call to
-// fire — same as std::function — without the allocation.
+// fire — same as std::function — without the allocation. The buffer is
+// pointer-aligned, so a SmallFn is its capacity plus one pointer; a
+// callable that needs wider alignment takes the heap path.
 //
-// SmallFn is parameterized on the call signature: EventFn (void(), 160-byte
+// SmallFn is parameterized on the call signature: EventFn (void(), 88-byte
 // buffer) is what the event stores hold, TimerFn (void(), 64 bytes) is the
 // protocol-timer currency of proto::NodeEnv, and the network's delivery /
 // observer hooks use a void(const Message&) instantiation. A smaller
@@ -31,11 +33,15 @@
 namespace dca::sim {
 
 /// Inline capture capacity of the event callback. Sized to the largest
-/// closure the engine schedules, the reliable transport's data frame (its
-/// transport pointer, link, sequence number and a full net::Message by
-/// value); net/transport.cpp and runner/world.cpp static_assert the hot
-/// closures fit. Every pending event pays for it in the slab.
-inline constexpr std::size_t kEventFnCapacity = 160;
+/// closure the engine schedules: runner::World::schedule_local's wrapper
+/// around a protocol timer (world pointer, owner cell and a 72-byte
+/// TimerFn). The next largest are the reliable transport's data frame
+/// (transport pointer, link, sequence number and the 56-byte
+/// net::Message header, 80 bytes) and the fault-free delivery (72 bytes);
+/// net/transport.hpp, net/transport.cpp and runner/world.cpp
+/// static_assert the hot closures fit. Every pending event pays for it in
+/// the slab: a slot is this plus 16 bytes.
+inline constexpr std::size_t kEventFnCapacity = 88;
 
 /// Inline capture capacity of a protocol timer callback (TimerFn): the
 /// AllocatorNode generation-check wrapper around a [this]-style capture.
@@ -101,8 +107,8 @@ class SmallFn<R(Args...), Capacity> {
 
   /// Replaces the held callable, constructing the new one directly in the
   /// inline buffer — no intermediate SmallFn temporary, no extra relocate.
-  /// This is the in-place path the event slab uses so a 144- or 160-byte delivery
-  /// closure is memcpy'd exactly once (stack lambda -> slab slot). Passing
+  /// This is the in-place path the event slab uses so a delivery closure
+  /// is memcpy'd exactly once (stack lambda -> slab slot). Passing
   /// a SmallFn rvalue of the same type degrades gracefully to move-assign.
   template <typename F>
   void assign(F&& f) {
@@ -118,11 +124,13 @@ class SmallFn<R(Args...), Capacity> {
   template <typename F>
   static constexpr bool fits_inline() noexcept {
     using D = std::decay_t<F>;
-    return sizeof(D) <= Capacity && alignof(D) <= alignof(std::max_align_t) &&
+    return sizeof(D) <= Capacity && alignof(D) <= kAlign &&
            std::is_nothrow_move_constructible_v<D>;
   }
 
  private:
+  static constexpr std::size_t kAlign = alignof(void*);
+
   struct Ops {
     R (*invoke)(void*, Args...);
     void (*relocate)(void* dst, void* src) noexcept;  // move-construct + destroy src
@@ -165,7 +173,7 @@ class SmallFn<R(Args...), Capacity> {
   }
 
   const Ops* ops_ = nullptr;
-  alignas(std::max_align_t) unsigned char buf_[Capacity];
+  alignas(kAlign) unsigned char buf_[Capacity];
 };
 
 /// The event-callback type the kernel stores per scheduled event.

@@ -59,7 +59,7 @@ class AdaptiveUnit : public ::testing::Test {
     const std::uint64_t wave = waves.back().wave;
     const std::uint64_t serial = waves.back().serial;
     for (const cell::CellId j : in()) {
-      node_->on_message(testutil::mk_use_reply(j, kSelf, net::ResType::kStatus,
+      node_->on_message(testutil::mk_use_reply(env_, j, kSelf, net::ResType::kStatus,
                                                cell::ChannelSet(21), serial, wave));
     }
   }
@@ -191,7 +191,7 @@ TEST_F(AdaptiveUnit, SearchSelectsFreeChannelAndAnnounces) {
   busy -= node_->in_use();
   for (const cell::CellId j : in()) {
     node_->on_message(
-        testutil::mk_use_reply(j, kSelf, net::ResType::kSearchReply, busy, 4));
+        testutil::mk_use_reply(env_, j, kSelf, net::ResType::kSearchReply, busy, 4));
   }
   ASSERT_EQ(env_.completions().size(), 1u);
   EXPECT_EQ(env_.completions()[0].outcome, proto::Outcome::kAcquiredSearch);
@@ -216,7 +216,7 @@ TEST_F(AdaptiveUnit, FailedSearchStillAnnounces) {
   cell::ChannelSet busy = cell::ChannelSet::all(21) - node_->in_use();
   for (const cell::CellId j : in()) {
     node_->on_message(
-        testutil::mk_use_reply(j, kSelf, net::ResType::kSearchReply, busy, 4));
+        testutil::mk_use_reply(env_, j, kSelf, net::ResType::kSearchReply, busy, 4));
   }
   ASSERT_EQ(env_.completions().size(), 1u);
   EXPECT_EQ(env_.completions()[0].outcome, proto::Outcome::kBlockedNoChannel);
@@ -354,7 +354,7 @@ TEST_F(AdaptiveUnit, SearchRequestAnsweredImmediatelyWithUseSetWhenIdle) {
   const auto resp = env_.sent_of(net::MsgKind::kResponse);
   ASSERT_EQ(resp.size(), 1u);
   EXPECT_EQ(resp[0].res_type, net::ResType::kSearchReply);
-  EXPECT_TRUE(resp[0].use.contains(p));
+  EXPECT_TRUE(env_.payload(resp[0]).use.contains(p));
   EXPECT_EQ(node_->waiting(), 1);
 }
 
@@ -442,7 +442,7 @@ TEST_F(AdaptiveUnit, DeferredUpdateRequestAnsweredWhenSearchConcludes) {
   busy -= node_->in_use();
   for (const cell::CellId j : in())
     node_->on_message(
-        testutil::mk_use_reply(j, kSelf, net::ResType::kSearchReply, busy, 4));
+        testutil::mk_use_reply(env_, j, kSelf, net::ResType::kSearchReply, busy, 4));
   EXPECT_EQ(node_->deferq_size(), 0u);
   // The deferred requester must be REJECTED (we now use channel 20).
   bool saw_reject = false;
@@ -465,7 +465,7 @@ TEST_F(AdaptiveUnit, ChangeModeMaintainsUpdateSetAndRepliesStatus) {
   ASSERT_EQ(resp.size(), 1u);
   EXPECT_EQ(resp[0].res_type, net::ResType::kStatus);
   EXPECT_EQ(resp[0].wave, 7u) << "status echoes the wave tag";
-  EXPECT_TRUE(resp[0].use.contains(p));
+  EXPECT_TRUE(env_.payload(resp[0]).use.contains(p));
   env_.clear();
   node_->on_message(testutil::mk_change_mode(in()[0], kSelf, 0));
   EXPECT_FALSE(node_->update_subscribers().contains(in()[0]));
@@ -501,7 +501,7 @@ TEST_F(AdaptiveUnit, StatusSnapshotCannotEraseAPendingGrant) {
   node_->on_message(testutil::mk_update_request(in()[0], kSelf, 5,
                                                 net::Timestamp{1, in()[0]}, 99));
   ASSERT_TRUE(node_->interfered().contains(5));
-  node_->on_message(testutil::mk_use_reply(in()[0], kSelf, net::ResType::kStatus,
+  node_->on_message(testutil::mk_use_reply(env_, in()[0], kSelf, net::ResType::kStatus,
                                            cell::ChannelSet(21), 0, 0));
   EXPECT_TRUE(node_->interfered().contains(5))
       << "grant survives a stale Use-set snapshot";

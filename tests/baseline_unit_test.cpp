@@ -135,7 +135,7 @@ TEST_F(BaselineUnit, SearchQueriesWholeRegionThenSelects) {
   busy.erase(13);
   for (const cell::CellId j : in()) {
     node.on_message(
-        testutil::mk_use_reply(j, kSelf, net::ResType::kSearchReply, busy, 1));
+        testutil::mk_use_reply(env_, j, kSelf, net::ResType::kSearchReply, busy, 1));
   }
   ASSERT_EQ(env_.completions().size(), 1u);
   EXPECT_EQ(env_.completions()[0].channel, 13);
@@ -168,7 +168,7 @@ TEST_F(BaselineUnit, SearchSelectionWaitsForAnsweredOlderSearcher) {
   const cell::ChannelSet none(21);
   for (const cell::CellId j : in()) {
     node.on_message(
-        testutil::mk_use_reply(j, kSelf, net::ResType::kSearchReply, none, 1));
+        testutil::mk_use_reply(env_, j, kSelf, net::ResType::kSearchReply, none, 1));
   }
   EXPECT_TRUE(env_.completions().empty()) << "awaiting the older decision";
   // The older searcher announces: it took channel 0.
@@ -188,7 +188,7 @@ TEST_F(BaselineUnit, SearchDeferredReplySentAfterOwnDecision) {
   const cell::ChannelSet none(21);
   for (const cell::CellId j : in()) {
     node.on_message(
-        testutil::mk_use_reply(j, kSelf, net::ResType::kSearchReply, none, 1));
+        testutil::mk_use_reply(env_, j, kSelf, net::ResType::kSearchReply, none, 1));
   }
   // Decision made: announcement to region + the deferred reply, which must
   // include our fresh acquisition.
@@ -196,7 +196,7 @@ TEST_F(BaselineUnit, SearchDeferredReplySentAfterOwnDecision) {
   ASSERT_EQ(resp.size(), 1u);
   EXPECT_EQ(resp[0].to, in()[0]);
   ASSERT_EQ(env_.completions().size(), 1u);
-  EXPECT_TRUE(resp[0].use.contains(env_.completions()[0].channel));
+  EXPECT_TRUE(env_.payload(resp[0]).use.contains(env_.completions()[0].channel));
 }
 
 // ------------------------------------------------------- basic update -----
@@ -385,8 +385,13 @@ TEST_F(BaselineUnit, AdvancedSearchRepliesCarryAllocatedAndBusySets) {
       testutil::mk_search_request(in()[0], kSelf, net::Timestamp{1, in()[0]}, 9));
   const auto resp = env_.sent_of(net::MsgKind::kResponse);
   ASSERT_EQ(resp.size(), 1u);
-  EXPECT_TRUE(resp[0].use.empty());
-  EXPECT_TRUE(resp[0].alloc.empty());
+  ASSERT_NE(resp[0].sets, net::kNoSets) << "the reply must carry its sets";
+  const net::SetPayload& sets = env_.payload(resp[0]);
+  EXPECT_TRUE(sets.use.empty());
+  EXPECT_TRUE(sets.alloc.empty());
+  // Both are the node's own sets over the spectrum, not defaults.
+  EXPECT_EQ(sets.use.universe(), 21);
+  EXPECT_EQ(sets.alloc.universe(), 21);
 }
 
 TEST_F(BaselineUnit, AdvancedSearchOwnerAgreesThenSecondRequesterDenied) {
@@ -394,10 +399,10 @@ TEST_F(BaselineUnit, AdvancedSearchOwnerAgreesThenSecondRequesterDenied) {
   // Give the node one allocated idle channel via a full search cycle.
   node.request_channel(1);
   for (const cell::CellId j : in()) {
-    net::Message m = testutil::mk_use_reply(j, kSelf, net::ResType::kSearchReply,
-                                            cell::ChannelSet(21), 1);
-    m.alloc = cell::ChannelSet(21);
-    node.on_message(m);
+    node.on_message(env_.with_sets(
+        testutil::mk_response(j, kSelf, net::ResType::kSearchReply,
+                              cell::kNoChannel, 1),
+        {cell::ChannelSet(21), cell::ChannelSet(21)}));
   }
   ASSERT_EQ(env_.completions().size(), 1u);
   const cell::ChannelId r = env_.completions()[0].channel;
@@ -443,10 +448,10 @@ TEST_F(BaselineUnit, AdvancedSearchAbortUnlocksOffer) {
   proto::AdvancedSearchNode node(ctx(), 10);
   node.request_channel(1);
   for (const cell::CellId j : in()) {
-    net::Message m = testutil::mk_use_reply(j, kSelf, net::ResType::kSearchReply,
-                                            cell::ChannelSet(21), 1);
-    m.alloc = cell::ChannelSet(21);
-    node.on_message(m);
+    node.on_message(env_.with_sets(
+        testutil::mk_response(j, kSelf, net::ResType::kSearchReply,
+                              cell::kNoChannel, 1),
+        {cell::ChannelSet(21), cell::ChannelSet(21)}));
   }
   const cell::ChannelId r = env_.completions()[0].channel;
   node.release_channel(r, 1);

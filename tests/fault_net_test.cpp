@@ -193,6 +193,8 @@ TEST_F(FaultNetFixture, PayloadPoolDrainsAfterCocktailAndHealedPartition) {
   // until the cumulative ack, the receiver's while parked past a gap.
   // Draining to quiescence must hand every slot back and leave both
   // windows empty, first under drop / dup / jitter, then across a cut.
+  // A send ring that doubled while its window was wide must be back at
+  // its floor once the window drains.
   FaultConfig cfg;
   cfg.drop_prob = 0.3;
   cfg.dup_prob = 0.3;
@@ -201,11 +203,14 @@ TEST_F(FaultNetFixture, PayloadPoolDrainsAfterCocktailAndHealedPartition) {
   constexpr sim::SimTime kHeal = 11'000'000;
   cfg.partitions.push_back(PartitionSpec{{1}, kCut, kHeal});
   Transport& net = start(cfg, 99);
+  // Two links carry data (0 -> 1 and 2 -> 1); acks use no send ring.
+  static constexpr std::size_t kFloorSlots = 2 * SeqRing<int>::kMinCapacity;
   auto expect_drained = [&net] {
     const Transport::Occupancy o = net.occupancy();
     EXPECT_EQ(o.unacked, 0u);
     EXPECT_EQ(o.reordering, 0u);
     EXPECT_EQ(o.payloads, 0u) << "a payload handle was never released";
+    EXPECT_EQ(o.send_ring_slots, kFloorSlots) << "a send ring stayed grown";
   };
   auto send_pairs = [&](int base) {
     for (int i = 0; i < 30; ++i) {
@@ -233,6 +238,8 @@ TEST_F(FaultNetFixture, PayloadPoolDrainsAfterCocktailAndHealedPartition) {
   EXPECT_EQ(mid.payloads, 60u);
   EXPECT_EQ(mid.reordering, 0u);
   EXPECT_GE(mid.payload_peak, 60u);
+  // 30 frames wait on each link, more than a floor ring holds.
+  EXPECT_GT(mid.send_ring_slots, kFloorSlots);
   ASSERT_EQ(delivered.size(), 120u);
   int next01 = 1000, next21 = 1100;
   for (std::size_t i = 60; i < delivered.size(); ++i) {
@@ -271,16 +278,16 @@ TEST(FaultNetFootprint, LossyWorldTransportBytesPerLinkWithinBudget) {
   const cell::HexGrid grid(c.rows, c.cols, c.interference_radius);
   const auto n_links = static_cast<double>(LinkTable(grid).n_links());
   const double per_link = static_cast<double>(r.transport_bytes) / n_links;
-  // Per link: a 56 B LinkTx and a 48 B LinkRx; a send ring of 16 slots of
-  // 24 B (seq + 16 B PendingFrame), ~400 B with the rings that doubled
-  // during the cut; a reorder ring of 16 slots of 16 B (seq + handle) on
-  // the links that ever reordered, ~210 B on average; a 56 B fault stream
-  // whose 2.5 KiB engine every link builds at its fifth draw (2,560 B);
-  // and a share of the payload pool, whose 144 B slots come in chunks of
-  // 256 and peaked at ~4.1k live payloads (~150 B). Measured: 3,418 B
-  // per link over 4,016 links. With the 136 B Message inline in every
-  // ring slot again it is ~7.3 KiB. The 5 KiB budget is ~1.5x the
-  // measurement.
+  // Per link: a 64 B LinkTx and a 56 B LinkRx; a send ring of 16 slots of
+  // 24 B (seq + 16 B PendingFrame), 384 B, since the rings that doubled
+  // during the cut halve again as it drains; a reorder ring of 16 slots of
+  // 16 B (seq + handle) on the links that ever reordered, ~200 B on
+  // average; a 56 B fault stream whose 2.5 KiB engine every link builds at
+  // its fifth draw (2,560 B); and a share of the payload pool, whose 64 B
+  // slots (the 56 B Message header and a free-list link) come in chunks
+  // of 256 and peaked at ~4.1k live payloads (~70 B). Measured: 3,331 B
+  // per link over 4,016 links; a 136 B Message inline in every ring slot
+  // would make it ~7.3 KiB. The 5 KiB budget is ~1.5x the measurement.
   constexpr double kBytesPerLinkBudget = 5.0 * 1024;
   EXPECT_GT(r.transport_bytes, 0u);
   EXPECT_LE(per_link, kBytesPerLinkBudget)

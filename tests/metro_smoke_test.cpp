@@ -13,10 +13,10 @@
 //     storage, and a stream builds its 2.5 KiB engine only at its fifth
 //     draw; the arrival and holding streams are dropped once the arrival
 //     plan is made. On top ride the ~9 Erlangs/cell of live-call state this
-//     load sustains, the pending events (a 192-byte slab slot each), the
+//     load sustains, the pending events (a 104-byte slab slot each), the
 //     change points of each node's NFC history over its 30 s window, and
 //     ~64 B per offered call of deferred message-tally state. Measured:
-//     16.4-17.3 KiB/cell here (60x60, 30 s, ~194k calls). The 28 KiB
+//     15.5-16.0 KiB/cell here (60x60, 30 s, ~194k calls). The 28 KiB
 //     ceiling leaves ~1.6x headroom so real leaks (per-cell vectors sized
 //     by n_cells again, un-pruned timelines, buffered records, a sample
 //     per NFC record) trip it while allocator noise does not.

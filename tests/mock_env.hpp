@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <vector>
 
 #include "proto/allocator.hpp"
@@ -32,6 +33,13 @@ class MockEnv final : public proto::NodeEnv {
   // -- NodeEnv ------------------------------------------------------------
   [[nodiscard]] sim::SimTime now() const override { return now_; }
   void send(net::Message msg) override { sent_.push_back(std::move(msg)); }
+  void send(net::Message msg, net::SetPayload sets) override {
+    sent_.push_back(with_sets(msg, std::move(sets)));
+  }
+  [[nodiscard]] const net::SetPayload& payload(
+      const net::Message& msg) const override {
+    return payloads_.at(msg.sets);
+  }
   [[nodiscard]] sim::Duration latency_bound() const override { return latency_; }
   void notify_acquired(cell::CellId cellId, std::uint64_t serial,
                        cell::ChannelId ch, proto::Outcome how, int attempts) override {
@@ -52,6 +60,15 @@ class MockEnv final : public proto::NodeEnv {
 
   // -- scripting ------------------------------------------------------------
   void advance(sim::Duration dt) { now_ += dt; }
+
+  /// `msg` carrying `sets`, the way a World delivers a message sent with
+  /// them: payload() answers for it from here on (clear() keeps payloads,
+  /// so a sent message a test copied out stays readable).
+  [[nodiscard]] net::Message with_sets(net::Message msg, net::SetPayload sets) {
+    msg.sets = static_cast<net::SetHandle>(payloads_.size());
+    payloads_.push_back(std::move(sets));
+    return msg;
+  }
 
   /// All messages the node sent since the last clear().
   [[nodiscard]] const std::vector<net::Message>& sent() const noexcept {
@@ -91,6 +108,8 @@ class MockEnv final : public proto::NodeEnv {
   sim::Duration latency_;
   sim::RngStream rng_;
   std::vector<net::Message> sent_;
+  // A deque, so a payload() reference survives the node sending more.
+  std::deque<net::SetPayload> payloads_;
   std::vector<Completion> completions_;
   std::vector<std::pair<cell::CellId, cell::ChannelId>> released_;
   std::vector<Reassignment> reassigned_;
@@ -153,18 +172,19 @@ inline net::Message mk_echo_response(const net::Message& request,
   return m;
 }
 
-inline net::Message mk_use_reply(cell::CellId from, cell::CellId to,
+/// A search or status reply carrying `use`, stored in `env` (the
+/// environment of the node it is injected into).
+inline net::Message mk_use_reply(MockEnv& env, cell::CellId from, cell::CellId to,
                                  net::ResType type, const cell::ChannelSet& use,
                                  std::uint64_t serial, std::uint64_t wave = 0) {
   net::Message m;
   m.kind = net::MsgKind::kResponse;
   m.res_type = type;
-  m.use = use;
   m.from = from;
   m.to = to;
   m.serial = serial;
   m.wave = wave;
-  return m;
+  return env.with_sets(m, {use, {}});
 }
 
 inline net::Message mk_change_mode(cell::CellId from, cell::CellId to, int mode,

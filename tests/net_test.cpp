@@ -287,17 +287,23 @@ TEST_F(NetworkFixture, ObserverSeesEveryMessageAtSendTime) {
 }
 
 TEST_F(NetworkFixture, UseSetPayloadSurvivesDelivery) {
+  // The set rides behind the header's handle, the way the runner sends
+  // it: stored at the send, read back through the delivered copy.
+  HandlePool<SetPayload> store;
+  SetPayload sets{cell::ChannelSet(70), {}};
+  sets.use.insert(13);
+  sets.use.insert(42);
   Message m = mk(3, 1, MsgKind::kResponse);
   m.res_type = ResType::kSearchReply;
-  m.use = cell::ChannelSet(70);
-  m.use.insert(13);
-  m.use.insert(42);
+  m.sets = store.put(std::move(sets));
   net.send(m);
   h.run();
   ASSERT_EQ(delivered.size(), 1u);
-  EXPECT_TRUE(delivered[0].use.contains(13));
-  EXPECT_TRUE(delivered[0].use.contains(42));
-  EXPECT_EQ(delivered[0].use.size(), 2);
+  ASSERT_EQ(delivered[0].sets, m.sets);
+  const cell::ChannelSet& use = store[delivered[0].sets].use;
+  EXPECT_TRUE(use.contains(13));
+  EXPECT_TRUE(use.contains(42));
+  EXPECT_EQ(use.size(), 2);
 }
 
 // Link ids enumerate (from, to) over every interference pair in ascending

@@ -1,10 +1,13 @@
 // Tests for scenario validation (fail-fast configuration checking).
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 #include <sys/wait.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -136,6 +139,41 @@ TEST(ValidateScenarioDeathTest, RunUniformRejectsCrashesWithoutTimeout) {
                "handshakes; set request_timeout");
 }
 
+TEST(ValidateScenarioDeathTest, RunUniformRejectsAnUnplannableLoad) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "the guard below caps the address space, which the "
+                  "sanitizer's shadow mappings already exceed";
+#else
+  // Refused before the arrival planner allocates anything. The death
+  // test's child caps its own address space at 2 GB first, so a planner
+  // that did run would die of std::bad_alloc (another message) within
+  // seconds instead of growing until the machine runs out of memory.
+  const ScenarioConfig c = testutil::small_config();
+  const auto capped_run = [&c] {
+    rlimit cap{};
+    cap.rlim_cur = cap.rlim_max = 2'000'000'000;
+    if (setrlimit(RLIMIT_AS, &cap) != 0) std::abort();
+    (void)run_uniform(c, Scheme::kFca, 1e308);
+  };
+  EXPECT_DEATH(capped_run(), "World: invalid scenario: rho too large");
+#endif
+}
+
+TEST(ValidateScenario, LoadCapCountsCandidatesOverTheHorizon) {
+  ScenarioConfig c;
+  c.duration = sim::seconds(100);
+  // 10^6 calls/s summed over the cells for 100 s: exactly the cap.
+  EXPECT_EQ(validate_load(c, 1e6), "");
+  const std::string over = validate_load(c, 1.01e6);
+  EXPECT_EQ(over.rfind("rho too large", 0), 0u) << over;
+  EXPECT_NE(over.find("1.01e+08"), std::string::npos) << over;
+  // Overflowing or undefined products are refused too.
+  EXPECT_NE(validate_load(c, std::numeric_limits<double>::infinity()), "");
+  EXPECT_NE(validate_load(c, std::numeric_limits<double>::quiet_NaN()), "");
+  // The paper's default load plans a few thousand candidates.
+  EXPECT_EQ(validate_load(c, c.arrival_rate_for_load(0.6) * c.rows * c.cols), "");
+}
+
 TEST(ValidateScenarioDeathTest, WorldRejectsAnInvalidReusePlan) {
   ScenarioConfig c;
   c.rows = 8;
@@ -248,6 +286,18 @@ TEST(ValidateScenario, DcasimRejectsBadRhoWithExitTwo) {
   // A non-finite rate would never finish planning arrivals; a negative one
   // would run no calls at all.
   for (const char* v : {"nan", "inf", "-1"}) expect_flag_rejected("rho", v);
+}
+
+TEST(ValidateScenario, DcasimRejectsUnplannableRhoWithExitTwo) {
+  // Finite, so the flag check passes; the load check must refuse it with
+  // the other scenario checks, before --dump-config, which exits without
+  // running anything: were the check missing, dcasim would print the
+  // scenario and exit 0 instead of planning arrivals until memory runs out.
+  const Exit e = run_dcasim(
+      "--duration-min 1 --warmup-min 0 --rho 1e308 --dump-config 2>&1");
+  EXPECT_EQ(e.status, 2) << e.out;
+  EXPECT_NE(e.out.find("invalid scenario: rho too large"), std::string::npos)
+      << e.out;
 }
 
 TEST(ValidateScenario, DcasimRejectsBadHotFactorWithExitTwo) {

@@ -34,6 +34,11 @@ class TimerEnv final : public proto::NodeEnv {
 
   [[nodiscard]] sim::SimTime now() const override { return sim.now(0); }
   void send(net::Message) override {}
+  void send(net::Message, net::SetPayload) override {}
+  [[nodiscard]] const net::SetPayload& payload(
+      const net::Message&) const override {
+    return no_sets_;
+  }
   [[nodiscard]] sim::Duration latency_bound() const override {
     return sim::milliseconds(5);
   }
@@ -64,6 +69,7 @@ class TimerEnv final : public proto::NodeEnv {
  private:
   bool can_cancel_;
   sim::RngStream rng_;
+  net::SetPayload no_sets_;
 };
 
 /// Minimal node exposing the protected timer interface.

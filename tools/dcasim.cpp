@@ -112,6 +112,20 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "dcasim: %s\n", bad_flag);
     return 2;
   }
+  {
+    // The hot-spot profile raises one cell (the default hot spot) by
+    // hot_factor; every other cell offers the base rate.
+    const double n_cells = static_cast<double>(cfg.rows) * cfg.cols;
+    const double peak_cells =
+        args.get_string("profile") == "hotspot" ? n_cells - 1.0 + hot_factor
+                                                : n_cells;
+    if (const std::string problem = runner::validate_load(
+            cfg, cfg.arrival_rate_for_load(rho) * peak_cells);
+        !problem.empty()) {
+      std::fprintf(stderr, "dcasim: invalid scenario: %s\n", problem.c_str());
+      return 2;
+    }
+  }
   if (cfg.warmup >= cfg.duration) {
     cfg.warmup = cfg.duration / 10;
     std::fprintf(stderr,
