@@ -1,7 +1,6 @@
 #include "core/adaptive.hpp"
 
 #include <cassert>
-#include <iterator>
 #include <limits>
 
 namespace dca::core {
@@ -17,6 +16,8 @@ AdaptiveNode::AdaptiveNode(const proto::NodeContext& ctx, const AdaptiveParams& 
     : AllocatorNode(ctx),
       params_(params),
       nfc_(params.window),
+      update_(ctx),
+      search_(ctx, true),
       borrowed_(ctx.plan->n_channels()) {
   params_.check();
   known_use_.assign(nbr_count(), ChannelSet(spectrum_size()));
@@ -104,7 +105,7 @@ void AdaptiveNode::proceed() {
   // the same channel). The paper applies this gate in local mode; we apply
   // it in borrowing mode too — its Theorem 1 argument needs it there as
   // well (DESIGN.md note on deviations).
-  if (!awaiting_.empty()) {
+  if (search_.waiting()) {
     req_->phase = Phase::kWaitQuiet;
     arm_timer(request_timeout(), [this]() { on_phase_timeout(); });
     return;
@@ -165,42 +166,17 @@ void AdaptiveNode::begin_update_round(ChannelId ch) {
   assert(!interference().empty());
   mode_ = 2;
   req_->phase = Phase::kUpdateRound;
-  req_->channel = ch;
-  req_->responses = 0;
-  req_->rejected = false;
-  req_->granters.clear();
-
   arm_timer(request_timeout(), [this]() { on_phase_timeout(); });
-
-  net::Message msg;
-  msg.kind = net::MsgKind::kRequest;
-  msg.req_type = net::ReqType::kUpdate;
-  msg.serial = req_->serial;
-  msg.channel = ch;
-  msg.ts = req_->ts;
-  // Round tag, echoed by every grant/reject: a straggler from a timed-out
-  // earlier round — which may have asked for the SAME channel — must not
-  // be miscounted into the current round.
-  msg.wave = static_cast<std::uint64_t>(req_->rounds);
-  send_to_interference(msg);
+  update_.ask_region(req_->serial, ch, req_->ts, req_->rounds);
 }
 
 void AdaptiveNode::begin_search_round() {
   assert(req_.has_value());
   mode_ = 3;
   req_->phase = Phase::kSearchRound;
-  req_->channel = kNoChannel;
-  req_->responses = 0;
-  trace_search_start(req_->serial, req_->ts);
-  arm_timer(request_timeout(), [this]() { on_phase_timeout(); });
-
-  net::Message msg;
-  msg.kind = net::MsgKind::kRequest;
-  msg.req_type = net::ReqType::kSearch;
-  msg.serial = req_->serial;
-  msg.ts = req_->ts;
-  send_to_interference(msg);
-
+  search_.start(req_->serial, req_->ts, [this]() {
+    arm_timer(request_timeout(), [this]() { on_phase_timeout(); });
+  });
   if (interference().empty()) {
     const ChannelSet freeSet = ChannelSet::all(spectrum_size()) - use_;
     conclude_search_round(freeSet.first());
@@ -209,30 +185,21 @@ void AdaptiveNode::begin_search_round() {
 
 void AdaptiveNode::conclude_update_round() {
   assert(req_.has_value() && req_->phase == Phase::kUpdateRound);
-  if (!req_->rejected) {
-    finish_request(req_->channel, 2, Outcome::kAcquiredUpdate);
+  if (update_.granted()) {
+    update_.close();
+    finish_request(update_.channel(), 2, Outcome::kAcquiredUpdate);
     return;
   }
   // Rejected: fall back to borrowing-idle, return the grants we collected,
   // and retry (Fig. 2's recursive Request_Channel call).
   mode_ = 1;
-  for (const CellId j : req_->granters) {
-    net::Message rel;
-    rel.kind = net::MsgKind::kRelease;
-    rel.serial = req_->serial;
-    rel.channel = req_->channel;
-    rel.from = id();
-    rel.to = j;
-    env().send(rel);
-  }
-  req_->granters.clear();
-  req_->channel = kNoChannel;
+  update_.fail();
   proceed();
 }
 
 void AdaptiveNode::conclude_search_round(ChannelId r) {
   assert(req_.has_value() && req_->phase == Phase::kSearchRound);
-  trace_search_decide(req_->serial, r, r != kNoChannel, false);
+  search_.trace_decide(r, false);
   finish_request(r, 3,
                  r != kNoChannel ? Outcome::kAcquiredSearch : Outcome::kBlockedNoChannel);
 }
@@ -243,8 +210,8 @@ void AdaptiveNode::on_phase_timeout() {
   switch (req_->phase) {
     case Phase::kWaitQuiet:
       // Nothing was sent on behalf of this request yet: fail it cleanly.
-      // awaiting_ keeps its entries — the discipline must hold for the
-      // next request, and every answered searcher still announces
+      // The waiting set keeps its entries — the discipline must hold for
+      // the next request, and every answered searcher still announces
       // eventually (even aborting ones do).
       finish_request(kNoChannel, mode_ == 0 ? 0 : 1, Outcome::kBlockedTimeout);
       break;
@@ -253,27 +220,18 @@ void AdaptiveNode::on_phase_timeout() {
       // extra rejects at worst; the grant handshake still arbitrates.
       proceed();
       break;
-    case Phase::kUpdateRound: {
-      // Abort the round: release the channel at EVERY neighbour — a grant
-      // may still be in flight, and per-link FIFO orders our REQUEST
-      // before this RELEASE, so no pending grant leaks. Then fall back to
+    case Phase::kUpdateRound:
+      // Abort the round (RELEASE to every neighbour), fall back to
       // borrowing-idle and retry; after alpha rounds proceed() degrades
       // to the search round (the paper's mode-3 fallback).
-      net::Message rel;
-      rel.kind = net::MsgKind::kRelease;
-      rel.serial = req_->serial;
-      rel.channel = req_->channel;
-      send_to_interference(rel);
-      req_->granters.clear();
-      req_->channel = kNoChannel;
+      update_.abort();
       mode_ = 1;
       proceed();
       break;
-    }
     case Phase::kSearchRound:
       // Give up on the whole request. finish_request(prev_mode = 3) sends
       // the failure announcement that unblocks everyone waiting on us.
-      trace_search_decide(req_->serial, kNoChannel, false, true);
+      search_.trace_decide(kNoChannel, true);
       finish_request(kNoChannel, 3, Outcome::kBlockedTimeout);
       break;
   }
@@ -316,23 +274,19 @@ void AdaptiveNode::finish_request(ChannelId r, int prev_mode, Outcome how) {
       // their bookkeeping, no announcement needed.
       mode_ = 1;
       break;
-    case 3: {
-      // The search announcement goes out even on failure (r == kNoChannel):
-      // neighbours that answered us decrement their waiting counters on it.
-      net::Message acq;
-      acq.kind = net::MsgKind::kAcquisition;
-      acq.acq_type = net::AcqType::kSearch;
-      acq.serial = done.serial;
-      acq.channel = r;
-      send_to_interference(acq);
+    case 3:
+      // The search announcement goes out even on failure (r == kNoChannel),
+      // then the requests our search held back are answered (Fig. 3's
+      // drain; only a search ever defers).
+      search_.decide(r, [this](const proto::SearchRound::Deferred& d) {
+        answer_deferred(d);
+      });
       mode_ = 1;
       break;
-    }
     default:
       assert(false);
   }
 
-  drain_deferq();
   if (prev_mode == 0) check_mode();
 
   if (r != kNoChannel) {
@@ -342,20 +296,11 @@ void AdaptiveNode::finish_request(ChannelId r, int prev_mode, Outcome how) {
   }
 }
 
-void AdaptiveNode::drain_deferq() {
-  while (!defer_.empty()) {
-    const DeferredReq d = defer_.front();
-    defer_.pop_front();
-    if (d.type == net::ReqType::kUpdate) {
-      if (use_.contains(d.channel)) {
-        send_reject(d.from, d.serial, d.wave, d.channel);
-      } else {
-        send_grant(d.from, d.serial, d.wave, d.channel);
-      }
-    } else {
-      awaiting_.insert(d.from);
-      send_use_reply(d.from, d.serial, net::ResType::kSearchReply);
-    }
+void AdaptiveNode::answer_deferred(const proto::SearchRound::Deferred& d) {
+  if (d.type == net::ReqType::kUpdate) {
+    answer_update(d.from, d.serial, d.wave, d.channel, use_.contains(d.channel));
+  } else {
+    search_.answer(d.from, d.serial, {use_, {}});
   }
 }
 
@@ -363,62 +308,26 @@ void AdaptiveNode::drain_deferq() {
 // Fig. 4: Receive_Request
 // ---------------------------------------------------------------------------
 
-void AdaptiveNode::handle_request(const net::Message& msg) {
-  if (msg.req_type == net::ReqType::kUpdate) {
-    handle_update_request(msg);
-  } else {
-    handle_search_request(msg);
-  }
-}
-
 void AdaptiveNode::handle_update_request(const net::Message& msg) {
+  // Mode 3: our older search holds younger requests back.
+  if (search_.defer_if_older(msg)) return;
   const ChannelId q = msg.channel;
-  switch (mode_) {
-    case 0:
-    case 1:
-      if (use_.contains(q)) {
-        send_reject(msg.from, msg.serial, msg.wave, q);
-      } else {
-        send_grant(msg.from, msg.serial, msg.wave, q);
-        check_mode();
-      }
-      break;
-    case 2: {
-      assert(req_.has_value());
-      const bool same_channel = (q == req_->channel);
-      const bool ours_older = req_->ts < msg.ts;
-      const bool reject_conflict =
-          params_.strict_fig4 ? ours_older : (same_channel && ours_older);
-      if (use_.contains(q) || reject_conflict) {
-        send_reject(msg.from, msg.serial, msg.wave, q);
-      } else {
-        send_grant(msg.from, msg.serial, msg.wave, q);
-        check_mode();
-      }
-      break;
-    }
-    case 3:
-      assert(req_.has_value());
-      if (req_->ts < msg.ts) {
-        defer_.push_back(DeferredReq{net::ReqType::kUpdate, q, msg.ts, msg.from,
-                                     msg.serial, msg.wave});
-      } else if (use_.contains(q)) {
-        // The paper's Fig. 4 case 3 grants older requests unconditionally,
-        // but the requester's information may be stale by up to 2T: if q
-        // is in OUR use set the grant would license co-channel
-        // interference (found by the randomized-scenario fuzz suite; see
-        // DESIGN.md faithfulness note 11).
-        send_reject(msg.from, msg.serial, msg.wave, q);
-      } else {
-        // An older update request proceeds even against our search; the
-        // grant enters our interfered set so our selection avoids q.
-        send_grant(msg.from, msg.serial, msg.wave, q);
-        check_mode();
-      }
-      break;
-    default:
-      assert(false);
+  // A channel in Use_i is never granted. In mode 3 the paper's Fig. 4
+  // grants older requests unconditionally, but the requester's information
+  // may be stale by up to 2T, and granting q while WE use it would license
+  // co-channel interference (found by the randomized-scenario fuzz suite;
+  // see DESIGN.md faithfulness note 11). An older request for any other
+  // channel proceeds even against our search; the grant enters our
+  // interfered set so our selection avoids q.
+  bool reject = use_.contains(q);
+  if (mode_ == 2) {
+    const bool ours_older = update_.ts() < msg.ts;
+    reject = reject || (params_.strict_fig4
+                            ? ours_older
+                            : (q == update_.channel() && ours_older));
   }
+  answer_update(msg.from, msg.serial, msg.wave, q, reject);
+  if (!reject) check_mode();
 }
 
 void AdaptiveNode::handle_search_request(const net::Message& msg) {
@@ -436,13 +345,8 @@ void AdaptiveNode::handle_search_request(const net::Message& msg) {
   // announced its pick (processed before the resume), and searches are
   // then only ever deferred by strictly older searches, which keeps the
   // wait-for graph acyclic. See DESIGN.md note 9.
-  if (mode_ == 3 && req_.has_value() && req_->ts < msg.ts) {
-    defer_.push_back(
-        DeferredReq{net::ReqType::kSearch, kNoChannel, msg.ts, msg.from, msg.serial});
-    return;
-  }
-  awaiting_.insert(msg.from);
-  send_use_reply(msg.from, msg.serial, net::ResType::kSearchReply);
+  if (search_.defer_if_older(msg)) return;
+  search_.answer(msg.from, msg.serial, {use_, {}});
 }
 
 // ---------------------------------------------------------------------------
@@ -506,21 +410,7 @@ void AdaptiveNode::handle_acquisition(const net::Message& msg) {
     check_mode();
   }
   if (msg.acq_type == net::AcqType::kSearch) {
-    const auto it = awaiting_.find(msg.from);
-    if (it != awaiting_.end()) {
-      awaiting_.erase(it);
-    } else {
-      // Announcement from a searcher we never answered: only reachable
-      // when it timeout-aborted while its request sat in our DeferQ.
-      // Drop the stale entry — answering now would insert the searcher
-      // into awaiting_ with no further announcement ever coming.
-      for (auto d = defer_.begin(); d != defer_.end();) {
-        d = (d->type == net::ReqType::kSearch && d->from == msg.from &&
-             d->serial == msg.serial)
-                ? defer_.erase(d)
-                : std::next(d);
-      }
-    }
+    search_.on_announcement(msg);
     resume_if_quiet();
   }
 }
@@ -532,7 +422,7 @@ void AdaptiveNode::handle_release(const net::Message& msg) {
 }
 
 void AdaptiveNode::resume_if_quiet() {
-  if (awaiting_.empty() && req_.has_value() && req_->phase == Phase::kWaitQuiet) {
+  if (!search_.waiting() && req_.has_value() && req_->phase == Phase::kWaitQuiet) {
     proceed();
   }
 }
@@ -556,30 +446,13 @@ void AdaptiveNode::handle_response(const net::Message& msg) {
 
     case net::ResType::kGrant:
     case net::ResType::kReject:
-      if (!req_.has_value() || req_->phase != Phase::kUpdateRound ||
-          msg.serial != req_->serial || msg.channel != req_->channel ||
-          msg.wave != static_cast<std::uint64_t>(req_->rounds)) {
-        return;  // response to an attempt (or round) we already abandoned
-      }
-      ++req_->responses;
-      if (msg.res_type == net::ResType::kGrant) {
-        req_->granters.push_back(msg.from);
-      } else {
-        req_->rejected = true;
-      }
-      if (req_->responses == static_cast<int>(interference().size())) {
-        conclude_update_round();
-      }
+      if (update_.fold(msg)) conclude_update_round();
       break;
 
     case net::ResType::kSearchReply:
-      if (!req_.has_value() || req_->phase != Phase::kSearchRound ||
-          msg.serial != req_->serial) {
-        return;
-      }
+      if (!search_.count_reply(msg)) return;
       assign_known_use(msg.from, env().payload(msg).use);
-      ++req_->responses;
-      if (req_->responses == static_cast<int>(interference().size())) {
+      if (search_.all_replied()) {
         const ChannelSet freeSet =
             cell::ChannelSet::all(spectrum_size()) - use_ - interfered();
         conclude_search_round(freeSet.first());
@@ -679,7 +552,7 @@ void AdaptiveNode::maybe_repack() {
   // Same safety gate as a silent primary acquisition: never while a
   // neighbour's search decision is outstanding, and keep it out of the
   // middle of our own request to avoid mutating Use under a live round.
-  if (!awaiting_.empty() || req_.has_value()) return;
+  if (search_.waiting() || req_.has_value()) return;
 
   while (true) {
     const ChannelId borrowed = borrowed_.first();
@@ -719,44 +592,14 @@ void AdaptiveNode::maybe_repack() {
 // Helpers and dispatch
 // ---------------------------------------------------------------------------
 
-void AdaptiveNode::send_grant(CellId to, std::uint64_t serial, std::uint64_t wave,
-                              ChannelId r) {
+void AdaptiveNode::answer_update(CellId to, std::uint64_t serial,
+                                 std::uint64_t wave, ChannelId r, bool reject) {
   // The paper updates both I_i and U_j at grant time; the grant is also
   // remembered as pending so a later status snapshot cannot erase it while
   // the borrower's confirmation is in flight.
-  set_use_and_grant(to, r, true, true);
-  net::Message resp;
-  resp.kind = net::MsgKind::kResponse;
-  resp.res_type = net::ResType::kGrant;
-  resp.serial = serial;
-  resp.wave = wave;
-  resp.channel = r;
-  resp.from = id();
-  resp.to = to;
-  env().send(resp);
-}
-
-void AdaptiveNode::send_reject(CellId to, std::uint64_t serial, std::uint64_t wave,
-                               ChannelId r) {
-  net::Message resp;
-  resp.kind = net::MsgKind::kResponse;
-  resp.res_type = net::ResType::kReject;
-  resp.serial = serial;
-  resp.wave = wave;
-  resp.channel = r;
-  resp.from = id();
-  resp.to = to;
-  env().send(resp);
-}
-
-void AdaptiveNode::send_use_reply(CellId to, std::uint64_t serial, net::ResType type) {
-  net::Message resp;
-  resp.kind = net::MsgKind::kResponse;
-  resp.res_type = type;
-  resp.serial = serial;
-  resp.from = id();
-  resp.to = to;
-  env().send(resp, {use_, {}});
+  if (!reject) set_use_and_grant(to, r, true, true);
+  update_.respond(to, serial, wave, r,
+                  reject ? net::ResType::kReject : net::ResType::kGrant);
 }
 
 // ---------------------------------------------------------------------------
@@ -765,9 +608,9 @@ void AdaptiveNode::send_use_reply(CellId to, std::uint64_t serial, net::ResType 
 
 void AdaptiveNode::on_crash() {
   req_.reset();
+  update_.reset();
+  search_.reset();
   update_set_.clear();
-  defer_.clear();
-  awaiting_.clear();
   for (std::size_t r = 0; r < known_use_.size(); ++r) {
     known_use_[r].clear();
     pending_grants_[r].clear();
@@ -786,10 +629,7 @@ void AdaptiveNode::on_crash() {
 
 void AdaptiveNode::on_peer_restart(CellId j) {
   update_set_.erase(j);
-  awaiting_.erase(j);  // erases every entry of j
-  for (auto it = defer_.begin(); it != defer_.end();) {
-    it = it->from == j ? defer_.erase(it) : std::next(it);
-  }
+  search_.forget(j);
   if (const int r = nbr_rank(j); r >= 0) {
     assign_known_use(j, ChannelSet(spectrum_size()));
     ChannelSet& pg = pending_grants_[static_cast<std::size_t>(r)];
@@ -835,7 +675,11 @@ void AdaptiveNode::on_message(const net::Message& msg) {
   clock_.witness(msg.ts);
   switch (msg.kind) {
     case net::MsgKind::kRequest:
-      handle_request(msg);
+      if (msg.req_type == net::ReqType::kUpdate) {
+        handle_update_request(msg);
+      } else {
+        handle_search_request(msg);
+      }
       break;
     case net::MsgKind::kResponse:
       handle_response(msg);

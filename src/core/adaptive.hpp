@@ -17,18 +17,20 @@
 //   local mode:  free primary? take it instantly. Otherwise switch to
 //                borrowing, collect fresh Use-set statuses from IN_i, retry.
 //   borrowing:   free primary? take it instantly. Otherwise up to α
-//                update-style borrow rounds — pick a lender with Best()
-//                (fewest borrowing neighbours), ask ALL of IN_i for the
-//                chosen channel, unanimous grants required. After α failed
-//                rounds (or no viable lender/channel), one search round:
-//                timestamp-sequentialized exhaustive query that finds a
-//                free channel whenever one exists, else the call drops.
+//                update-style borrow rounds (mode 2, a proto::UpdateRound)
+//                — pick a lender with Best() (fewest borrowing
+//                neighbours), ask ALL of IN_i for the chosen channel,
+//                unanimous grants required. After α failed rounds (or no
+//                viable lender/channel), one search round (mode 3, a
+//                proto::SearchRound) that finds a free channel whenever
+//                one exists, else the call drops.
 //
-// Sequentialization machinery shared with the search baseline: a node that
-// answers someone's search increments `waiting` and must not serve a LOCAL
-// (zero-message) acquisition until the searcher announces its decision
-// (ACQUISITION, sent even on failure); deferred requests park in DeferQ
-// and are answered when the local request completes (Fig. 3's drain).
+// The rounds themselves — messages, defer/waiting discipline, aborts —
+// are described once, in proto/update_round.hpp and proto/search_round.hpp.
+// This node supplies one timestamp per request (not per round), defers
+// only while its search is open, and parks a request BEFORE any round
+// while a searcher it answered is undecided (kWaitQuiet): no LOCAL
+// (zero-message) acquisition may race that searcher's pick.
 //
 // Deviations from the paper's figures (all argued in DESIGN.md §2):
 //   * I_i is derived from per-neighbour known-use sets plus
@@ -46,14 +48,14 @@
 
 #include <cstdint>
 #include <optional>
-#include <set>
 #include <unordered_set>
 #include <vector>
 
 #include "core/nfc.hpp"
 #include "core/params.hpp"
 #include "proto/allocator.hpp"
-#include "sim/fifo.hpp"
+#include "proto/search_round.hpp"
+#include "proto/update_round.hpp"
 
 namespace dca::core {
 
@@ -65,22 +67,15 @@ class AdaptiveNode final : public proto::AllocatorNode {
 
   [[nodiscard]] int mode() const override { return mode_; }
   [[nodiscard]] bool is_borrowing() const override { return mode_ != 0; }
-  [[nodiscard]] bool is_searching() const override {
-    return req_.has_value() && req_->phase == Phase::kSearchRound;
-  }
+  [[nodiscard]] bool is_searching() const override { return search_.open(); }
 
   // -- introspection (tests / metrics) ---------------------------------
-  [[nodiscard]] int waiting() const noexcept {
-    return static_cast<int>(awaiting_.size());
-  }
-  /// The searchers whose decisions we are waiting on (debugging).
-  [[nodiscard]] const std::multiset<cell::CellId>& awaiting() const noexcept {
-    return awaiting_;
-  }
+  /// waiting_i: answered searchers whose decisions are outstanding.
+  [[nodiscard]] int waiting() const noexcept { return search_.waiting_count(); }
   [[nodiscard]] const std::unordered_set<cell::CellId>& update_subscribers() const {
     return update_set_;
   }
-  [[nodiscard]] std::size_t deferq_size() const noexcept { return defer_.size(); }
+  [[nodiscard]] std::size_t deferq_size() const noexcept { return search_.deferred(); }
   [[nodiscard]] const NfcTracker& nfc() const noexcept { return nfc_; }
   [[nodiscard]] const cell::ChannelSet& interfered() const noexcept {
     return interfered_cache_;
@@ -121,23 +116,9 @@ class AdaptiveNode final : public proto::AllocatorNode {
     net::Timestamp ts;  // fixed for the request's lifetime (paper's ts_i)
     Phase phase = Phase::kWaitQuiet;
     int rounds = 0;  // borrow-update attempts so far (paper's rounds / m)
-    // Update round state:
-    cell::ChannelId channel = cell::kNoChannel;
-    int responses = 0;
-    bool rejected = false;
-    std::vector<cell::CellId> granters;
     // Status-wave bookkeeping (kWaitStatus):
     std::uint64_t wave = 0;
     int statuses = 0;
-  };
-
-  struct DeferredReq {
-    net::ReqType type = net::ReqType::kUpdate;
-    cell::ChannelId channel = cell::kNoChannel;  // update requests only
-    net::Timestamp ts;
-    cell::CellId from = cell::kNoCell;
-    std::uint64_t serial = 0;
-    std::uint64_t wave = 0;  // requester's round tag, echoed in the answer
   };
 
   // -- Fig. 2: the request state machine --------------------------------
@@ -152,9 +133,10 @@ class AdaptiveNode final : public proto::AllocatorNode {
   void finish_request(cell::ChannelId r, int prev_mode, proto::Outcome how);
 
   // -- Fig. 4: Receive_Request -----------------------------------------
-  void handle_request(const net::Message& msg);
   void handle_update_request(const net::Message& msg);
   void handle_search_request(const net::Message& msg);
+  /// Fig. 3's DeferQ drain: answers one request our search held back.
+  void answer_deferred(const proto::SearchRound::Deferred& d);
 
   // -- Figs. 5, 7, 8: other receive events ------------------------------
   void handle_change_mode(const net::Message& msg);
@@ -192,12 +174,10 @@ class AdaptiveNode final : public proto::AllocatorNode {
   void assign_known_use(cell::CellId j, const cell::ChannelSet& nu);
 
   // -- helpers ------------------------------------------------------------
-  void send_grant(cell::CellId to, std::uint64_t serial, std::uint64_t wave,
-                  cell::ChannelId r);
-  void send_reject(cell::CellId to, std::uint64_t serial, std::uint64_t wave,
-                   cell::ChannelId r);
-  void send_use_reply(cell::CellId to, std::uint64_t serial, net::ResType type);
-  void drain_deferq();
+  /// Grants (or, for a channel in Use_i, rejects) update request `serial`
+  /// round `wave` from `to`; a grant enters I_i as a pending grant.
+  void answer_update(cell::CellId to, std::uint64_t serial, std::uint64_t wave,
+                     cell::ChannelId r, bool reject);
   void resume_if_quiet();
   [[nodiscard]] cell::ChannelId free_primary() const;
   [[nodiscard]] sim::Duration round_trip() const { return 2 * env().latency_bound(); }
@@ -206,12 +186,11 @@ class AdaptiveNode final : public proto::AllocatorNode {
   int mode_ = 0;
   NfcTracker nfc_;
   std::optional<Request> req_;
+  proto::UpdateRound update_;                              // mode 2
+  // Mode 3, with DeferQ_i and waiting_i (one entry per outstanding reply;
+  // a searcher can appear at most once in practice).
+  proto::SearchRound search_;
   std::unordered_set<cell::CellId> update_set_;            // UpdateS_i
-  sim::Fifo<DeferredReq> defer_;                           // DeferQ_i
-  // waiting_i, kept as the multiset of searchers we answered whose
-  // decision announcements are outstanding (one entry per outstanding
-  // reply; a searcher can appear at most once in practice).
-  std::multiset<cell::CellId> awaiting_;
   std::vector<cell::ChannelSet> known_use_;                // U_j by nbr_rank
   std::vector<cell::ChannelSet> pending_grants_;           // by nbr_rank
   // Cache state (see wrappers above). Writes about non-neighbours

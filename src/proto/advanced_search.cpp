@@ -1,7 +1,7 @@
 #include "proto/advanced_search.hpp"
 
+#include <algorithm>
 #include <cassert>
-#include <iterator>
 
 namespace dca::proto {
 
@@ -10,7 +10,8 @@ AdvancedSearchNode::AdvancedSearchNode(const NodeContext& ctx,
     : AllocatorNode(ctx),
       max_transfer_rounds_(max_transfer_rounds),
       allocated_(ctx.plan->n_channels()),
-      offered_(ctx.plan->n_channels()) {
+      offered_(ctx.plan->n_channels()),
+      search_(ctx, false) {
   assert(max_transfer_rounds_ >= 1);
   // Allocation is demand-driven from a cold start: a full static
   // pre-allocation would leave interior regions with no unallocated
@@ -36,24 +37,12 @@ void AdvancedSearchNode::start_request(std::uint64_t serial) {
     return;
   }
 
-  assert(!search_.has_value());
-  Search s;
-  s.serial = serial;
-  s.ts = clock_.tick();
-  search_ = s;
-  trace_search_start(serial, s.ts);
-  arm_timer(request_timeout(), [this]() { abort_search(); });
-
-  net::Message req;
-  req.kind = net::MsgKind::kRequest;
-  req.req_type = net::ReqType::kSearch;
-  req.serial = serial;
-  req.ts = search_->ts;
-  send_to_interference(req);
-  if (interference().empty()) {
-    search_->info_complete = true;
-    maybe_select();
-  }
+  assert(!search_.open());
+  neg_ = Negotiation{};
+  search_.start(serial, clock_.tick(), [this]() {
+    arm_timer(request_timeout(), [this]() { abort_search(); });
+  });
+  maybe_select();  // an isolated cell has nobody to ask
 }
 
 void AdvancedSearchNode::on_release(cell::ChannelId, std::uint64_t) {
@@ -66,7 +55,8 @@ void AdvancedSearchNode::on_message(const net::Message& msg) {
   clock_.witness(msg.ts);
   switch (msg.kind) {
     case net::MsgKind::kRequest:
-      handle_request(msg);
+      assert(msg.req_type == net::ReqType::kSearch);
+      if (!search_.defer_if_older(msg)) reply_sets(msg.from, msg.serial);
       break;
     case net::MsgKind::kResponse:
       handle_response(msg);
@@ -85,37 +75,13 @@ void AdvancedSearchNode::on_message(const net::Message& msg) {
   }
 }
 
-void AdvancedSearchNode::handle_request(const net::Message& msg) {
-  assert(msg.req_type == net::ReqType::kSearch);
-  if (search_.has_value() && search_->ts < msg.ts) {
-    defer_.push_back(Deferred{msg.from, msg.serial});
-    return;
-  }
-  reply_sets(msg.from, msg.serial);
-}
-
-void AdvancedSearchNode::reply_sets(cell::CellId to, std::uint64_t serial) {
-  net::Message resp;
-  resp.kind = net::MsgKind::kResponse;
-  resp.res_type = net::ResType::kSearchReply;
-  resp.serial = serial;
-  resp.from = id();
-  resp.to = to;
-  env().send(resp, {use_, allocated_});  // busy set, allocated set
-  await_decision_.insert(to);
-}
-
 void AdvancedSearchNode::handle_response(const net::Message& msg) {
-  if (!search_.has_value() || msg.serial != search_->serial) return;
+  if (!search_.count_reply(msg)) return;
   assert(msg.res_type == net::ResType::kSearchReply);
   if (const int r = nbr_rank(msg.from); r >= 0) {
     const net::SetPayload& sets = env().payload(msg);
     known_allocated_[static_cast<std::size_t>(r)] = sets.alloc;
     known_busy_[static_cast<std::size_t>(r)] = sets.use;
-  }
-  ++search_->responses;
-  if (search_->responses == static_cast<int>(interference().size())) {
-    search_->info_complete = true;
   }
   maybe_select();
 }
@@ -128,14 +94,7 @@ void AdvancedSearchNode::handle_acquisition(const net::Message& msg) {
       known_busy_[static_cast<std::size_t>(r)].insert(msg.channel);
     }
   }
-  await_decision_.erase(msg.from);
-  // The announcer's search is over; drop any reply we still owe it (only
-  // reachable when the announcer aborted on timeout). Answering later
-  // would re-insert it into await_decision_ with no announcement coming.
-  for (auto it = defer_.begin(); it != defer_.end();) {
-    it = (it->from == msg.from && it->serial == msg.serial) ? defer_.erase(it)
-                                                            : std::next(it);
-  }
+  search_.on_announcement(msg);
   maybe_select();
 }
 
@@ -148,14 +107,14 @@ void AdvancedSearchNode::handle_release(const net::Message& msg) {
 }
 
 void AdvancedSearchNode::maybe_select() {
-  if (!search_.has_value() || !search_->info_complete) return;
-  if (search_->pending_channel != cell::kNoChannel) return;  // negotiating
-  if (!await_decision_.empty()) return;
+  if (!search_.open() || !search_.all_replied()) return;
+  if (neg_.pending_channel != cell::kNoChannel) return;  // negotiating
+  if (search_.waiting()) return;
   select_or_transfer();
 }
 
 void AdvancedSearchNode::select_or_transfer() {
-  assert(search_.has_value());
+  assert(search_.open());
   // 1. A channel unallocated across the whole region: allocate it.
   cell::ChannelSet unallocated = cell::ChannelSet::all(spectrum_size());
   unallocated -= allocated_;
@@ -173,7 +132,7 @@ void AdvancedSearchNode::select_or_transfer() {
   //    (several non-interfering cells of the region may hold the same
   //    channel; all of them must agree). Built once from the fresh reply
   //    snapshots, fewest-owners first (cheapest negotiation first).
-  if (search_->candidates.empty() && search_->next_candidate == 0) {
+  if (neg_.candidates.empty() && neg_.next_candidate == 0) {
     for (cell::ChannelId r = 0; r < spectrum_size(); ++r) {
       if (allocated_.contains(r)) continue;
       std::vector<cell::CellId> owners;
@@ -188,9 +147,9 @@ void AdvancedSearchNode::select_or_transfer() {
         owners.push_back(nbrs[j]);
       }
       if (busy_somewhere || owners.empty()) continue;
-      search_->candidates.emplace_back(r, std::move(owners));
+      neg_.candidates.emplace_back(r, std::move(owners));
     }
-    std::sort(search_->candidates.begin(), search_->candidates.end(),
+    std::sort(neg_.candidates.begin(), neg_.candidates.end(),
               [](const auto& a, const auto& b) {
                 if (a.second.size() != b.second.size())
                   return a.second.size() < b.second.size();
@@ -201,21 +160,21 @@ void AdvancedSearchNode::select_or_transfer() {
 }
 
 void AdvancedSearchNode::try_next_transfer() {
-  assert(search_.has_value());
-  if (search_->rounds >= max_transfer_rounds_ ||
-      search_->next_candidate >= search_->candidates.size()) {
+  assert(search_.open());
+  if (neg_.rounds >= max_transfer_rounds_ ||
+      neg_.next_candidate >= neg_.candidates.size()) {
     finish_with(cell::kNoChannel, Outcome::kBlockedNoChannel);
     return;
   }
-  const auto& [r, owners] = search_->candidates[search_->next_candidate++];
-  ++search_->rounds;
-  search_->pending_channel = r;
-  search_->pending_owners = owners;
-  search_->agreed.clear();
-  search_->owner_responses = 0;
-  search_->denied = false;
+  const auto& [r, owners] = neg_.candidates[neg_.next_candidate++];
+  ++neg_.rounds;
+  neg_.pending_channel = r;
+  neg_.pending_owners = owners;
+  neg_.agreed.clear();
+  neg_.owner_responses = 0;
+  neg_.denied = false;
   for (const cell::CellId owner : owners) {
-    send_transfer(owner, search_->serial, r, net::TransferOp::kRequest);
+    send_transfer(owner, search_.serial(), r, net::TransferOp::kRequest);
   }
 }
 
@@ -235,29 +194,29 @@ void AdvancedSearchNode::handle_transfer(const net::Message& msg) {
     }
     case net::TransferOp::kAgree:
     case net::TransferOp::kDeny: {
-      if (!search_.has_value() || msg.serial != search_->serial ||
-          msg.channel != search_->pending_channel) {
+      if (!search_.open() || msg.serial != search_.serial() ||
+          msg.channel != neg_.pending_channel) {
         if (msg.transfer_op == net::TransferOp::kAgree) {
           // A stale agreement for an abandoned request: return it.
           send_transfer(msg.from, msg.serial, msg.channel, net::TransferOp::kAbort);
         }
         return;
       }
-      ++search_->owner_responses;
+      ++neg_.owner_responses;
       if (msg.transfer_op == net::TransferOp::kAgree) {
-        search_->agreed.push_back(msg.from);
+        neg_.agreed.push_back(msg.from);
       } else {
-        search_->denied = true;
+        neg_.denied = true;
       }
-      if (search_->owner_responses <
-          static_cast<int>(search_->pending_owners.size())) {
+      if (neg_.owner_responses <
+          static_cast<int>(neg_.pending_owners.size())) {
         return;  // negotiation still in flight
       }
-      const cell::ChannelId r = search_->pending_channel;
-      if (!search_->denied) {
+      const cell::ChannelId r = neg_.pending_channel;
+      if (!neg_.denied) {
         // Unanimous agreement: confirm with every owner and take r.
-        for (const cell::CellId owner : search_->agreed) {
-          send_transfer(owner, search_->serial, r, net::TransferOp::kKeep);
+        for (const cell::CellId owner : neg_.agreed) {
+          send_transfer(owner, search_.serial(), r, net::TransferOp::kKeep);
           if (const int rank = nbr_rank(owner); rank >= 0) {
             known_allocated_[static_cast<std::size_t>(rank)].erase(r);
             known_busy_[static_cast<std::size_t>(rank)].erase(r);
@@ -270,11 +229,11 @@ void AdvancedSearchNode::handle_transfer(const net::Message& msg) {
         return;
       }
       // Someone refused: release the agreements we did get, try the next.
-      for (const cell::CellId owner : search_->agreed) {
-        send_transfer(owner, search_->serial, r, net::TransferOp::kAbort);
+      for (const cell::CellId owner : neg_.agreed) {
+        send_transfer(owner, search_.serial(), r, net::TransferOp::kAbort);
       }
-      search_->pending_channel = cell::kNoChannel;
-      search_->pending_owners.clear();
+      neg_.pending_channel = cell::kNoChannel;
+      neg_.pending_owners.clear();
       try_next_transfer();
       break;
     }
@@ -312,31 +271,18 @@ void AdvancedSearchNode::handle_transfer(const net::Message& msg) {
 
 void AdvancedSearchNode::finish_with(cell::ChannelId r, Outcome how,
                                      bool timed_out) {
-  assert(search_.has_value());
+  assert(search_.open());
   disarm_timer();
-  const Search s = *search_;
-  search_.reset();
-
-  // Decision announcement — sent even on failure so awaiting searchers
-  // unblock; on success it doubles as the allocation announcement.
-  net::Message acq;
-  acq.kind = net::MsgKind::kAcquisition;
-  acq.acq_type = net::AcqType::kSearch;
-  acq.serial = s.serial;
-  acq.channel = r;
-  send_to_interference(acq);
-
-  while (!defer_.empty()) {
-    const Deferred d = defer_.front();
-    defer_.pop_front();
+  const std::uint64_t serial = search_.serial();
+  // The decision announcement doubles as the allocation announcement.
+  search_.decide(r, [this](const SearchRound::Deferred& d) {
     reply_sets(d.from, d.serial);
-  }
-
-  trace_search_decide(s.serial, r, r != cell::kNoChannel, timed_out);
+  });
+  search_.trace_decide(r, timed_out);
   if (r != cell::kNoChannel) {
-    complete_acquired(s.serial, r, how, s.rounds);
+    complete_acquired(serial, r, how, neg_.rounds);
   } else {
-    complete_blocked(s.serial, how, s.rounds);
+    complete_blocked(serial, how, neg_.rounds);
   }
 }
 
@@ -346,8 +292,6 @@ void AdvancedSearchNode::on_crash() {
   // Transfers that concluded while we are down are reconciled against the
   // region's claims in apply_resync_reply.
   search_.reset();
-  await_decision_.clear();
-  defer_.clear();
   offered_.clear();
   offered_to_.clear();
   for (std::size_t r = 0; r < known_allocated_.size(); ++r) {
@@ -366,10 +310,7 @@ void AdvancedSearchNode::on_peer_restart(cell::CellId j) {
       ++it;
     }
   }
-  await_decision_.erase(j);
-  for (auto it = defer_.begin(); it != defer_.end();) {
-    it = it->from == j ? defer_.erase(it) : std::next(it);
-  }
+  search_.forget(j);
   if (const int r = nbr_rank(j); r >= 0) {
     // j's calls were all torn down. Its allocated set only shrinks across
     // a crash, so the stale claim view stays a safe over-approximation.
@@ -377,7 +318,7 @@ void AdvancedSearchNode::on_peer_restart(cell::CellId j) {
   }
   // A reply or transfer agreement j issued before crashing is void:
   // resolve any open search (and pending negotiation) via the timeout path.
-  if (search_.has_value()) abort_search();
+  if (search_.open()) abort_search();
 }
 
 void AdvancedSearchNode::fill_resync_reply(net::Message& m,
@@ -403,15 +344,15 @@ void AdvancedSearchNode::abort_search() {
   // to every asked owner: the handler checks the reservation is ours),
   // then conclude as a failed, timeout-aborted search. finish_with
   // announces the failed decision so deferred/waiting peers unblock.
-  assert(search_.has_value());
-  trace_timeout(search_->serial, search_->rounds);
-  if (search_->pending_channel != cell::kNoChannel) {
-    for (const cell::CellId owner : search_->pending_owners) {
-      send_transfer(owner, search_->serial, search_->pending_channel,
+  assert(search_.open());
+  trace_timeout(search_.serial(), neg_.rounds);
+  if (neg_.pending_channel != cell::kNoChannel) {
+    for (const cell::CellId owner : neg_.pending_owners) {
+      send_transfer(owner, search_.serial(), neg_.pending_channel,
                     net::TransferOp::kAbort);
     }
-    search_->pending_channel = cell::kNoChannel;
-    search_->pending_owners.clear();
+    neg_.pending_channel = cell::kNoChannel;
+    neg_.pending_owners.clear();
   }
   finish_with(cell::kNoChannel, Outcome::kBlockedTimeout, true);
 }

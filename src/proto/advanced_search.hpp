@@ -13,8 +13,8 @@
 // transfer from.)
 //
 // When the allocated set is exhausted, the cell runs a search over its
-// interference region (replies carry each neighbour's allocated and busy
-// sets, timestamp-sequentialized exactly like the basic search):
+// interference region — a proto::SearchRound (search_round.hpp) whose
+// replies carry each neighbour's allocated and busy sets:
 //   1. if some channel is unallocated everywhere in the region, allocate
 //      it (announce to the region) and use it;
 //   2. otherwise pick a channel r that is idle at every neighbour holding
@@ -31,19 +31,18 @@
 // Safety: the allocated sets of interfering cells are disjoint (checked by
 // tests); use ⊆ allocated, so co-channel interference reduces to allocated
 // exclusivity. Concurrent allocations are sequentialized by the search
-// deferral/waiting mechanism (the searching state spans the transfer
-// negotiation, and the decision announcement closes it); transfers are
-// serialized at the owner via reservation.
+// round (it stays open across the transfer negotiation, and its decision
+// announcement closes it); transfers are serialized at the owner via
+// reservation.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "proto/allocator.hpp"
-#include "sim/fifo.hpp"
+#include "proto/search_round.hpp"
 
 namespace dca::proto {
 
@@ -54,7 +53,7 @@ class AdvancedSearchNode final : public AllocatorNode {
 
   void on_message(const net::Message& msg) override;
 
-  [[nodiscard]] bool is_searching() const override { return search_.has_value(); }
+  [[nodiscard]] bool is_searching() const override { return search_.open(); }
   /// A cell holding any allocated channels is a "borrower" in spirit
   /// (it pulled spectrum out of the common pool); used for N_borrow.
   [[nodiscard]] bool is_borrowing() const override { return !allocated_.empty(); }
@@ -92,12 +91,8 @@ class AdvancedSearchNode final : public AllocatorNode {
   }
 
  private:
-  struct Search {
-    std::uint64_t serial = 0;
-    net::Timestamp ts;
-    int responses = 0;
-    bool info_complete = false;
-    // Transfer negotiation state:
+  /// The transfer negotiation of the open search (step 2).
+  struct Negotiation {
     std::vector<std::pair<cell::ChannelId, std::vector<cell::CellId>>> candidates;
     std::size_t next_candidate = 0;
     int rounds = 0;  // transfer attempts so far
@@ -107,17 +102,15 @@ class AdvancedSearchNode final : public AllocatorNode {
     int owner_responses = 0;
     bool denied = false;
   };
-  struct Deferred {
-    cell::CellId from = cell::kNoCell;
-    std::uint64_t serial = 0;
-  };
 
-  void handle_request(const net::Message& msg);
   void handle_response(const net::Message& msg);
   void handle_acquisition(const net::Message& msg);
   void handle_release(const net::Message& msg);
   void handle_transfer(const net::Message& msg);
-  void reply_sets(cell::CellId to, std::uint64_t serial);
+  /// Answers a search with our busy and allocated sets.
+  void reply_sets(cell::CellId to, std::uint64_t serial) {
+    search_.answer(to, serial, {use_, allocated_});
+  }
   void maybe_select();
   void select_or_transfer();
   void try_next_transfer();
@@ -132,9 +125,8 @@ class AdvancedSearchNode final : public AllocatorNode {
   std::unordered_map<cell::ChannelId, cell::CellId> offered_to_;
   std::vector<cell::ChannelSet> known_allocated_;   // by nbr_rank
   std::vector<cell::ChannelSet> known_busy_;        // by nbr_rank
-  std::optional<Search> search_;
-  std::unordered_set<cell::CellId> await_decision_;
-  sim::Fifo<Deferred> defer_;
+  SearchRound search_;
+  Negotiation neg_;
   std::uint64_t transfers_in_ = 0;
   std::uint64_t transfers_out_ = 0;
   std::uint64_t transfer_denials_ = 0;

@@ -5,7 +5,7 @@
 namespace dca::proto {
 
 AdvancedUpdateNode::AdvancedUpdateNode(const NodeContext& ctx, int max_attempts)
-    : AllocatorNode(ctx), max_attempts_(max_attempts) {
+    : AllocatorNode(ctx), max_attempts_(max_attempts), update_(ctx) {
   assert(max_attempts_ >= 1);
   known_use_.assign(nbr_count(), cell::ChannelSet(spectrum_size()));
   compute_borrowable_colors();
@@ -60,7 +60,7 @@ void AdvancedUpdateNode::start_request(std::uint64_t serial) {
 }
 
 void AdvancedUpdateNode::try_attempt(std::uint64_t serial, int round) {
-  assert(!attempt_.has_value());
+  assert(!update_.open());
 
   // First preference: one of our own primary channels — no handshake, but
   // respect outstanding promises we made for it.
@@ -96,32 +96,9 @@ void AdvancedUpdateNode::try_attempt(std::uint64_t serial, int round) {
   }
   const cell::ChannelId r = viable[env().rng(id()).pick_index(viable.size())];
   const auto targets = plan().primaries_in_interference(grid(), id(), r);
-
-  Attempt a;
-  a.serial = serial;
-  a.channel = r;
-  a.ts = clock_.tick();
-  a.expected = static_cast<int>(targets.size());
-  a.round = round;
-  a.targets.assign(targets.begin(), targets.end());
-  attempt_ = a;
-  granters_.clear();
+  const net::Timestamp ts = clock_.tick();  // one per attempt
   arm_timer(request_timeout(), [this]() { abort_attempt(); });
-
-  net::Message req;
-  req.kind = net::MsgKind::kRequest;
-  req.req_type = net::ReqType::kUpdate;
-  req.serial = serial;
-  req.channel = r;
-  req.ts = attempt_->ts;
-  // Round tag, echoed by responses, so stragglers from a timed-out round
-  // cannot be miscounted into the current one.
-  req.wave = static_cast<std::uint64_t>(round);
-  req.from = id();
-  for (const cell::CellId p : attempt_->targets) {
-    req.to = p;
-    env().send(req);
-  }
+  update_.ask(serial, r, ts, round, targets);
 }
 
 void AdvancedUpdateNode::on_release(cell::ChannelId ch, std::uint64_t serial) {
@@ -140,7 +117,7 @@ void AdvancedUpdateNode::on_message(const net::Message& msg) {
       handle_request(msg);
       break;
     case net::MsgKind::kResponse:
-      handle_response(msg);
+      if (update_.fold(msg)) conclude_attempt();
       break;
     case net::MsgKind::kAcquisition:
       if (msg.channel != cell::kNoChannel) {
@@ -170,96 +147,53 @@ void AdvancedUpdateNode::handle_request(const net::Message& msg) {
   const cell::ChannelId r = msg.channel;
   assert(plan().is_primary(id(), r) && "borrow requests only reach primaries");
 
+  net::ResType answer = net::ResType::kGrant;
   if (!believed_free(r)) {
-    send_response(msg.from, msg.serial, msg.wave, r, net::ResType::kReject);
-    return;
-  }
-  if (const auto it = promises_.find(r); it != promises_.end()) {
+    answer = net::ResType::kReject;
+  } else if (const auto it = promises_.find(r); it != promises_.end()) {
     // Already promised away. An older request has priority on paper, but
     // the promise stands: answer conditionally (the Fig. 11 flaw).
-    const bool requester_is_older = msg.ts < it->second.ts;
-    send_response(msg.from, msg.serial, msg.wave, r,
-                  requester_is_older ? net::ResType::kConditionalGrant
-                                     : net::ResType::kReject);
-    return;
+    answer = msg.ts < it->second.ts ? net::ResType::kConditionalGrant
+                                    : net::ResType::kReject;
+  } else {
+    promises_[r] = Promise{msg.from, msg.ts};
   }
-  promises_[r] = Promise{msg.from, msg.ts};
-  send_response(msg.from, msg.serial, msg.wave, r, net::ResType::kGrant);
-}
-
-void AdvancedUpdateNode::send_response(cell::CellId to, std::uint64_t serial,
-                                       std::uint64_t wave, cell::ChannelId r,
-                                       net::ResType type) {
-  net::Message resp;
-  resp.kind = net::MsgKind::kResponse;
-  resp.res_type = type;
-  resp.serial = serial;
-  resp.wave = wave;
-  resp.channel = r;
-  resp.from = id();
-  resp.to = to;
-  env().send(resp);
-}
-
-void AdvancedUpdateNode::handle_response(const net::Message& msg) {
-  if (!attempt_.has_value() || msg.serial != attempt_->serial) return;
-  if (msg.wave != static_cast<std::uint64_t>(attempt_->round)) return;
-  ++attempt_->responses;
-  switch (msg.res_type) {
-    case net::ResType::kGrant:
-      granters_.push_back(msg.from);
-      break;
-    case net::ResType::kConditionalGrant:
-      attempt_->conditional = true;
-      break;
-    default:
-      attempt_->rejected = true;
-      break;
-  }
-  if (attempt_->responses == attempt_->expected) conclude_attempt();
+  update_.respond(msg.from, msg.serial, msg.wave, r, answer);
 }
 
 void AdvancedUpdateNode::conclude_attempt() {
-  assert(attempt_.has_value());
   disarm_timer();
-  const Attempt a = *attempt_;
-  attempt_.reset();
-
-  if (!a.rejected && !a.conditional) {
-    use_.insert(a.channel);
+  const std::uint64_t serial = update_.serial();
+  const int round = update_.round();
+  if (update_.granted()) {
+    update_.close();
+    const cell::ChannelId ch = update_.channel();
+    use_.insert(ch);
     net::Message acq;
     acq.kind = net::MsgKind::kAcquisition;
     acq.acq_type = net::AcqType::kNonSearch;
-    acq.serial = a.serial;
-    acq.channel = a.channel;
+    acq.serial = serial;
+    acq.channel = ch;
     send_to_interference(acq);
-    complete_acquired(a.serial, a.channel, Outcome::kAcquiredUpdate, a.round);
+    complete_acquired(serial, ch, Outcome::kAcquiredUpdate, round);
     return;
   }
+  if (update_.conditional() && !update_.rejected()) ++conditional_failures_;
+  update_.fail();  // return the grants we did collect
+  retry_or_block(serial, round, Outcome::kBlockedStarved);
+}
 
-  if (a.conditional && !a.rejected) ++conditional_failures_;
-
-  for (const cell::CellId p : granters_) {
-    net::Message rel;
-    rel.kind = net::MsgKind::kRelease;
-    rel.serial = a.serial;
-    rel.channel = a.channel;
-    rel.from = id();
-    rel.to = p;
-    env().send(rel);
-  }
-  granters_.clear();
-
-  if (a.round >= max_attempts_) {
-    complete_blocked(a.serial, Outcome::kBlockedStarved, a.round);
+void AdvancedUpdateNode::retry_or_block(std::uint64_t serial, int round,
+                                        Outcome why) {
+  if (round >= max_attempts_) {
+    complete_blocked(serial, why, round);
     return;
   }
-  try_attempt(a.serial, a.round + 1);
+  try_attempt(serial, round + 1);
 }
 
 void AdvancedUpdateNode::on_crash() {
-  attempt_.reset();
-  granters_.clear();
+  update_.reset();
   // Promises made before the crash are unrecoverable; the requesters
   // holding them abort their rounds when our kResyncReq arrives.
   promises_.clear();
@@ -276,7 +210,7 @@ void AdvancedUpdateNode::on_peer_restart(cell::CellId j) {
   }
   // A grant (or promise) j issued before crashing is void: resolve the
   // open round through the timeout path before answering.
-  if (attempt_.has_value()) abort_attempt();
+  if (update_.open()) abort_attempt();
 }
 
 void AdvancedUpdateNode::apply_resync_reply(const net::Message& m,
@@ -287,32 +221,15 @@ void AdvancedUpdateNode::apply_resync_reply(const net::Message& m,
 }
 
 void AdvancedUpdateNode::abort_attempt() {
-  // Request timer expired with arbiter responses outstanding. Release the
-  // channel at every arbiter we asked — a grant (and thus a promise) may
-  // still be in flight, and per-link FIFO guarantees the REQUEST precedes
-  // this RELEASE, so every promise gets cleaned up.
-  assert(attempt_.has_value());
+  // Request timer expired with arbiter responses outstanding (or an
+  // arbiter restarted): the round releases the channel at every arbiter
+  // it asked, so every promise a grant in flight made gets cleaned up.
   disarm_timer();  // also reachable from on_peer_restart, timer still armed
-  const Attempt a = *attempt_;
-  attempt_.reset();
-  granters_.clear();
-  trace_timeout(a.serial, a.round);
-
-  net::Message rel;
-  rel.kind = net::MsgKind::kRelease;
-  rel.serial = a.serial;
-  rel.channel = a.channel;
-  rel.from = id();
-  for (const cell::CellId p : a.targets) {
-    rel.to = p;
-    env().send(rel);
-  }
-
-  if (a.round >= max_attempts_) {
-    complete_blocked(a.serial, Outcome::kBlockedTimeout, a.round);
-    return;
-  }
-  try_attempt(a.serial, a.round + 1);
+  const std::uint64_t serial = update_.serial();
+  const int round = update_.round();
+  trace_timeout(serial, round);
+  update_.abort();
+  retry_or_block(serial, round, Outcome::kBlockedTimeout);
 }
 
 }  // namespace dca::proto

@@ -22,14 +22,17 @@
 // and the older one — despite its priority — fails. The check
 // `Experiments.Fig11AdvancedUpdateDropsTheOlderRequest` reproduces the
 // scenario verbatim.
+//
+// Each borrow attempt is one proto::UpdateRound (update_round.hpp) asking
+// NP(c, r) by unicast.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
 #include "proto/allocator.hpp"
+#include "proto/update_round.hpp"
 
 namespace dca::proto {
 
@@ -75,17 +78,6 @@ class AdvancedUpdateNode final : public AllocatorNode {
   }
 
  private:
-  struct Attempt {
-    std::uint64_t serial = 0;
-    cell::ChannelId channel = cell::kNoChannel;
-    net::Timestamp ts;
-    int expected = 0;   // |NP(c, r)|
-    int responses = 0;
-    bool rejected = false;
-    bool conditional = false;  // saw a conditional grant
-    int round = 1;
-    std::vector<cell::CellId> targets;  // NP(c, r), kept for abort cleanup
-  };
   /// An outstanding promise of one of our primary channels.
   struct Promise {
     cell::CellId to = cell::kNoCell;
@@ -95,19 +87,17 @@ class AdvancedUpdateNode final : public AllocatorNode {
   void compute_borrowable_colors();
   void try_attempt(std::uint64_t serial, int round);
   void handle_request(const net::Message& msg);
-  void handle_response(const net::Message& msg);
   void conclude_attempt();
   void abort_attempt();
-  void send_response(cell::CellId to, std::uint64_t serial, std::uint64_t wave,
-                     cell::ChannelId r, net::ResType type);
+  /// After a failed round: the next one, or `why` at the retry cap.
+  void retry_or_block(std::uint64_t serial, int round, Outcome why);
   /// True if channel r is believed free in our whole interference region.
   [[nodiscard]] bool believed_free(cell::ChannelId r) const;
 
   int max_attempts_;
-  std::optional<Attempt> attempt_;
+  UpdateRound update_;
   std::vector<cell::ChannelSet> known_use_;                 // U_j by nbr_rank
   std::unordered_map<cell::ChannelId, Promise> promises_;   // our primaries only
-  std::vector<cell::CellId> granters_;
   std::vector<bool> borrowable_colors_;  // by colour class
   std::uint64_t conditional_failures_ = 0;
 };

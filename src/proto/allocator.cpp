@@ -207,32 +207,6 @@ bool AllocatorNode::handle_resync(const net::Message& msg) {
   return false;
 }
 
-void AllocatorNode::trace_search_start(std::uint64_t serial,
-                                       const net::Timestamp& ts) {
-  sim::TraceEvent e;
-  e.kind = sim::TraceKind::kSearchStart;
-  e.t = env_->now();
-  e.cell = static_cast<std::int32_t>(id_);
-  e.serial = serial;
-  e.a = static_cast<std::int64_t>(ts.count);
-  e.b = static_cast<std::int64_t>(ts.node);
-  env_->record(e);
-}
-
-void AllocatorNode::trace_search_decide(std::uint64_t serial,
-                                        cell::ChannelId ch, bool success,
-                                        bool timed_out) {
-  sim::TraceEvent e;
-  e.kind = sim::TraceKind::kSearchDecide;
-  e.t = env_->now();
-  e.cell = static_cast<std::int32_t>(id_);
-  e.channel = static_cast<std::int32_t>(ch);
-  e.serial = serial;
-  e.a = success ? 1 : 0;
-  e.b = timed_out ? 1 : 0;
-  env_->record(e);
-}
-
 void AllocatorNode::trace_timeout(std::uint64_t serial, int phase_tag) {
   sim::TraceEvent e;
   e.kind = sim::TraceKind::kTimeout;

@@ -357,9 +357,6 @@ class AllocatorNode {
 
   // -- conformance trace emission ------------------------------------------
 
-  void trace_search_start(std::uint64_t serial, const net::Timestamp& ts);
-  void trace_search_decide(std::uint64_t serial, cell::ChannelId ch,
-                           bool success, bool timed_out);
   void trace_timeout(std::uint64_t serial, int phase_tag);
 
   cell::ChannelSet use_;        // Use_i

@@ -6,7 +6,7 @@ namespace dca::proto {
 
 BasicUpdateNode::BasicUpdateNode(const NodeContext& ctx, int max_attempts,
                                  ChannelPick pick)
-    : AllocatorNode(ctx), max_attempts_(max_attempts), pick_(pick) {
+    : AllocatorNode(ctx), max_attempts_(max_attempts), pick_(pick), update_(ctx) {
   assert(max_attempts_ >= 1);
   known_use_.assign(nbr_count(), cell::ChannelSet(spectrum_size()));
   pending_grants_.assign(nbr_count(), cell::ChannelSet(spectrum_size()));
@@ -26,7 +26,7 @@ void BasicUpdateNode::start_request(std::uint64_t serial) {
 }
 
 void BasicUpdateNode::try_attempt(std::uint64_t serial, int round) {
-  assert(!attempt_.has_value());
+  assert(!update_.open());
   cell::ChannelSet freeSet = cell::ChannelSet::all(spectrum_size());
   freeSet -= use_;
   freeSet -= interfered();
@@ -39,29 +39,10 @@ void BasicUpdateNode::try_attempt(std::uint64_t serial, int round) {
   // every round.
   const cell::ChannelId r =
       pick_channel(freeSet, pick_, env().rng(id()), pick_cursor_);
-
-  Attempt a;
-  a.serial = serial;
-  a.channel = r;
-  a.ts = clock_.tick();
-  a.round = round;
-  attempt_ = a;
-  granters_.clear();
+  const net::Timestamp ts = clock_.tick();  // one per attempt
   arm_timer(request_timeout(), [this]() { abort_attempt(); });
-
-  net::Message req;
-  req.kind = net::MsgKind::kRequest;
-  req.req_type = net::ReqType::kUpdate;
-  req.serial = serial;
-  req.channel = r;
-  req.ts = attempt_->ts;
-  // The round number rides along and is echoed by every response, so a
-  // response straggling in from a timed-out earlier round of the same
-  // request cannot be miscounted into the current round.
-  req.wave = static_cast<std::uint64_t>(round);
-  send_to_interference(req);
-
-  if (interference().empty()) conclude_attempt();  // isolated cell
+  update_.ask_region(serial, r, ts, round);
+  if (update_.all_answered()) conclude_attempt();  // isolated cell
 }
 
 void BasicUpdateNode::on_release(cell::ChannelId ch, std::uint64_t serial) {
@@ -80,7 +61,7 @@ void BasicUpdateNode::on_message(const net::Message& msg) {
       handle_request(msg);
       break;
     case net::MsgKind::kResponse:
-      handle_response(msg);
+      if (update_.fold(msg)) conclude_attempt();
       break;
     case net::MsgKind::kAcquisition:
       if (msg.channel != cell::kNoChannel) {
@@ -104,106 +85,57 @@ void BasicUpdateNode::on_message(const net::Message& msg) {
 void BasicUpdateNode::handle_request(const net::Message& msg) {
   assert(msg.req_type == net::ReqType::kUpdate);
   const cell::ChannelId r = msg.channel;
-  if (use_.contains(r)) {
-    reject(msg.from, msg.serial, msg.wave, r);
-    return;
-  }
-  if (attempt_.has_value() && attempt_->channel == r && !attempt_->aborted) {
-    if (attempt_->ts < msg.ts) {
-      // Our older request wins the tie.
-      reject(msg.from, msg.serial, msg.wave, r);
-      return;
+  bool grant = !use_.contains(r);
+  if (grant && update_.open() && update_.channel() == r && !update_.yielded()) {
+    if (update_.ts() < msg.ts) {
+      grant = false;  // our older request wins the tie
+    } else {
+      // The older request wins: grant it and fail our own round; we retry
+      // with a different channel once our in-flight answers return.
+      update_.yield();
     }
-    // The older request wins: grant it and abort our own attempt; we will
-    // retry with a different channel once our in-flight responses return.
-    attempt_->aborted = true;
   }
-  grant(msg.from, msg.serial, msg.wave, r);
-}
-
-void BasicUpdateNode::grant(cell::CellId to, std::uint64_t serial,
-                            std::uint64_t wave, cell::ChannelId r) {
-  if (const int rank = nbr_rank(to); rank >= 0) {
-    pending_grants_[static_cast<std::size_t>(rank)].insert(r);
+  if (grant) {
+    if (const int rank = nbr_rank(msg.from); rank >= 0) {
+      pending_grants_[static_cast<std::size_t>(rank)].insert(r);
+    }
   }
-  net::Message resp;
-  resp.kind = net::MsgKind::kResponse;
-  resp.res_type = net::ResType::kGrant;
-  resp.serial = serial;
-  resp.wave = wave;
-  resp.channel = r;
-  resp.from = id();
-  resp.to = to;
-  env().send(resp);
-}
-
-void BasicUpdateNode::reject(cell::CellId to, std::uint64_t serial,
-                             std::uint64_t wave, cell::ChannelId r) {
-  net::Message resp;
-  resp.kind = net::MsgKind::kResponse;
-  resp.res_type = net::ResType::kReject;
-  resp.serial = serial;
-  resp.wave = wave;
-  resp.channel = r;
-  resp.from = id();
-  resp.to = to;
-  env().send(resp);
-}
-
-void BasicUpdateNode::handle_response(const net::Message& msg) {
-  if (!attempt_.has_value() || msg.serial != attempt_->serial) return;
-  if (msg.wave != static_cast<std::uint64_t>(attempt_->round)) return;
-  ++attempt_->responses;
-  if (msg.res_type == net::ResType::kGrant) {
-    granters_.push_back(msg.from);
-  } else {
-    assert(msg.res_type == net::ResType::kReject);
-    attempt_->rejected = true;
-  }
-  if (attempt_->responses == static_cast<int>(interference().size()))
-    conclude_attempt();
+  update_.respond(msg.from, msg.serial, msg.wave, r,
+                  grant ? net::ResType::kGrant : net::ResType::kReject);
 }
 
 void BasicUpdateNode::conclude_attempt() {
-  assert(attempt_.has_value());
   disarm_timer();
-  const Attempt a = *attempt_;
-  attempt_.reset();
-
-  if (!a.rejected && !a.aborted) {
-    use_.insert(a.channel);
+  const std::uint64_t serial = update_.serial();
+  const int round = update_.round();
+  if (update_.granted()) {
+    update_.close();
+    const cell::ChannelId ch = update_.channel();
+    use_.insert(ch);
     net::Message acq;
     acq.kind = net::MsgKind::kAcquisition;
     acq.acq_type = net::AcqType::kNonSearch;
-    acq.serial = a.serial;
-    acq.channel = a.channel;
+    acq.serial = serial;
+    acq.channel = ch;
     send_to_interference(acq);
-    complete_acquired(a.serial, a.channel, Outcome::kAcquiredUpdate, a.round);
+    complete_acquired(serial, ch, Outcome::kAcquiredUpdate, round);
     return;
   }
+  update_.fail();  // return the grants we did collect
+  retry_or_block(serial, round, Outcome::kBlockedStarved);
+}
 
-  // Failed attempt: return the grants we did collect.
-  for (const cell::CellId j : granters_) {
-    net::Message rel;
-    rel.kind = net::MsgKind::kRelease;
-    rel.serial = a.serial;
-    rel.channel = a.channel;
-    rel.from = id();
-    rel.to = j;
-    env().send(rel);
-  }
-  granters_.clear();
-
-  if (a.round >= max_attempts_) {
-    complete_blocked(a.serial, Outcome::kBlockedStarved, a.round);
+void BasicUpdateNode::retry_or_block(std::uint64_t serial, int round,
+                                     Outcome why) {
+  if (round >= max_attempts_) {
+    complete_blocked(serial, why, round);
     return;
   }
-  try_attempt(a.serial, a.round + 1);
+  try_attempt(serial, round + 1);
 }
 
 void BasicUpdateNode::on_crash() {
-  attempt_.reset();
-  granters_.clear();
+  update_.reset();
   // Believed neighbour state is gone; the resync replies rebuild U_j.
   // Grants promised before the crash are unrecoverable — the requesters
   // holding them abort their rounds when our kResyncReq arrives.
@@ -221,7 +153,7 @@ void BasicUpdateNode::on_peer_restart(cell::CellId j) {
   }
   // A grant j sent before crashing is void: resolve the open round through
   // the timeout path before we answer with our state snapshot.
-  if (attempt_.has_value()) abort_attempt();
+  if (update_.open()) abort_attempt();
 }
 
 void BasicUpdateNode::apply_resync_reply(const net::Message& m,
@@ -232,28 +164,14 @@ void BasicUpdateNode::apply_resync_reply(const net::Message& m,
 }
 
 void BasicUpdateNode::abort_attempt() {
-  // Request timer expired with responses outstanding. Release the channel
-  // to the WHOLE region, not just known granters: grants may still be in
-  // flight, and per-link FIFO guarantees our REQUEST precedes this
-  // RELEASE at every neighbour, so every pending grant gets cleaned up.
-  assert(attempt_.has_value());
+  // Request timer expired with responses outstanding (or a target
+  // restarted): the round releases the channel to the whole region.
   disarm_timer();  // also reachable from on_peer_restart, timer still armed
-  const Attempt a = *attempt_;
-  attempt_.reset();
-  granters_.clear();
-  trace_timeout(a.serial, a.round);
-
-  net::Message rel;
-  rel.kind = net::MsgKind::kRelease;
-  rel.serial = a.serial;
-  rel.channel = a.channel;
-  send_to_interference(rel);
-
-  if (a.round >= max_attempts_) {
-    complete_blocked(a.serial, Outcome::kBlockedTimeout, a.round);
-    return;
-  }
-  try_attempt(a.serial, a.round + 1);
+  const std::uint64_t serial = update_.serial();
+  const int round = update_.round();
+  trace_timeout(serial, round);
+  update_.abort();
+  retry_or_block(serial, round, Outcome::kBlockedTimeout);
 }
 
 }  // namespace dca::proto

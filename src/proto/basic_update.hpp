@@ -4,7 +4,8 @@
 // Every node continuously mirrors the channel usage of its interference
 // region: each acquisition and release is broadcast to all neighbours in
 // the region. To acquire, a node picks a channel it believes free, asks
-// every neighbour for permission, and proceeds only on unanimous grants.
+// every neighbour for permission, and proceeds only on unanimous grants —
+// one proto::UpdateRound (update_round.hpp) per attempt.
 // Conflicting concurrent requests for the same channel are arbitrated by
 // timestamp: the younger requester grants the older one and aborts its own
 // attempt. A rejected (or aborted) requester releases the grants it did
@@ -20,12 +21,11 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "proto/allocator.hpp"
 #include "proto/channel_pick.hpp"
+#include "proto/update_round.hpp"
 
 namespace dca::proto {
 
@@ -39,7 +39,7 @@ class BasicUpdateNode final : public AllocatorNode {
   void on_message(const net::Message& msg) override;
 
   [[nodiscard]] bool has_pending_attempt() const noexcept {
-    return attempt_.has_value();
+    return update_.open();
   }
 
   /// What this node believes is used around it (∪ U_j ∪ pending grants).
@@ -60,33 +60,19 @@ class BasicUpdateNode final : public AllocatorNode {
   }
 
  private:
-  struct Attempt {
-    std::uint64_t serial = 0;
-    cell::ChannelId channel = cell::kNoChannel;
-    net::Timestamp ts;
-    int responses = 0;
-    bool rejected = false;   // some neighbour said no
-    bool aborted = false;    // we granted the same channel to an older request
-    int round = 1;           // 1-based attempt number (paper's m)
-  };
-
   void try_attempt(std::uint64_t serial, int round);
   void handle_request(const net::Message& msg);
-  void handle_response(const net::Message& msg);
   void conclude_attempt();
   void abort_attempt();
-  void grant(cell::CellId to, std::uint64_t serial, std::uint64_t wave,
-             cell::ChannelId r);
-  void reject(cell::CellId to, std::uint64_t serial, std::uint64_t wave,
-              cell::ChannelId r);
+  /// After a failed round: the next one, or `why` at the retry cap.
+  void retry_or_block(std::uint64_t serial, int round, Outcome why);
 
   int max_attempts_;
   ChannelPick pick_;
   cell::ChannelId pick_cursor_ = cell::kNoChannel;
-  std::optional<Attempt> attempt_;
+  UpdateRound update_;
   std::vector<cell::ChannelSet> known_use_;       // U_j, indexed by nbr_rank
   std::vector<cell::ChannelSet> pending_grants_;  // granted to j, unconfirmed (by nbr_rank)
-  std::vector<cell::CellId> granters_;            // who granted the current attempt
 };
 
 }  // namespace dca::proto

@@ -226,6 +226,47 @@ TEST_F(AdaptiveUnit, FailedSearchStillAnnounces) {
   EXPECT_EQ(acqs[0].channel, cell::kNoChannel);
 }
 
+TEST_F(AdaptiveUnit, UpdateRoundAbortReleasesToRegionThenFallsBackToSearch) {
+  exhaust_primaries();  // params_.alpha == 2
+  node_->request_channel(4);
+  const auto round1 = env_.sent_of(net::MsgKind::kRequest);
+  ASSERT_EQ(round1.size(), n_in());
+  EXPECT_EQ(round1[0].wave, 1u);
+  env_.clear();
+  node_->on_message(testutil::mk_resync_req(in()[0], kSelf));
+  testutil::expect_round_released(env_, round1);
+  const auto round2 = env_.sent_of(net::MsgKind::kRequest);
+  ASSERT_EQ(round2.size(), n_in()) << "retry at round + 1";
+  EXPECT_EQ(round2[0].req_type, net::ReqType::kUpdate);
+  EXPECT_EQ(round2[0].wave, 2u);
+  EXPECT_EQ(node_->mode(), 2);
+
+  // The alpha-th abort falls back to the search round (mode 3).
+  env_.clear();
+  node_->on_message(testutil::mk_resync_req(in()[1], kSelf));
+  testutil::expect_round_released(env_, round2);
+  const auto search = env_.sent_of(net::MsgKind::kRequest);
+  ASSERT_EQ(search.size(), n_in());
+  EXPECT_EQ(search[0].req_type, net::ReqType::kSearch);
+  EXPECT_EQ(node_->mode(), 3);
+  EXPECT_TRUE(env_.completions().empty());
+}
+
+TEST_F(AdaptiveUnit, SearchRoundAbortAnnouncesFailureAndAnswersLiveDeferrals) {
+  exhaust_primaries();
+  node_->request_channel(4);
+  for (int round = 0; round < 2; ++round) {
+    const net::Message rnd = env_.sent_of(net::MsgKind::kRequest).back();
+    env_.clear();
+    for (const cell::CellId j : in())
+      node_->on_message(testutil::mk_echo_response(rnd, j, net::ResType::kReject));
+  }
+  ASSERT_EQ(node_->mode(), 3);
+  testutil::expect_search_round_abort(env_, *node_, in(), kSelf, 4);
+  EXPECT_EQ(node_->mode(), 1);
+  EXPECT_EQ(node_->waiting(), 1) << "the answered deferred searcher";
+}
+
 // ------------------------------------------------------------ Fig. 4 ------
 
 TEST_F(AdaptiveUnit, UpdateRequestGrantedWhenIdle) {

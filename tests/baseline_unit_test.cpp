@@ -199,6 +199,12 @@ TEST_F(BaselineUnit, SearchDeferredReplySentAfterOwnDecision) {
   EXPECT_TRUE(env_.payload(resp[0]).use.contains(env_.completions()[0].channel));
 }
 
+TEST_F(BaselineUnit, SearchAbortAnnouncesFailureAndAnswersLiveDeferrals) {
+  proto::BasicSearchNode node(ctx());
+  node.request_channel(1);
+  testutil::expect_search_round_abort(env_, node, in(), kSelf, 1);
+}
+
 // ------------------------------------------------------- basic update -----
 
 TEST_F(BaselineUnit, UpdateAsksPermissionForOneChannel) {
@@ -301,6 +307,30 @@ TEST_F(BaselineUnit, UpdateStarvesAtAttemptCap) {
   EXPECT_EQ(env_.completions()[0].attempts, 2);
 }
 
+TEST_F(BaselineUnit, UpdateAbortReleasesToRegionThenRetriesUntilCap) {
+  proto::BasicUpdateNode node(ctx(), 2);
+  node.request_channel(1);
+  const auto round1 = env_.sent_of(net::MsgKind::kRequest);
+  ASSERT_EQ(round1.size(), n_in());
+  EXPECT_EQ(round1[0].wave, 1u);
+  env_.clear();
+  node.on_message(testutil::mk_resync_req(in()[0], kSelf));
+  testutil::expect_round_released(env_, round1);
+  const auto round2 = env_.sent_of(net::MsgKind::kRequest);
+  ASSERT_EQ(round2.size(), n_in()) << "retry at round + 1";
+  EXPECT_EQ(round2[0].wave, 2u);
+  EXPECT_TRUE(env_.completions().empty());
+
+  env_.clear();
+  node.on_message(testutil::mk_resync_req(in()[1], kSelf));
+  testutil::expect_round_released(env_, round2);
+  EXPECT_TRUE(env_.sent_of(net::MsgKind::kRequest).empty());
+  ASSERT_EQ(env_.completions().size(), 1u);
+  EXPECT_EQ(env_.completions()[0].outcome, proto::Outcome::kBlockedTimeout);
+  EXPECT_EQ(env_.completions()[0].attempts, 2);
+  EXPECT_FALSE(node.has_pending_attempt());
+}
+
 // ---------------------------------------------------- advanced update -----
 
 TEST_F(BaselineUnit, AdvancedUpdatePrimaryIsInstantWithBroadcast) {
@@ -376,6 +406,33 @@ TEST_F(BaselineUnit, AdvancedUpdatePromiseBlocksOwnUse) {
   EXPECT_FALSE(env_.sent_of(net::MsgKind::kRequest).empty());
 }
 
+TEST_F(BaselineUnit, AdvancedUpdateAbortReleasesToAskedPrimariesThenRetries) {
+  proto::AdvancedUpdateNode node(ctx(), 2);
+  for (int i = 0; i < 3; ++i) node.request_channel(static_cast<std::uint64_t>(i) + 1);
+  env_.clear();
+  node.request_channel(4);
+  const auto round1 = env_.sent_of(net::MsgKind::kRequest);
+  ASSERT_FALSE(round1.empty());
+  ASSERT_LT(round1.size(), n_in()) << "NP(c, r), not the whole region";
+  EXPECT_EQ(round1[0].wave, 1u);
+  env_.clear();
+  node.on_message(testutil::mk_resync_req(in()[0], kSelf));
+  testutil::expect_round_released(env_, round1);
+  const auto round2 = env_.sent_of(net::MsgKind::kRequest);
+  ASSERT_FALSE(round2.empty()) << "retry at round + 1";
+  EXPECT_EQ(round2[0].wave, 2u);
+  EXPECT_TRUE(env_.completions().empty());
+
+  env_.clear();
+  node.on_message(testutil::mk_resync_req(in()[1], kSelf));
+  testutil::expect_round_released(env_, round2);
+  EXPECT_TRUE(env_.sent_of(net::MsgKind::kRequest).empty());
+  ASSERT_EQ(env_.completions().size(), 1u);
+  EXPECT_EQ(env_.completions()[0].serial, 4u);
+  EXPECT_EQ(env_.completions()[0].outcome, proto::Outcome::kBlockedTimeout);
+  EXPECT_EQ(env_.completions()[0].attempts, 2);
+}
+
 // ---------------------------------------------------- advanced search -----
 
 TEST_F(BaselineUnit, AdvancedSearchRepliesCarryAllocatedAndBusySets) {
@@ -392,6 +449,13 @@ TEST_F(BaselineUnit, AdvancedSearchRepliesCarryAllocatedAndBusySets) {
   // Both are the node's own sets over the spectrum, not defaults.
   EXPECT_EQ(sets.use.universe(), 21);
   EXPECT_EQ(sets.alloc.universe(), 21);
+}
+
+TEST_F(BaselineUnit, AdvancedSearchAbortAnnouncesFailureAndAnswersLiveDeferrals) {
+  proto::AdvancedSearchNode node(ctx(), 10);
+  node.request_channel(1);  // nothing allocated yet: a search round opens
+  ASSERT_TRUE(node.is_searching());
+  testutil::expect_search_round_abort(env_, node, in(), kSelf, 1);
 }
 
 TEST_F(BaselineUnit, AdvancedSearchOwnerAgreesThenSecondRequesterDenied) {

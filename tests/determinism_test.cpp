@@ -6,8 +6,10 @@
 
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "runner/config_file.hpp"
 #include "runner/conformance.hpp"
 #include "runner/experiment.hpp"
 #include "sim/trace.hpp"
@@ -197,6 +199,108 @@ TEST(Determinism, TracingItselfDoesNotPerturbTheRun) {
   expect_same_result(traced, plain, "traced vs untraced");
 }
 
+// -- every scheme under every allocation variant ---------------------------
+//
+// A small clean world (6x6, 70 channels, rho 0.7, 40 s) for each of the six
+// schemes under the paper's behaviour, guard channels and a wider adaptive
+// hysteresis: every run is free of violations and drains, and a two-shard
+// run reproduces the one-shard run in every simulated field.
+
+struct Variant {
+  const char* name;
+  const char* overrides;  // scenario text applied over matrix_config()
+};
+
+constexpr Variant kVariants[] = {
+    {"paper", ""},
+    {"guard2", "handoff_guard = 2\n"},
+    {"theta3to6", "theta_low = 3\ntheta_high = 6\n"},
+};
+
+runner::ScenarioConfig matrix_config(const Variant& v) {
+  runner::ScenarioConfig c;
+  c.rows = 6;
+  c.cols = 6;
+  c.interference_radius = 2;
+  c.n_channels = 70;
+  c.cluster = 7;
+  c.seed = 17;
+  c.mean_holding_s = 20.0;
+  c.duration = sim::seconds(40);
+  c.warmup = sim::seconds(5);
+  std::string error;
+  EXPECT_TRUE(runner::apply_scenario_text(v.overrides, c, error)) << error;
+  return c;
+}
+
+void expect_same_summary(const metrics::Summary& a, const metrics::Summary& b,
+                         const char* what) {
+  SCOPED_TRACE(what);
+  EXPECT_EQ(a.count(), b.count());
+  EXPECT_EQ(a.mean(), b.mean());
+  EXPECT_EQ(a.variance(), b.variance());
+  EXPECT_EQ(a.min(), b.min());
+  EXPECT_EQ(a.max(), b.max());
+}
+
+/// Every field of a RunResult that the simulation determines (all but the
+/// engine's own costs: cross-shard messages and peak RSS).
+void expect_same_simulation(const RunResult& a, const RunResult& b) {
+  expect_same_result(a, b, "simulated fields");
+  EXPECT_EQ(a.scheme, b.scheme);
+  EXPECT_EQ(a.agg.downed, b.agg.downed);
+  EXPECT_EQ(a.agg.handoff_offered, b.agg.handoff_offered);
+  EXPECT_EQ(a.agg.handoff_failures, b.agg.handoff_failures);
+  expect_same_summary(a.agg.attempts, b.agg.attempts, "attempts");
+  expect_same_summary(a.agg.delay_us, b.agg.delay_us, "delay_us");
+  expect_same_summary(a.agg.delay_in_T, b.agg.delay_in_T, "delay_in_T");
+  expect_same_summary(a.agg.messages_per_call, b.agg.messages_per_call,
+                      "messages_per_call");
+  expect_same_summary(a.agg.messages_acquired, b.agg.messages_acquired,
+                      "messages_acquired");
+  EXPECT_EQ(a.transport_bytes, b.transport_bytes);
+  EXPECT_EQ(a.availability, b.availability);
+  EXPECT_EQ(a.conformance_checked, b.conformance_checked);
+  EXPECT_EQ(a.conformance_violations, b.conformance_violations);
+}
+
+class SchemeMatrix
+    : public ::testing::TestWithParam<std::tuple<Scheme, std::size_t>> {};
+
+TEST_P(SchemeMatrix, CleanAndShardInvariant) {
+  const auto [scheme, variant] = GetParam();
+  runner::ScenarioConfig cfg = matrix_config(kVariants[variant]);
+  ASSERT_EQ(runner::validate_scenario(cfg), "");
+  const RunResult one = runner::run_uniform(cfg, scheme, 0.7);
+  EXPECT_EQ(one.violations, 0u);
+  EXPECT_TRUE(one.quiescent);
+  EXPECT_GT(one.agg.acquired, 0u);
+  cfg.shards = 2;
+  const RunResult two = runner::run_uniform(cfg, scheme, 0.7);
+  expect_same_simulation(one, two);
+}
+
+std::string scheme_key(Scheme s) {
+  switch (s) {
+    case Scheme::kFca: return "fca";
+    case Scheme::kBasicSearch: return "basic_search";
+    case Scheme::kBasicUpdate: return "basic_update";
+    case Scheme::kAdvancedUpdate: return "advanced_update";
+    case Scheme::kAdvancedSearch: return "advanced_search";
+    case Scheme::kAdaptive: return "adaptive";
+  }
+  return "unknown";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SchemesByVariant, SchemeMatrix,
+    ::testing::Combine(::testing::ValuesIn(runner::kAllSchemes),
+                       ::testing::Range<std::size_t>(0, std::size(kVariants))),
+    [](const ::testing::TestParamInfo<std::tuple<Scheme, std::size_t>>& p) {
+      return scheme_key(std::get<0>(p.param)) + "_" +
+             kVariants[std::get<1>(p.param)].name;
+    });
+
 // -- trace digests pinned to fixed values --------------------------------
 //
 // FNV-1a-64 of trace_to_jsonl for three scenarios, recorded when the
@@ -234,9 +338,10 @@ runner::ScenarioConfig digest_config() {
   return c;
 }
 
+/// `timeouts` >= 0 also pins the number of kTimeout trace records.
 void expect_trace_digest(runner::ScenarioConfig cfg, Scheme scheme, double rho,
                          std::uint64_t digest, std::size_t events,
-                         std::uint64_t executed) {
+                         std::uint64_t executed, long timeouts = -1) {
   for (const int shards : {1, 2, 4}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     cfg.shards = shards;
@@ -248,6 +353,12 @@ void expect_trace_digest(runner::ScenarioConfig cfg, Scheme scheme, double rho,
     EXPECT_EQ(rec.size(), events);
     EXPECT_EQ(r.executed_events, executed);
     EXPECT_EQ(fnv1a64(runner::trace_to_jsonl(rec.events())), digest);
+    if (timeouts >= 0) {
+      long n = 0;
+      for (const sim::TraceEvent& e : rec.events())
+        if (e.kind == sim::TraceKind::kTimeout) ++n;
+      EXPECT_EQ(n, timeouts);
+    }
   }
 }
 
@@ -320,6 +431,51 @@ TEST(TraceDigest, AdaptiveHandoffGuard) {
 TEST(TraceDigest, BasicUpdateHandoffGuard) {
   expect_trace_digest(guarded_config(2), Scheme::kBasicUpdate, 0.8,
                       0xa8be5d113acebe56ull, 1417, 15326);
+}
+
+// The four non-adaptive message-passing schemes through their round-abort
+// paths: crash_recovery_test.cpp's cocktail (5x5, crashes, drop/dup/
+// jitter, mobility, 400 ms request timeout) with one interior partition
+// over 20-60 s, at rho 1.5 so that every scheme times rounds out. At the
+// stock rho 0.8 advanced update never times out.
+runner::ScenarioConfig abort_config() {
+  runner::ScenarioConfig cfg;
+  cfg.rows = 5;
+  cfg.cols = 5;
+  cfg.n_channels = 35;
+  cfg.duration = sim::minutes(2);
+  cfg.warmup = sim::seconds(15);
+  cfg.seed = 23;
+  cfg.fault.crash_rate_per_min = 1.0;
+  cfg.fault.crash_mean_s = 2.0;
+  cfg.request_timeout = sim::milliseconds(400);
+  cfg.fault.drop_prob = 0.05;
+  cfg.fault.dup_prob = 0.02;
+  cfg.fault.jitter = sim::milliseconds(3);
+  cfg.fault.partitions = {net::PartitionSpec{
+      {6, 7, 8, 11, 12, 13}, sim::seconds(20), sim::seconds(60)}};
+  cfg.mean_dwell_s = cfg.mean_holding_s / 2.0;
+  return cfg;
+}
+
+TEST(TraceDigest, BasicSearchAbortCocktail) {
+  expect_trace_digest(abort_config(), Scheme::kBasicSearch, 1.5,
+                      0x230b2f3a6804e513ull, 105913, 93367, 66);
+}
+
+TEST(TraceDigest, BasicUpdateAbortCocktail) {
+  expect_trace_digest(abort_config(), Scheme::kBasicUpdate, 1.5,
+                      0x62945c23b0616b97ull, 250385, 219750, 461);
+}
+
+TEST(TraceDigest, AdvancedSearchAbortCocktail) {
+  expect_trace_digest(abort_config(), Scheme::kAdvancedSearch, 1.5,
+                      0x1863b50cc75e0278ull, 103588, 85614, 58);
+}
+
+TEST(TraceDigest, AdvancedUpdateAbortCocktail) {
+  expect_trace_digest(abort_config(), Scheme::kAdvancedUpdate, 1.5,
+                      0xb06b56cd857f9876ull, 100207, 85570, 10);
 }
 
 // Wider hysteresis must change a fixed-seed adaptive run; every

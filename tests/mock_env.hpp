@@ -8,8 +8,12 @@
 // who gets ACQUISITION, ...) without the noise of a whole system.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <cstdint>
 #include <deque>
+#include <set>
+#include <span>
 #include <vector>
 
 #include "proto/allocator.hpp"
@@ -220,6 +224,82 @@ inline net::Message mk_release(cell::CellId from, cell::CellId to,
   m.to = to;
   m.serial = serial;
   return m;
+}
+
+/// A neighbour that restarted cold asks for our state; the node aborts any
+/// open round exactly as its request timer would.
+inline net::Message mk_resync_req(cell::CellId from, cell::CellId to) {
+  net::Message m;
+  m.kind = net::MsgKind::kResyncReq;
+  m.from = from;
+  m.to = to;
+  return m;
+}
+
+// -- round-abort scripts ------------------------------------------------------
+//
+// A neighbour's cold restart (its kResyncReq) aborts an open round through
+// the same path as the round's request timer, so these need no timer.
+
+/// Drives the open search round of `node` (request `serial`, timestamp
+/// older than 1'000'000) through its abort path. Searchers in[0] and in[1]
+/// are deferred; in[0] then times out and announces its failure, which
+/// must drop its deferred entry; then in[2] restarts. The round must
+/// announce a failed decision to the whole region and answer in[1], and
+/// only in[1].
+inline void expect_search_round_abort(MockEnv& env, proto::AllocatorNode& node,
+                                      std::span<const cell::CellId> in,
+                                      cell::CellId self, std::uint64_t serial) {
+  ASSERT_GE(in.size(), 3u);
+  const cell::CellId a = in[0];
+  const cell::CellId b = in[1];
+  env.clear();
+  node.on_message(mk_search_request(a, self, net::Timestamp{1'000'000, a}, 91));
+  node.on_message(mk_search_request(b, self, net::Timestamp{1'000'000, b}, 92));
+  EXPECT_TRUE(env.sent().empty()) << "younger searchers are deferred";
+  node.on_message(
+      mk_acquisition(a, self, net::AcqType::kSearch, cell::kNoChannel, 91));
+  EXPECT_TRUE(env.sent().empty()) << "no reply to a searcher that gave up";
+  EXPECT_TRUE(env.completions().empty());
+
+  node.on_message(mk_resync_req(in[2], self));
+  const auto acqs = env.sent_of(net::MsgKind::kAcquisition);
+  ASSERT_EQ(acqs.size(), in.size()) << "the failed decision reaches all of IN";
+  std::set<cell::CellId> dests;
+  for (const auto& m : acqs) {
+    EXPECT_EQ(m.acq_type, net::AcqType::kSearch);
+    EXPECT_EQ(m.channel, cell::kNoChannel);
+    EXPECT_EQ(m.serial, serial);
+    dests.insert(m.to);
+  }
+  EXPECT_EQ(dests.size(), in.size());
+  const auto resps = env.sent_of(net::MsgKind::kResponse);
+  ASSERT_EQ(resps.size(), 1u) << "only the live deferred searcher is answered";
+  EXPECT_EQ(resps[0].res_type, net::ResType::kSearchReply);
+  EXPECT_EQ(resps[0].to, b);
+  EXPECT_EQ(resps[0].serial, 92u);
+  EXPECT_EQ(env.sent_of(net::MsgKind::kResyncReply).size(), 1u);
+  ASSERT_EQ(env.completions().size(), 1u);
+  EXPECT_EQ(env.completions()[0].serial, serial);
+  EXPECT_EQ(env.completions()[0].outcome, proto::Outcome::kBlockedTimeout);
+  EXPECT_FALSE(node.is_searching());
+}
+
+/// The update round that sent `round` was aborted: every cell it asked
+/// got RELEASE of the asked channel, billed to the request, and nobody
+/// else did.
+inline void expect_round_released(const MockEnv& env,
+                                  const std::vector<net::Message>& round) {
+  ASSERT_FALSE(round.empty());
+  std::multiset<cell::CellId> asked;
+  for (const auto& m : round) asked.insert(m.to);
+  std::multiset<cell::CellId> released;
+  for (const auto& m : env.sent_of(net::MsgKind::kRelease)) {
+    EXPECT_EQ(m.channel, round[0].channel);
+    EXPECT_EQ(m.serial, round[0].serial);
+    released.insert(m.to);
+  }
+  EXPECT_EQ(released, asked);
 }
 
 }  // namespace dca::testutil

@@ -162,6 +162,9 @@ int main(int argc, char** argv) {
   } kSchemes[] = {
       {runner::Scheme::kAdaptive, "adaptive"},
       {runner::Scheme::kBasicSearch, "basic_search"},
+      {runner::Scheme::kBasicUpdate, "basic_update"},
+      {runner::Scheme::kAdvancedUpdate, "advanced_update"},
+      {runner::Scheme::kAdvancedSearch, "advanced_search"},
   };
 
   std::vector<CampaignPoint> points;
